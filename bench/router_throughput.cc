@@ -1,8 +1,8 @@
 // Distributed-tier throughput: an in-process Router fronting three
 // in-process QuantileServer backends over Unix-domain sockets, driven
 // through the same client library as server_throughput — the full routed
-// path (client encode, router frame decode, backend RPC on a pooled
-// connection, response relay).
+// path (client encode, the router relaying the frame bytes to a backend
+// on a pooled connection, response relay).
 //
 // Reported rows (values/s unless noted):
 //   router_add_batch_direct      baseline: one backend, no router

@@ -7,7 +7,9 @@
 // request/response view or a Status. The harness walks the input as a
 // stream (the server's framing loop), then drives every request decoder
 // and the response decoders over each structurally valid frame, exactly as
-// the server and client library would.
+// the server and client library would. The daemon's request decoders also
+// validate every frame a router forwards, so they are the whole wall in
+// front of both tiers.
 
 #include <cstddef>
 #include <cstdint>
@@ -53,7 +55,14 @@ void ExerciseFrame(const mrl::server::FrameView& frame) {
     case MsgType::kSnapshot:
     case MsgType::kDelete:
     case MsgType::kStats:
+    case MsgType::kFetchSummary:
       (void)mrl::server::DecodeNameRequest(frame.type, payload, len);
+      break;
+    case MsgType::kPing:
+      (void)mrl::server::DecodePing(payload, len);
+      break;
+    case MsgType::kRestore:
+      (void)mrl::server::DecodeRestore(payload, len);
       break;
     case MsgType::kResponse: {
       mrl::Result<mrl::server::ResponseView> response =
@@ -68,6 +77,7 @@ void ExerciseFrame(const mrl::server::FrameView& frame) {
         (void)mrl::server::DecodeQueryMultiOk(response.value(), &values);
         (void)mrl::server::DecodeSnapshotOk(response.value(), &blob);
         (void)mrl::server::DecodeStatsOk(response.value());
+        (void)mrl::server::DecodeFetchSummaryOk(response.value(), &blob);
       }
       break;
     }

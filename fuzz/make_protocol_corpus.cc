@@ -105,6 +105,21 @@ int main(int argc, char** argv) {
   EncodeNameRequest(MsgType::kStats, "", &wire);
   ok = WriteFile(dir, "stats_global", wire) && ok;
 
+  // Protocol v3, the router/backend ops.
+  wire.clear();
+  EncodePing(&wire);
+  ok = WriteFile(dir, "ping", wire) && ok;
+
+  wire.clear();
+  EncodeNameRequest(MsgType::kFetchSummary, "tenant-a", &wire);
+  ok = WriteFile(dir, "fetch_summary", wire) && ok;
+
+  wire.clear();
+  const std::vector<std::uint8_t> checkpoint = {0x4D, 0x52, 0x4C, 0x51, 0x02,
+                                                0x00, 0x01, 0x02};
+  EncodeRestore("tenant-a", sharded, checkpoint, &wire);
+  ok = WriteFile(dir, "restore", wire) && ok;
+
   wire.clear();
   EncodeErrorResponse(MsgType::kQuery,
                       mrl::Status::NotFound("unknown tenant"), &wire);
@@ -141,6 +156,11 @@ int main(int argc, char** argv) {
   stats.tenant_memory_elements = 4096;
   EncodeStatsOk(stats, &wire);
   ok = WriteFile(dir, "response_stats", wire) && ok;
+
+  wire.clear();
+  const std::vector<std::uint8_t> partial = {0x4D, 0x52, 0x4C, 0x50, 0x01};
+  EncodeFetchSummaryOk(partial, &wire);
+  ok = WriteFile(dir, "response_fetch_summary", wire) && ok;
 
   // A two-frame stream exercises the framing advance in the harness.
   wire.clear();

@@ -1,20 +1,17 @@
 #include "router/router.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "core/partial.h"
+#include "util/net.h"
 
 namespace mrl {
 namespace router {
@@ -26,7 +23,6 @@ using server::FrameView;
 using server::MsgType;
 using server::TenantConfig;
 
-constexpr int kListenBacklog = 128;
 /// Warm connections kept per backend. Beyond this, surplus connections are
 /// simply closed on release — a burst dials extra sockets, steady state
 /// reuses the pool.
@@ -37,37 +33,6 @@ constexpr std::size_t kMaxPooledConnections = 8;
 /// (identical seeds would correlate their Bernoulli draws) while remaining
 /// reproducible from the tenant's one configured seed.
 constexpr std::uint64_t kSeedStride = 0x9e3779b97f4a7c15ULL;
-
-Status StatusFromErrno(const char* what) {
-  return Status::Internal(std::string(what) + ": " + std::strerror(errno));
-}
-
-bool WriteFull(int fd, const std::uint8_t* buf, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t w = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-bool ReadFull(int fd, std::uint8_t* buf, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, buf + got, n - got, 0);
-    if (r == 0) return false;
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  return true;
-}
 
 /// Parses "unix:PATH" or dotted-quad "HOST:PORT" into the Backend fields.
 Status ParseBackendAddress(const std::string& address, bool* is_unix,
@@ -98,6 +63,30 @@ Status ParseBackendAddress(const std::string& address, bool* is_unix,
   *path_or_host = address.substr(0, colon);
   *port = static_cast<std::uint16_t>(parsed);
   return Status::OK();
+}
+
+/// Whether `response`, a whole response frame from a backend, reports OK.
+bool IsOkResponse(const std::vector<std::uint8_t>& response) {
+  Result<FrameView> frame =
+      server::DecodeFrameBody(response.data() + 4, response.size() - 4);
+  if (!frame.ok()) return false;
+  Result<server::ResponseView> view =
+      server::DecodeResponse(frame.value().payload, frame.value().payload_len);
+  return view.ok() && view.value().ok();
+}
+
+/// Tenant config carried by a CREATE_SKETCH or RESTORE payload.
+Result<TenantConfig> ConfigOf(MsgType type, const std::uint8_t* payload,
+                              std::size_t len) {
+  if (type == MsgType::kCreateSketch) {
+    Result<server::CreateSketchRequest> req =
+        server::DecodeCreateSketch(payload, len);
+    if (!req.ok()) return req.status();
+    return req.value().config;
+  }
+  Result<server::RestoreRequest> req = server::DecodeRestore(payload, len);
+  if (!req.ok()) return req.status();
+  return req.value().config;
 }
 
 }  // namespace
@@ -135,50 +124,16 @@ Status Router::Start() {
   }
 
   if (!options_.uds_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options_.uds_path.size() >= sizeof(addr.sun_path)) {
-      return Status::InvalidArgument("unix socket path too long");
-    }
-    std::memcpy(addr.sun_path, options_.uds_path.c_str(),
-                options_.uds_path.size() + 1);
-    ::unlink(options_.uds_path.c_str());
-    uds_listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (uds_listen_fd_ < 0) return StatusFromErrno("socket(AF_UNIX)");
-    if (::bind(uds_listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(uds_listen_fd_, kListenBacklog) != 0) {
-      const Status status = StatusFromErrno("bind/listen(AF_UNIX)");
-      ::close(uds_listen_fd_);
-      uds_listen_fd_ = -1;
-      return status;
-    }
+    Result<int> fd = net::ListenUnix(options_.uds_path);
+    if (!fd.ok()) return fd.status();
+    uds_listen_fd_ = fd.value();
     bound_uds_path_ = options_.uds_path;
   }
-
   if (options_.tcp_port >= 0) {
-    tcp_listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (tcp_listen_fd_ < 0) return StatusFromErrno("socket(AF_INET)");
-    const int one = 1;
-    ::setsockopt(tcp_listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(options_.tcp_port));
-    if (::bind(tcp_listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(tcp_listen_fd_, kListenBacklog) != 0) {
-      const Status status = StatusFromErrno("bind/listen(AF_INET)");
-      ::close(tcp_listen_fd_);
-      tcp_listen_fd_ = -1;
-      return status;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(tcp_listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                      &len) == 0) {
-      tcp_port_ = ntohs(bound.sin_port);
-    }
+    Result<int> fd = net::ListenLoopbackTcp(
+        static_cast<std::uint16_t>(options_.tcp_port), &tcp_port_);
+    if (!fd.ok()) return fd.status();
+    tcp_listen_fd_ = fd.value();
   }
 
   running_.store(true, std::memory_order_release);
@@ -227,25 +182,21 @@ void Router::Stop() {
   // Wake every connection thread mid-read. Entries are removed from
   // conn_fds_ (under conns_mu_) before their fd is closed, so a shutdown
   // here can never hit a recycled descriptor.
-  std::vector<std::thread> conns;
+  std::unordered_map<std::thread::id, std::thread> conns;
   {
     MutexLock lock(conns_mu_);
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
     conns.swap(conn_threads_);
+    finished_conns_.clear();
   }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& entry : conns) entry.second.join();
 }
 
 void Router::AcceptLoop(int listen_fd) {
   while (running_.load(std::memory_order_acquire)) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (!running_.load(std::memory_order_acquire)) return;
-      continue;  // transient accept failure (EMFILE, ECONNABORTED, ...)
-    }
+    ReapFinishedConnections();
+    if (fd < 0) continue;  // EINTR, shutdown, or transient (EMFILE, ...)
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     MutexLock lock(conns_mu_);
@@ -254,42 +205,48 @@ void Router::AcceptLoop(int listen_fd) {
       return;
     }
     conn_fds_.push_back(fd);
-    conn_threads_.emplace_back(&Router::ServeConnection, this, fd);
+    // Registered before the lock drops, so the thread is in the map by the
+    // time it can report itself finished.
+    std::thread thread(&Router::ServeConnection, this, fd);
+    conn_threads_.emplace(thread.get_id(), std::move(thread));
   }
 }
 
+void Router::ReapFinishedConnections() {
+  std::vector<std::thread> done;
+  {
+    MutexLock lock(conns_mu_);
+    for (const std::thread::id id : finished_conns_) {
+      auto it = conn_threads_.find(id);
+      if (it == conn_threads_.end()) continue;
+      done.push_back(std::move(it->second));
+      conn_threads_.erase(it);
+    }
+    finished_conns_.clear();
+  }
+  // Each has left its serving loop; join only waits out its return.
+  for (std::thread& t : done) t.join();
+}
+
 void Router::ServeConnection(int fd) {
-  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> request;
   std::vector<std::uint8_t> out;
-  while (running_.load(std::memory_order_acquire)) {
-    std::uint8_t prefix[4];
-    if (!ReadFull(fd, prefix, sizeof(prefix))) break;
-    const std::uint32_t body_len =
-        static_cast<std::uint32_t>(prefix[0]) |
-        (static_cast<std::uint32_t>(prefix[1]) << 8) |
-        (static_cast<std::uint32_t>(prefix[2]) << 16) |
-        (static_cast<std::uint32_t>(prefix[3]) << 24);
-    if (body_len < server::kFrameHeaderSize - 4 ||
-        body_len > server::kMaxPayload + server::kFrameHeaderSize - 4) {
-      break;  // unframeable garbage; no reliable way to resynchronize
-    }
-    body.resize(body_len);
-    if (!ReadFull(fd, body.data(), body_len)) break;
+  // Any read failure ends the connection, including an unframeable length
+  // prefix: there is no reliable way to resynchronize the stream.
+  while (running_.load(std::memory_order_acquire) &&
+         net::RecvFrame(fd, server::ReadFrameBodyLen, &request) ==
+             net::IoOutcome::kOk) {
     out.clear();
-    Result<FrameView> frame = server::DecodeFrameBody(body.data(), body_len);
-    if (!frame.ok()) {
-      // Attributable to no particular request type: echo kResponse, as the
-      // backends do for undecodable frames.
-      server::EncodeErrorResponse(MsgType::kResponse, frame.status(), &out);
-    } else {
-      HandleFrame(frame.value(), &out);
+    HandleFrame(request, &out);
+    if (net::SendAll(fd, out.data(), out.size()) != net::IoOutcome::kOk) {
+      break;
     }
-    if (!WriteFull(fd, out.data(), out.size())) break;
   }
   {
     MutexLock lock(conns_mu_);
     conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
                     conn_fds_.end());
+    finished_conns_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }
@@ -343,20 +300,15 @@ Status Router::WithBackend(int index, Fn&& rpc, bool* transport_failed) {
   return status;
 }
 
-int Router::ServingIndexOf(std::string_view name) const {
-  const int owner = ring_.OwnerOf(name);
-  if (!options_.replicate) return owner;
-  MutexLock lock(tenants_mu_);
-  auto it = tenants_.find(std::string(name));
-  if (it == tenants_.end() || !it->second.failed_over) return owner;
-  const int replica = ring_.ReplicaOf(name);
-  return replica >= 0 ? replica : owner;
-}
-
 bool Router::failed_over(std::string_view name) const {
   MutexLock lock(tenants_mu_);
   auto it = tenants_.find(std::string(name));
   return it != tenants_.end() && it->second.failed_over;
+}
+
+std::size_t Router::connection_threads() const {
+  MutexLock lock(conns_mu_);
+  return conn_threads_.size();
 }
 
 bool Router::IsPartitioned(std::string_view name) const {
@@ -366,262 +318,322 @@ bool Router::IsPartitioned(std::string_view name) const {
   return false;
 }
 
-template <typename Fn>
-Status Router::ForwardWithFailover(std::string_view name, Fn&& rpc) {
-  const int owner = ring_.OwnerOf(name);
-  int replica = -1;
-  bool known = false;
-  bool use_replica = false;
-  if (options_.replicate) {
-    MutexLock lock(tenants_mu_);
-    auto it = tenants_.find(std::string(name));
-    if (it != tenants_.end() && !it->second.partitioned) {
-      known = true;
-      use_replica = it->second.failed_over;
-      replica = ring_.ReplicaOf(name);
-    }
-  }
-  const int serving = (use_replica && replica >= 0) ? replica : owner;
-  bool transport_failed = false;
-  const Status status = WithBackend(serving, rpc, &transport_failed);
-  if (!transport_failed || use_replica || !known || replica < 0) {
-    return status;
-  }
-  // The primary is unreachable and a warm replica exists: fail over
-  // (sticky) and retry there once.
-  {
-    MutexLock lock(tenants_mu_);
-    auto it = tenants_.find(std::string(name));
-    if (it != tenants_.end()) it->second.failed_over = true;
-  }
-  return WithBackend(replica, rpc);
-}
-
 // ---------------------------------------------------------------------------
 // Dispatch
 
-void Router::HandleFrame(const FrameView& frame,
+void Router::HandleFrame(std::span<const std::uint8_t> request,
                          std::vector<std::uint8_t>* out) {
-  switch (frame.type) {
-    case MsgType::kPing: {
-      // Answered by the router itself: PING probes the node it reaches.
-      const Status status = server::DecodePing(frame.payload,
-                                               frame.payload_len);
-      if (!status.ok()) {
-        return server::EncodeErrorResponse(frame.type, status, out);
-      }
-      return server::EncodeEmptyOk(frame.type, out);
-    }
-    case MsgType::kCreateSketch:
-      return HandleCreate(frame, out);
-    case MsgType::kAddBatch:
-      return HandleAddBatch(frame, out);
-    case MsgType::kQuery:
-      return HandleQuery(frame, out);
-    case MsgType::kQueryMulti:
-      return HandleQueryMulti(frame, out);
-    case MsgType::kSnapshot:
-    case MsgType::kDelete:
-    case MsgType::kFetchSummary:
-      return HandleNameOp(frame, out);
-    case MsgType::kStats:
-      return HandleStats(frame, out);
-    case MsgType::kRestore:
-      return HandleRestore(frame, out);
-    case MsgType::kResponse:
-      break;
+  // Only the type byte (after the length prefix and version) and the
+  // peeked tenant name are read here. A forwarded frame is validated by
+  // the backend that serves it — version, CRC, payload, NaN — and its reply
+  // returns byte for byte; a name that cannot be peeked places the frame
+  // by the empty name, and that backend answers the decode error.
+  const auto type = static_cast<MsgType>(request[5]);
+  const std::string_view name = server::FrameTenantName(
+      request.data() + server::kFrameHeaderSize,
+      request.size() - server::kFrameHeaderSize);
+  const bool local = type == MsgType::kPing ||
+                     (type == MsgType::kStats && name.empty()) ||
+                     (type != MsgType::kResponse && IsPartitioned(name));
+  if (!local) return ForwardFrame(type, name, request, out);
+
+  Result<FrameView> frame =
+      server::DecodeFrameBody(request.data() + 4, request.size() - 4);
+  if (!frame.ok()) {
+    // Attributable to no particular request type: echo kResponse, as the
+    // backends do for undecodable frames.
+    return server::EncodeErrorResponse(MsgType::kResponse, frame.status(),
+                                       out);
   }
-  server::EncodeErrorResponse(
-      frame.type, Status::InvalidArgument("unexpected response frame"), out);
+  const Status status = ServeLocally(frame.value(), out);
+  if (!status.ok()) server::EncodeErrorResponse(type, status, out);
 }
 
-void Router::HandleCreate(const FrameView& frame,
+void Router::ForwardFrame(MsgType type, std::string_view name,
+                          std::span<const std::uint8_t> request,
                           std::vector<std::uint8_t>* out) {
-  Result<server::CreateSketchRequest> req =
-      server::DecodeCreateSketch(frame.payload, frame.payload_len);
-  if (!req.ok()) {
-    return server::EncodeErrorResponse(frame.type, req.status(), out);
-  }
-  const std::string_view name = req.value().name;
-  const TenantConfig& config = req.value().config;
-
-  if (IsPartitioned(name)) {
-    // Broadcast with derived per-backend seeds: every backend holds one
-    // range partition of the tenant.
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      TenantConfig part_config = config;
-      part_config.seed = config.seed + static_cast<std::uint64_t>(i) *
-                                           kSeedStride;
-      const Status status =
-          WithBackend(static_cast<int>(i), [&](Client& client) {
-            return client.CreateSketch(name, part_config);
-          });
-      if (!status.ok()) {
-        return server::EncodeErrorResponse(frame.type, status, out);
-      }
-    }
-    MutexLock lock(tenants_mu_);
-    TenantState& state = tenants_[std::string(name)];
-    state.config = config;
-    state.partitioned = true;
-    return server::EncodeEmptyOk(frame.type, out);
-  }
-
   const int owner = ring_.OwnerOf(name);
-  const Status status = WithBackend(owner, [&](Client& client) {
-    return client.CreateSketch(name, config);
-  });
-  if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
-  }
-  bool replica_dirty = false;
-  if (options_.replicate) {
-    // Same config — and critically the same seed — on the replica, so both
-    // copies make identical sampling decisions and stay byte-identical
-    // under the mirrored write stream.
-    const int replica = ring_.ReplicaOf(name);
-    if (replica >= 0) {
-      const Status mirrored = WithBackend(replica, [&](Client& client) {
-        return client.CreateSketch(name, config);
-      });
-      // Any failure (dead replica, name collision from a stale copy) is
-      // repaired by the health thread's SNAPSHOT→RESTORE resync.
-      replica_dirty = !mirrored.ok();
-    }
-  }
-  {
-    MutexLock lock(tenants_mu_);
-    TenantState& state = tenants_[std::string(name)];
-    state.config = config;
-    state.partitioned = false;
-    state.failed_over = false;
-    state.replica_dirty = replica_dirty;
-    if (replica_dirty) ++state.dirty_gen;
-  }
-  server::EncodeEmptyOk(frame.type, out);
-}
-
-void Router::HandleAddBatch(const FrameView& frame,
-                            std::vector<std::uint8_t>* out) {
-  Result<server::AddBatchRequest> req =
-      server::DecodeAddBatch(frame.payload, frame.payload_len);
-  if (!req.ok()) {
-    return server::EncodeErrorResponse(frame.type, req.status(), out);
-  }
-  const std::string_view name = req.value().name;
-  std::vector<double> values;
-  {
-    const Status status = server::DecodeDoublesInto(
-        req.value().values_le, req.value().count, /*reject_nan=*/true,
-        &values);
-    if (!status.ok()) {
-      return server::EncodeErrorResponse(frame.type, status, out);
-    }
-  }
-
-  if (IsPartitioned(name)) {
-    // Deal the batch out in contiguous slices, one per usable backend; the
-    // reply is the tenant's total count across all partitions.
-    std::vector<int> usable;
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      if (health_.IsUsable(static_cast<int>(i))) {
-        usable.push_back(static_cast<int>(i));
-      }
-    }
-    if (usable.empty()) {
-      return server::EncodeErrorResponse(
-          frame.type, Status::Internal("no usable backends"), out);
-    }
-    std::uint64_t total = 0;
-    const std::size_t per = (values.size() + usable.size() - 1) /
-                            usable.size();
-    for (std::size_t slot = 0; slot < usable.size(); ++slot) {
-      // Contiguous slices; trailing slots may get an empty one but are
-      // still asked, so `total` covers every partition's count.
-      const std::size_t begin = std::min(slot * per, values.size());
-      const std::size_t end = std::min(values.size(), begin + per);
-      const std::span<const Value> slice(values.data() + begin, end - begin);
-      std::uint64_t count = 0;
-      const Status status = WithBackend(usable[slot], [&](Client& client) {
-        Result<std::uint64_t> r = client.AddBatch(name, slice);
-        if (!r.ok()) return r.status();
-        count = r.value();
-        return Status::OK();
-      });
-      if (!status.ok()) {
-        return server::EncodeErrorResponse(frame.type, status, out);
-      }
-      total += count;
-    }
-    return server::EncodeAddBatchOk(total, out);
-  }
-
-  const int owner = ring_.OwnerOf(name);
-  int replica = -1;
+  const int replica = options_.replicate ? ring_.ReplicaOf(name) : -1;
   bool known = false;
   bool use_replica = false;
-  if (options_.replicate) {
+  if (replica >= 0) {
     MutexLock lock(tenants_mu_);
     auto it = tenants_.find(std::string(name));
-    if (it != tenants_.end() && !it->second.partitioned) {
-      known = true;
-      use_replica = it->second.failed_over;
-      replica = ring_.ReplicaOf(name);
-    }
+    known = it != tenants_.end();
+    use_replica = known && it->second.failed_over;
   }
-
-  std::uint64_t count = 0;
-  const auto add_rpc = [&](Client& client) {
-    Result<std::uint64_t> r = client.AddBatch(name, std::span<const Value>(
-                                                        values));
-    if (!r.ok()) return r.status();
-    count = r.value();
-    return Status::OK();
+  const auto exchange = [&](int index, std::vector<std::uint8_t>* response,
+                            bool* transport_failed) {
+    return WithBackend(
+        index,
+        [&](Client& client) { return client.ForwardFrame(request, response); },
+        transport_failed);
   };
 
-  const int serving = (use_replica && replica >= 0) ? replica : owner;
+  int serving = use_replica ? replica : owner;
   bool transport_failed = false;
-  Status status = WithBackend(serving, add_rpc, &transport_failed);
-
-  if (transport_failed && !use_replica && known && replica >= 0) {
-    // Primary died mid-write: promote the replica (sticky) and land the
-    // batch there. The replica holds an identical sketch, so no data that
-    // the client was acknowledged for is lost.
+  Status status = exchange(serving, out, &transport_failed);
+  if (transport_failed && known && !use_replica) {
+    // The primary is unreachable and a warm replica exists: fail over
+    // (sticky) and retry there once. The replica mirrored every
+    // acknowledged write, so nothing the client was told about is lost.
     {
       MutexLock lock(tenants_mu_);
       auto it = tenants_.find(std::string(name));
       if (it != tenants_.end()) it->second.failed_over = true;
     }
-    status = WithBackend(replica, add_rpc);
-    use_replica = true;
+    serving = replica;
+    status = exchange(serving, out, nullptr);
   }
   if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
+    // A frame of unknown type is attributable to no request: echo
+    // kResponse, as a backend would.
+    out->clear();
+    server::EncodeErrorResponse(
+        server::IsKnownMsgType(request[5]) ? type : MsgType::kResponse,
+        status, out);
   }
+  if (replica < 0) return;
 
-  if (known && !use_replica && replica >= 0) {
-    // Mirror to the replica; a miss only marks it dirty (the health thread
-    // resyncs), it never fails the client's write.
-    const Status mirrored = WithBackend(replica, [&](Client& client) {
-      Result<std::uint64_t> r = client.AddBatch(
-          name, std::span<const Value>(values));
-      return r.ok() ? Status::OK() : r.status();
-    });
-    if (!mirrored.ok()) {
-      MutexLock lock(tenants_mu_);
-      auto it = tenants_.find(std::string(name));
-      if (it != tenants_.end()) {
-        it->second.replica_dirty = true;
-        ++it->second.dirty_gen;
-      }
-    }
+  // Replication bookkeeping, all of it keyed off the backend's own reply.
+  std::vector<std::uint8_t> other_reply;
+  if (type == MsgType::kDelete) {
+    // Best effort on the other copy; NotFound / dead backend are fine.
+    (void)exchange(serving == replica ? owner : replica, &other_reply,
+                   nullptr);
+    MutexLock lock(tenants_mu_);
+    tenants_.erase(std::string(name));
+    return;
   }
-  server::EncodeAddBatchOk(count, out);
+  const bool is_write = type == MsgType::kCreateSketch ||
+                        type == MsgType::kRestore ||
+                        (type == MsgType::kAddBatch && known);
+  if (!is_write || !IsOkResponse(*out)) return;
+  // Mirror the same bytes — same config and seed at CREATE, so both copies
+  // make identical sampling decisions. A miss (dead replica, stale copy)
+  // never fails the client's write; it marks the replica dirty for the
+  // health thread's SNAPSHOT→RESTORE resync.
+  const bool mirrored =
+      serving != owner ||
+      (exchange(replica, &other_reply, nullptr).ok() &&
+       IsOkResponse(other_reply));
+  const auto mark_dirty = [](TenantState& state) {
+    state.replica_dirty = true;
+    ++state.dirty_gen;
+  };
+
+  if (type == MsgType::kAddBatch) {
+    if (mirrored) return;
+    MutexLock lock(tenants_mu_);
+    auto it = tenants_.find(std::string(name));
+    if (it != tenants_.end()) mark_dirty(it->second);
+    return;
+  }
+  // CREATE_SKETCH / RESTORE: the backend accepted the frame, so its config
+  // decodes.
+  Result<TenantConfig> config =
+      ConfigOf(type, request.data() + server::kFrameHeaderSize,
+               request.size() - server::kFrameHeaderSize);
+  if (!config.ok()) return;
+  MutexLock lock(tenants_mu_);
+  TenantState& state = tenants_[std::string(name)];
+  state.config = config.value();
+  if (type == MsgType::kCreateSketch) state.replica_dirty = false;
+  if (!mirrored) mark_dirty(state);
 }
 
-Status Router::FanOutQuery(std::string_view name, std::span<const double> phis,
-                           std::vector<double>* answers) {
-  std::vector<PartialSummary> parts;
+Status Router::ServeLocally(const FrameView& frame,
+                            std::vector<std::uint8_t>* out) {
+  const std::uint8_t* payload = frame.payload;
+  const std::size_t len = frame.payload_len;
+  switch (frame.type) {
+    case MsgType::kPing:
+      // Answered by the router itself: PING probes the node it reaches.
+      MRL_RETURN_IF_ERROR(server::DecodePing(payload, len));
+      server::EncodeEmptyOk(frame.type, out);
+      return Status::OK();
+    case MsgType::kCreateSketch: {
+      Result<server::CreateSketchRequest> req =
+          server::DecodeCreateSketch(payload, len);
+      if (!req.ok()) return req.status();
+      return BroadcastCreate(req.value().name, req.value().config, out);
+    }
+    case MsgType::kAddBatch: {
+      Result<server::AddBatchRequest> req =
+          server::DecodeAddBatch(payload, len);
+      if (!req.ok()) return req.status();
+      std::vector<double> values;
+      MRL_RETURN_IF_ERROR(server::DecodeDoublesInto(
+          req.value().values_le, req.value().count, /*reject_nan=*/true,
+          &values));
+      return SplitAddBatch(req.value().name, values, out);
+    }
+    case MsgType::kQuery: {
+      Result<server::QueryRequest> req = server::DecodeQuery(payload, len);
+      if (!req.ok()) return req.status();
+      const double phis[1] = {req.value().phi};
+      std::vector<double> answers;
+      MRL_RETURN_IF_ERROR(FanOutQuery(req.value().name, phis, &answers));
+      server::EncodeQueryOk(answers[0], out);
+      return Status::OK();
+    }
+    case MsgType::kQueryMulti: {
+      Result<server::QueryMultiRequest> req =
+          server::DecodeQueryMulti(payload, len);
+      if (!req.ok()) return req.status();
+      std::vector<double> phis;
+      MRL_RETURN_IF_ERROR(server::DecodeDoublesInto(
+          req.value().phis_le, req.value().count, /*reject_nan=*/true, &phis));
+      std::vector<double> answers;
+      MRL_RETURN_IF_ERROR(FanOutQuery(req.value().name, phis, &answers));
+      server::EncodeQueryMultiOk(answers, out);
+      return Status::OK();
+    }
+    case MsgType::kSnapshot:
+    case MsgType::kDelete:
+    case MsgType::kStats:
+    case MsgType::kFetchSummary: {
+      Result<server::NameRequest> req =
+          server::DecodeNameRequest(frame.type, payload, len);
+      if (!req.ok()) return req.status();
+      const std::string_view name = req.value().name;
+      if (frame.type == MsgType::kDelete) return BroadcastDelete(name, out);
+      if (frame.type == MsgType::kStats) return AggregateStats(name, out);
+      if (frame.type == MsgType::kFetchSummary) {
+        return SpliceSummaries(name, out);
+      }
+      return Status::FailedPrecondition(
+          "partitioned tenants have no single checkpoint; use "
+          "FETCH_SUMMARY or snapshot the backends directly");
+    }
+    case MsgType::kRestore: {
+      Result<server::RestoreRequest> req = server::DecodeRestore(payload, len);
+      if (!req.ok()) return req.status();
+      return Status::FailedPrecondition(
+          "partitioned tenants cannot be restored through the router");
+    }
+    case MsgType::kResponse:
+      break;
+  }
+  return Status::InvalidArgument("unexpected response frame");
+}
+
+// ---------------------------------------------------------------------------
+// Partitioned tenants and fleet-wide STATS
+
+Status Router::BroadcastCreate(std::string_view name,
+                               const TenantConfig& config,
+                               std::vector<std::uint8_t>* out) {
+  // Every backend holds one range partition of the tenant, each sampling
+  // under its own derived seed.
+  for (std::size_t i = 0; i < backends_.size(); ++i) {
+    TenantConfig part_config = config;
+    part_config.seed =
+        config.seed + static_cast<std::uint64_t>(i) * kSeedStride;
+    MRL_RETURN_IF_ERROR(WithBackend(static_cast<int>(i), [&](Client& client) {
+      return client.CreateSketch(name, part_config);
+    }));
+  }
+  {
+    MutexLock lock(tenants_mu_);
+    TenantState& state = tenants_[std::string(name)];
+    state.config = config;
+    state.partitioned = true;
+  }
+  server::EncodeEmptyOk(MsgType::kCreateSketch, out);
+  return Status::OK();
+}
+
+Status Router::SplitAddBatch(std::string_view name,
+                             const std::vector<double>& values,
+                             std::vector<std::uint8_t>* out) {
+  // Deal the batch out in contiguous slices, one per usable backend; the
+  // reply is the tenant's total count across all partitions.
+  std::vector<int> usable;
+  for (std::size_t i = 0; i < backends_.size(); ++i) {
+    if (health_.IsUsable(static_cast<int>(i))) {
+      usable.push_back(static_cast<int>(i));
+    }
+  }
+  if (usable.empty()) return Status::Internal("no usable backends");
+  std::uint64_t total = 0;
+  const std::size_t per = (values.size() + usable.size() - 1) / usable.size();
+  for (std::size_t slot = 0; slot < usable.size(); ++slot) {
+    // Trailing slots may get an empty slice but are still asked, so
+    // `total` covers every partition's count.
+    const std::size_t begin = std::min(slot * per, values.size());
+    const std::size_t end = std::min(values.size(), begin + per);
+    const std::span<const Value> slice(values.data() + begin, end - begin);
+    MRL_RETURN_IF_ERROR(WithBackend(usable[slot], [&](Client& client) {
+      Result<std::uint64_t> count = client.AddBatch(name, slice);
+      if (!count.ok()) return count.status();
+      total += count.value();
+      return Status::OK();
+    }));
+  }
+  server::EncodeAddBatchOk(total, out);
+  return Status::OK();
+}
+
+Status Router::BroadcastDelete(std::string_view name,
+                               std::vector<std::uint8_t>* out) {
+  Status first_error = Status::OK();
+  for (std::size_t i = 0; i < backends_.size(); ++i) {
+    if (!health_.IsUsable(static_cast<int>(i))) continue;
+    const Status status = WithBackend(
+        static_cast<int>(i), [&](Client& client) { return client.Delete(name); });
+    if (!status.ok() && status.code() != StatusCode::kNotFound &&
+        first_error.ok()) {
+      first_error = status;
+    }
+  }
+  {
+    MutexLock lock(tenants_mu_);
+    tenants_.erase(std::string(name));
+  }
+  MRL_RETURN_IF_ERROR(first_error);
+  server::EncodeEmptyOk(MsgType::kDelete, out);
+  return Status::OK();
+}
+
+Status Router::AggregateStats(std::string_view name,
+                              std::vector<std::uint8_t>* out) {
+  // Sum across the fleet. With replication the totals count each mirrored
+  // copy once per holder — fleet-level occupancy, not distinct data.
+  server::StatsReply total;
+  bool any = false;
+  Status last_error = Status::Internal("no usable backends");
+  for (std::size_t i = 0; i < backends_.size(); ++i) {
+    if (!health_.IsUsable(static_cast<int>(i))) continue;
+    server::StatsReply reply;
+    const Status status =
+        WithBackend(static_cast<int>(i), [&](Client& client) {
+          Result<server::StatsReply> r = client.Stats(name);
+          if (!r.ok()) return r.status();
+          reply = r.value();
+          return Status::OK();
+        });
+    if (!status.ok()) {
+      last_error = status;
+      continue;
+    }
+    any = true;
+    total.num_tenants += reply.num_tenants;
+    total.total_count += reply.total_count;
+    if (reply.tenant_present) {
+      total.tenant_present = true;
+      total.tenant_kind = reply.tenant_kind;
+      total.tenant_count += reply.tenant_count;
+      total.tenant_memory_elements += reply.tenant_memory_elements;
+    }
+  }
+  if (!any) return last_error;
+  server::EncodeStatsOk(total, out);
+  return Status::OK();
+}
+
+Status Router::FetchPartitions(std::string_view name,
+                               std::vector<PartialSummary>* parts) {
   Status last_error = Status::NotFound("tenant '" + std::string(name) +
                                        "' not found on any backend");
   for (std::size_t i = 0; i < backends_.size(); ++i) {
@@ -632,17 +644,22 @@ Status Router::FanOutQuery(std::string_view name, std::span<const double> phis,
     });
     if (!status.ok()) {
       // A missing or unreachable partition degrades the answer instead of
-      // failing the query; only an all-miss propagates.
+      // failing it; only an all-miss propagates.
       last_error = status;
       continue;
     }
     Result<PartialSummary> part = DeserializePartialSummary(
         std::span<const std::uint8_t>(blob.data(), blob.size()));
     if (!part.ok()) return part.status();
-    parts.push_back(std::move(part).value());
+    parts->push_back(std::move(part).value());
   }
-  if (parts.empty()) return last_error;
+  return parts->empty() ? last_error : Status::OK();
+}
 
+Status Router::FanOutQuery(std::string_view name, std::span<const double> phis,
+                           std::vector<double>* answers) {
+  std::vector<PartialSummary> parts;
+  MRL_RETURN_IF_ERROR(FetchPartitions(name, &parts));
   std::uint64_t seed = 1;
   {
     MutexLock lock(tenants_mu_);
@@ -656,311 +673,30 @@ Status Router::FanOutQuery(std::string_view name, std::span<const double> phis,
   return Status::OK();
 }
 
-void Router::HandleQuery(const FrameView& frame,
-                         std::vector<std::uint8_t>* out) {
-  Result<server::QueryRequest> req =
-      server::DecodeQuery(frame.payload, frame.payload_len);
-  if (!req.ok()) {
-    return server::EncodeErrorResponse(frame.type, req.status(), out);
-  }
-  const std::string_view name = req.value().name;
-  const double phi = req.value().phi;
-
-  if (IsPartitioned(name)) {
-    std::vector<double> answers;
-    const double phis[1] = {phi};
-    const Status status = FanOutQuery(name, phis, &answers);
-    if (!status.ok()) {
-      return server::EncodeErrorResponse(frame.type, status, out);
+Status Router::SpliceSummaries(std::string_view name,
+                               std::vector<std::uint8_t>* out) {
+  // Partials share one k, so the union of their buffer sets is itself a
+  // valid partial summary — this is what lets routers stack
+  // hierarchically.
+  std::vector<PartialSummary> parts;
+  MRL_RETURN_IF_ERROR(FetchPartitions(name, &parts));
+  PartialSummary combined = std::move(parts.front());
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    if (parts[i].params.k != combined.params.k) {
+      return Status::Internal("partitions disagree on buffer capacity k");
     }
-    return server::EncodeQueryOk(answers[0], out);
-  }
-
-  double value = 0;
-  const Status status = ForwardWithFailover(name, [&](Client& client) {
-    Result<double> r = client.Query(name, phi);
-    if (!r.ok()) return r.status();
-    value = r.value();
-    return Status::OK();
-  });
-  if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
-  }
-  server::EncodeQueryOk(value, out);
-}
-
-void Router::HandleQueryMulti(const FrameView& frame,
-                              std::vector<std::uint8_t>* out) {
-  Result<server::QueryMultiRequest> req =
-      server::DecodeQueryMulti(frame.payload, frame.payload_len);
-  if (!req.ok()) {
-    return server::EncodeErrorResponse(frame.type, req.status(), out);
-  }
-  const std::string_view name = req.value().name;
-  std::vector<double> phis;
-  {
-    const Status status = server::DecodeDoublesInto(
-        req.value().phis_le, req.value().count, /*reject_nan=*/true, &phis);
-    if (!status.ok()) {
-      return server::EncodeErrorResponse(frame.type, status, out);
+    if (parts[i].params.b > combined.params.b) {
+      combined.params = parts[i].params;
+    }
+    combined.count += parts[i].count;
+    for (ShippedBuffer& buf : parts[i].buffers) {
+      combined.buffers.push_back(std::move(buf));
     }
   }
-
-  std::vector<double> answers;
-  Status status;
-  if (IsPartitioned(name)) {
-    status = FanOutQuery(name, phis, &answers);
-  } else {
-    status = ForwardWithFailover(name, [&](Client& client) {
-      answers.clear();
-      return client.QueryMulti(name, phis, &answers);
-    });
-  }
-  if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
-  }
-  server::EncodeQueryMultiOk(answers, out);
-}
-
-void Router::HandleNameOp(const FrameView& frame,
-                          std::vector<std::uint8_t>* out) {
-  Result<server::NameRequest> req =
-      server::DecodeNameRequest(frame.type, frame.payload, frame.payload_len);
-  if (!req.ok()) {
-    return server::EncodeErrorResponse(frame.type, req.status(), out);
-  }
-  const std::string_view name = req.value().name;
-
-  if (frame.type == MsgType::kDelete) {
-    if (IsPartitioned(name)) {
-      Status first_error = Status::OK();
-      for (std::size_t i = 0; i < backends_.size(); ++i) {
-        if (!health_.IsUsable(static_cast<int>(i))) continue;
-        const Status status =
-            WithBackend(static_cast<int>(i), [&](Client& client) {
-              return client.Delete(name);
-            });
-        if (!status.ok() && status.code() != StatusCode::kNotFound &&
-            first_error.ok()) {
-          first_error = status;
-        }
-      }
-      MutexLock lock(tenants_mu_);
-      tenants_.erase(std::string(name));
-      if (!first_error.ok()) {
-        return server::EncodeErrorResponse(frame.type, first_error, out);
-      }
-      return server::EncodeEmptyOk(frame.type, out);
-    }
-    const Status status = ForwardWithFailover(name, [&](Client& client) {
-      return client.Delete(name);
-    });
-    if (options_.replicate) {
-      // Best effort on the other copy; NotFound / dead replica are fine.
-      const int replica = ring_.ReplicaOf(name);
-      const int serving = ServingIndexOf(name);
-      if (replica >= 0) {
-        const int other = serving == replica ? ring_.OwnerOf(name) : replica;
-        (void)WithBackend(other, [&](Client& client) {
-          return client.Delete(name);
-        });
-      }
-    }
-    {
-      MutexLock lock(tenants_mu_);
-      tenants_.erase(std::string(name));
-    }
-    if (!status.ok()) {
-      return server::EncodeErrorResponse(frame.type, status, out);
-    }
-    return server::EncodeEmptyOk(frame.type, out);
-  }
-
-  if (frame.type == MsgType::kFetchSummary && IsPartitioned(name)) {
-    // Fan out and splice: partials share one k, so the union of their
-    // buffer sets is itself a valid partial summary — this is what lets
-    // routers stack hierarchically.
-    std::vector<PartialSummary> parts;
-    Status last_error = Status::NotFound(
-        "tenant '" + std::string(name) + "' not found on any backend");
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      if (!health_.IsUsable(static_cast<int>(i))) continue;
-      std::vector<std::uint8_t> blob;
-      const Status status =
-          WithBackend(static_cast<int>(i), [&](Client& client) {
-            return client.FetchSummary(name, &blob);
-          });
-      if (!status.ok()) {
-        last_error = status;
-        continue;
-      }
-      Result<PartialSummary> part = DeserializePartialSummary(
-          std::span<const std::uint8_t>(blob.data(), blob.size()));
-      if (!part.ok()) {
-        return server::EncodeErrorResponse(frame.type, part.status(), out);
-      }
-      parts.push_back(std::move(part).value());
-    }
-    if (parts.empty()) {
-      return server::EncodeErrorResponse(frame.type, last_error, out);
-    }
-    PartialSummary combined = std::move(parts.front());
-    for (std::size_t i = 1; i < parts.size(); ++i) {
-      if (parts[i].params.k != combined.params.k) {
-        return server::EncodeErrorResponse(
-            frame.type,
-            Status::Internal("partitions disagree on buffer capacity k"),
-            out);
-      }
-      if (parts[i].params.b > combined.params.b) {
-        combined.params = parts[i].params;
-      }
-      combined.count += parts[i].count;
-      for (ShippedBuffer& buf : parts[i].buffers) {
-        combined.buffers.push_back(std::move(buf));
-      }
-    }
-    std::vector<std::uint8_t> blob;
-    SerializePartialSummary(combined, &blob);
-    return server::EncodeFetchSummaryOk(blob, out);
-  }
-
-  if (frame.type == MsgType::kSnapshot && IsPartitioned(name)) {
-    return server::EncodeErrorResponse(
-        frame.type,
-        Status::FailedPrecondition(
-            "partitioned tenants have no single checkpoint; use "
-            "FETCH_SUMMARY or snapshot the backends directly"),
-        out);
-  }
-
   std::vector<std::uint8_t> blob;
-  const Status status = ForwardWithFailover(name, [&](Client& client) {
-    blob.clear();
-    return frame.type == MsgType::kSnapshot
-               ? client.Snapshot(name, &blob)
-               : client.FetchSummary(name, &blob);
-  });
-  if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
-  }
-  if (frame.type == MsgType::kSnapshot) {
-    server::EncodeSnapshotOk(blob, out);
-  } else {
-    server::EncodeFetchSummaryOk(blob, out);
-  }
-}
-
-void Router::HandleStats(const FrameView& frame,
-                         std::vector<std::uint8_t>* out) {
-  Result<server::NameRequest> req =
-      server::DecodeNameRequest(frame.type, frame.payload, frame.payload_len);
-  if (!req.ok()) {
-    return server::EncodeErrorResponse(frame.type, req.status(), out);
-  }
-  const std::string_view name = req.value().name;
-
-  if (name.empty() || IsPartitioned(name)) {
-    // Aggregate across the fleet. With replication the totals count each
-    // mirrored copy once per holder — fleet-level occupancy, not distinct
-    // data.
-    server::StatsReply total;
-    bool any = false;
-    Status last_error = Status::Internal("no usable backends");
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      if (!health_.IsUsable(static_cast<int>(i))) continue;
-      server::StatsReply reply;
-      const Status status =
-          WithBackend(static_cast<int>(i), [&](Client& client) {
-            Result<server::StatsReply> r = client.Stats(name);
-            if (!r.ok()) return r.status();
-            reply = r.value();
-            return Status::OK();
-          });
-      if (!status.ok()) {
-        last_error = status;
-        continue;
-      }
-      any = true;
-      total.num_tenants += reply.num_tenants;
-      total.total_count += reply.total_count;
-      if (reply.tenant_present) {
-        total.tenant_present = true;
-        total.tenant_kind = reply.tenant_kind;
-        total.tenant_count += reply.tenant_count;
-        total.tenant_memory_elements += reply.tenant_memory_elements;
-      }
-    }
-    if (!any) {
-      return server::EncodeErrorResponse(frame.type, last_error, out);
-    }
-    return server::EncodeStatsOk(total, out);
-  }
-
-  server::StatsReply reply;
-  const Status status = ForwardWithFailover(name, [&](Client& client) {
-    Result<server::StatsReply> r = client.Stats(name);
-    if (!r.ok()) return r.status();
-    reply = r.value();
-    return Status::OK();
-  });
-  if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
-  }
-  server::EncodeStatsOk(reply, out);
-}
-
-void Router::HandleRestore(const FrameView& frame,
-                           std::vector<std::uint8_t>* out) {
-  Result<server::RestoreRequest> req =
-      server::DecodeRestore(frame.payload, frame.payload_len);
-  if (!req.ok()) {
-    return server::EncodeErrorResponse(frame.type, req.status(), out);
-  }
-  const std::string_view name = req.value().name;
-  if (IsPartitioned(name)) {
-    return server::EncodeErrorResponse(
-        frame.type,
-        Status::FailedPrecondition(
-            "partitioned tenants cannot be restored through the router"),
-        out);
-  }
-  const std::span<const std::uint8_t> blob(req.value().blob,
-                                           req.value().blob_len);
-  const TenantConfig config = req.value().config;
-  const Status status = ForwardWithFailover(name, [&](Client& client) {
-    return client.RestoreTenant(name, config, blob);
-  });
-  if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
-  }
-  bool replica_dirty = false;
-  bool use_replica = false;
-  {
-    MutexLock lock(tenants_mu_);
-    auto it = tenants_.find(std::string(name));
-    use_replica = it != tenants_.end() && it->second.failed_over;
-  }
-  if (options_.replicate && !use_replica) {
-    const int replica = ring_.ReplicaOf(name);
-    if (replica >= 0) {
-      const Status mirrored = WithBackend(replica, [&](Client& client) {
-        return client.RestoreTenant(name, config, blob);
-      });
-      replica_dirty = !mirrored.ok();
-    }
-  }
-  {
-    MutexLock lock(tenants_mu_);
-    TenantState& state = tenants_[std::string(name)];
-    state.config = config;
-    state.partitioned = false;
-    if (replica_dirty && !state.replica_dirty) {
-      state.replica_dirty = true;
-      ++state.dirty_gen;
-    }
-  }
-  server::EncodeEmptyOk(frame.type, out);
+  SerializePartialSummary(combined, &blob);
+  server::EncodeFetchSummaryOk(blob, out);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

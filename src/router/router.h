@@ -20,6 +20,9 @@
 #include "util/thread_annotations.h"
 
 namespace mrl {
+
+struct PartialSummary;
+
 namespace router {
 
 struct RouterOptions {
@@ -63,10 +66,21 @@ struct RouterOptions {
 /// tenant placement, §6 fan-out merging, replication, and failover all
 /// happen behind it.
 ///
-/// Threading: one acceptor thread per listener, one thread per client
-/// connection (responses are written in request order, preserving the
-/// protocol's pipelining contract), plus one health/resync thread. All
-/// threads are joined by Stop()/the destructor.
+/// Forwarding: a frame for a single-owner tenant is sent to its serving
+/// backend (ring owner, or the replica once the tenant failed over)
+/// byte for byte, CRC included, and the backend's response frame returns
+/// to the client byte for byte: the backend is the one validator of the
+/// request. On a transport failure ForwardFrame fails a replicated tenant
+/// over to its replica (sticky) and retries once; with replication,
+/// CREATE_SKETCH / ADD_BATCH / RESTORE are mirrored as the same bytes
+/// after the primary answers OK. The router answers only PING, STATS with
+/// an empty name, partitioned tenants, and transport failures itself.
+///
+/// Threading: one acceptor thread per listener, one blocking thread per
+/// client connection (responses are written in request order, preserving
+/// the protocol's pipelining contract), plus one health/resync thread.
+/// Acceptors join connection threads as they finish; Stop()/the destructor
+/// joins the rest.
 class Router {
  public:
   static Result<std::unique_ptr<Router>> Create(RouterOptions options);
@@ -95,11 +109,13 @@ class Router {
   BackendState backend_state(int index) const { return health_.state(index); }
   /// Whether `name` has been failed over to its replica.
   bool failed_over(std::string_view name) const;
+  /// Connection threads not yet joined: live ones plus any that finished
+  /// since an acceptor last reaped.
+  std::size_t connection_threads() const;
 
  private:
-  /// One backend: parsed address plus a small pool of warm connections.
-  /// Acquire() prefers a pooled connection and dials under the RPC timeout
-  /// otherwise; Release() returns still-healthy connections for reuse.
+  /// One backend: parsed address plus a small pool of warm connections
+  /// (AcquireConnection takes one, WithBackend returns it while healthy).
   struct Backend {
     std::string address;  ///< as configured
     bool is_unix = false;
@@ -133,29 +149,48 @@ class Router {
 
   void AcceptLoop(int listen_fd);
   void ServeConnection(int fd);
+  /// Joins the connection threads that have finished serving.
+  void ReapFinishedConnections();
 
-  /// Decodes and dispatches one request frame, appending exactly one
-  /// response frame to *out.
-  void HandleFrame(const server::FrameView& frame,
+  /// Handles one whole request frame (length prefix included), appending
+  /// exactly one response frame to *out.
+  void HandleFrame(std::span<const std::uint8_t> request,
                    std::vector<std::uint8_t>* out);
 
-  void HandleCreate(const server::FrameView& frame,
+  /// The single-owner path: placement, verbatim forwarding, the one
+  /// failover retry, mirroring, and tenant bookkeeping (see class comment).
+  void ForwardFrame(server::MsgType type, std::string_view name,
+                    std::span<const std::uint8_t> request,
                     std::vector<std::uint8_t>* out);
-  void HandleAddBatch(const server::FrameView& frame,
+
+  /// Answers a decoded frame the router serves itself (PING, fleet STATS,
+  /// partitioned tenants). On OK the response is in *out; an error is the
+  /// caller's to encode.
+  Status ServeLocally(const server::FrameView& frame,
                       std::vector<std::uint8_t>* out);
-  void HandleQuery(const server::FrameView& frame,
-                   std::vector<std::uint8_t>* out);
-  void HandleQueryMulti(const server::FrameView& frame,
-                        std::vector<std::uint8_t>* out);
-  void HandleNameOp(const server::FrameView& frame,
-                    std::vector<std::uint8_t>* out);
-  void HandleStats(const server::FrameView& frame,
-                   std::vector<std::uint8_t>* out);
-  void HandleRestore(const server::FrameView& frame,
-                     std::vector<std::uint8_t>* out);
 
-  /// Fans QUERY/QUERY_MULTI out over a partitioned tenant: FETCH_SUMMARY
-  /// from every usable backend, merge with MergePartialQuantiles.
+  // Partitioned tenants and fleet-wide STATS; each appends its OK response.
+  Status BroadcastCreate(std::string_view name,
+                         const server::TenantConfig& config,
+                         std::vector<std::uint8_t>* out);
+  Status SplitAddBatch(std::string_view name,
+                       const std::vector<double>& values,
+                       std::vector<std::uint8_t>* out);
+  Status BroadcastDelete(std::string_view name,
+                         std::vector<std::uint8_t>* out);
+  Status AggregateStats(std::string_view name,
+                        std::vector<std::uint8_t>* out);
+  /// FETCH_SUMMARY splice: the union of the partitions' buffer sets.
+  Status SpliceSummaries(std::string_view name,
+                         std::vector<std::uint8_t>* out);
+
+  /// FETCH_SUMMARY from every usable backend, deserialized. Missing or
+  /// unreachable partitions are skipped; only an all-miss is an error.
+  Status FetchPartitions(std::string_view name,
+                         std::vector<PartialSummary>* parts);
+
+  /// Fans QUERY/QUERY_MULTI out over a partitioned tenant: FetchPartitions,
+  /// then merge with MergePartialQuantiles.
   Status FanOutQuery(std::string_view name, std::span<const double> phis,
                      std::vector<double>* answers);
 
@@ -170,16 +205,6 @@ class Router {
   /// sets *transport_failed. Returns the RPC's own status.
   template <typename Fn>
   Status WithBackend(int index, Fn&& rpc, bool* transport_failed = nullptr);
-
-  /// Serving backend for a non-partitioned tenant: the ring owner, or the
-  /// replica once the tenant failed over.
-  int ServingIndexOf(std::string_view name) const;
-
-  /// Forwards an RPC for tenant `name` to its serving backend; on a
-  /// transport failure with replication enabled, fails the tenant over to
-  /// its replica (sticky) and retries there once.
-  template <typename Fn>
-  Status ForwardWithFailover(std::string_view name, Fn&& rpc);
 
   void HealthLoop();
   void ProbeBackends();
@@ -209,8 +234,11 @@ class Router {
   std::condition_variable health_cv_;
   bool health_stop_ MRLQUANT_GUARDED_BY(health_mu_) = false;
 
-  Mutex conns_mu_;
-  std::vector<std::thread> conn_threads_ MRLQUANT_GUARDED_BY(conns_mu_);
+  mutable Mutex conns_mu_;
+  std::unordered_map<std::thread::id, std::thread> conn_threads_
+      MRLQUANT_GUARDED_BY(conns_mu_);
+  /// Connection threads that left their serving loop, awaiting a join.
+  std::vector<std::thread::id> finished_conns_ MRLQUANT_GUARDED_BY(conns_mu_);
   std::vector<int> conn_fds_ MRLQUANT_GUARDED_BY(conns_mu_);
 };
 

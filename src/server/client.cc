@@ -15,45 +15,15 @@
 #include <cstring>
 #include <utility>
 
+#include "util/net.h"
+
 namespace mrl {
 namespace server {
 
+using net::IoOutcome;
+using net::StatusFromErrno;
+
 namespace {
-
-Status StatusFromErrno(const char* what) {
-  return Status::Internal(std::string(what) + ": " + std::strerror(errno));
-}
-
-enum class IoOutcome { kOk, kEof, kTimeout, kError };
-
-IoOutcome WriteFull(int fd, const std::uint8_t* buf, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t w = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return IoOutcome::kTimeout;
-      return IoOutcome::kError;
-    }
-    sent += static_cast<std::size_t>(w);
-  }
-  return IoOutcome::kOk;
-}
-
-IoOutcome ReadFull(int fd, std::uint8_t* buf, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, buf + got, n - got, 0);
-    if (r == 0) return IoOutcome::kEof;
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return IoOutcome::kTimeout;
-      return IoOutcome::kError;
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  return IoOutcome::kOk;
-}
 
 /// connect(2) with a deadline: flips the socket nonblocking, polls for
 /// writability, then reads SO_ERROR for the real outcome before restoring
@@ -190,48 +160,40 @@ Status Client::CheckNoPipeline() const {
       "pipeline requests queued; call PipelineFlush first");
 }
 
-Result<ResponseView> Client::RoundTrip(MsgType sent) {
+Status Client::Send(const std::uint8_t* data, std::size_t n) {
   if (fd_ < 0) return Status::FailedPrecondition("client not connected");
-  const IoOutcome wrote = WriteFull(fd_, request_.data(), request_.size());
-  if (wrote != IoOutcome::kOk) {
-    const Status status = wrote == IoOutcome::kTimeout
-                              ? Status::Internal("send timed out")
-                              : StatusFromErrno("send");
-    Close();
-    return status;
+  const IoOutcome wrote = net::SendAll(fd_, data, n);
+  if (wrote == IoOutcome::kOk) return Status::OK();
+  const Status status = wrote == IoOutcome::kTimeout
+                            ? Status::Internal("send timed out")
+                            : StatusFromErrno("send");
+  Close();
+  return status;
+}
+
+Status Client::ReadFrame(std::vector<std::uint8_t>* frame) {
+  const IoOutcome got = net::RecvFrame(fd_, ReadFrameBodyLen, frame);
+  if (got == IoOutcome::kOk) return Status::OK();
+  Close();
+  switch (got) {
+    case IoOutcome::kTimeout:
+      return Status::Internal("read timed out awaiting response");
+    case IoOutcome::kBadLength:
+      return Status::Internal("response frame length out of range");
+    default:
+      return Status::Internal("connection closed while awaiting response");
   }
+}
+
+Result<ResponseView> Client::RoundTrip(MsgType sent) {
+  MRL_RETURN_IF_ERROR(Send(request_.data(), request_.size()));
   return ReadResponse(sent);
 }
 
 Result<ResponseView> Client::ReadResponse(MsgType sent) {
-  std::uint8_t prefix[4];
-  IoOutcome got = ReadFull(fd_, prefix, sizeof(prefix));
-  if (got != IoOutcome::kOk) {
-    Close();
-    if (got == IoOutcome::kTimeout) {
-      return Status::Internal("read timed out awaiting response");
-    }
-    return Status::Internal("connection closed while awaiting response");
-  }
-  const std::uint32_t body_len = static_cast<std::uint32_t>(prefix[0]) |
-                                 (static_cast<std::uint32_t>(prefix[1]) << 8) |
-                                 (static_cast<std::uint32_t>(prefix[2]) << 16) |
-                                 (static_cast<std::uint32_t>(prefix[3]) << 24);
-  if (body_len < kFrameHeaderSize - 4 ||
-      body_len > kMaxPayload + kFrameHeaderSize - 4) {
-    Close();
-    return Status::Internal("response frame length out of range");
-  }
-  response_.resize(body_len);
-  got = ReadFull(fd_, response_.data(), body_len);
-  if (got != IoOutcome::kOk) {
-    Close();
-    if (got == IoOutcome::kTimeout) {
-      return Status::Internal("read timed out mid-response");
-    }
-    return Status::Internal("connection closed mid-response");
-  }
-  Result<FrameView> frame = DecodeFrameBody(response_.data(), body_len);
+  MRL_RETURN_IF_ERROR(ReadFrame(&response_));
+  Result<FrameView> frame =
+      DecodeFrameBody(response_.data() + 4, response_.size() - 4);
   if (!frame.ok()) {
     Close();
     return frame.status();
@@ -282,14 +244,9 @@ Status Client::PipelineFlush(std::vector<PipelineReply>* replies) {
     return Status::FailedPrecondition("client not connected");
   }
   if (expected_.empty()) return Status::OK();
-  const IoOutcome wrote = WriteFull(fd_, request_.data(), request_.size());
-  if (wrote != IoOutcome::kOk) {
-    const Status status = wrote == IoOutcome::kTimeout
-                              ? Status::Internal("send timed out")
-                              : StatusFromErrno("send");
+  if (Status sent = Send(request_.data(), request_.size()); !sent.ok()) {
     expected_.clear();
-    Close();
-    return status;
+    return sent;
   }
   // Responses arrive on this connection in request order (the pipelining
   // guarantee of docs/wire_protocol.md); read exactly one per queued
@@ -431,6 +388,13 @@ Status Client::RestoreTenant(std::string_view name, const TenantConfig& config,
   Result<ResponseView> response = RoundTrip(MsgType::kRestore);
   if (!response.ok()) return response.status();
   return response.value().ToStatus();
+}
+
+Status Client::ForwardFrame(std::span<const std::uint8_t> request,
+                            std::vector<std::uint8_t>* response) {
+  if (Status busy = CheckNoPipeline(); !busy.ok()) return busy;
+  MRL_RETURN_IF_ERROR(Send(request.data(), request.size()));
+  return ReadFrame(response);
 }
 
 }  // namespace server

@@ -75,6 +75,14 @@ class Client {
   Status RestoreTenant(std::string_view name, const TenantConfig& config,
                        std::span<const std::uint8_t> blob);
 
+  /// Sends `request`, one complete pre-encoded request frame, unchanged and
+  /// reads the server's response frame into *response (length prefix
+  /// included) without decoding or CRC-checking it: the router's verbatim
+  /// forwarding path. Non-OK only on transport failure, which closes the
+  /// connection; the server's own verdict is inside *response.
+  Status ForwardFrame(std::span<const std::uint8_t> request,
+                      std::vector<std::uint8_t>* response);
+
   // -------------------------------------------------------------------------
   // Pipelining (docs/wire_protocol.md, "Request pipelining"): queue any
   // number of requests, send them in one write, then collect the responses
@@ -114,6 +122,13 @@ class Client {
   /// methods call this BEFORE touching request_, so a misplaced blocking
   /// call cannot clobber a queued pipeline.
   Status CheckNoPipeline() const;
+
+  /// Writes [data, data + n); a transport failure closes the connection.
+  Status Send(const std::uint8_t* data, std::size_t n);
+
+  /// Reads one whole frame (prefix included) into *frame; a transport or
+  /// framing failure closes the connection.
+  Status ReadFrame(std::vector<std::uint8_t>* frame);
 
   /// Writes request_, reads one response frame into response_, and decodes
   /// its header. Checks that the response echoes `sent` as request type.

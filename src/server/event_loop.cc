@@ -4,19 +4,14 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
+
+#include "util/net.h"
 
 namespace mrl {
 namespace server {
 
-namespace {
-
-Status StatusFromErrno(const char* what) {
-  return Status::Internal(std::string(what) + ": " + std::strerror(errno));
-}
-
-}  // namespace
+using net::StatusFromErrno;
 
 Result<EventLoop> EventLoop::Create() {
   const int epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);

@@ -50,6 +50,12 @@ std::uint32_t LoadU32Le(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+/// Body bytes a length prefix may announce (see ReadFrameBodyLen).
+bool IsFramableBodyLen(std::size_t body_len) {
+  return body_len >= kFrameHeaderSize - 4 &&
+         body_len <= kMaxPayload + (kFrameHeaderSize - 4);
+}
+
 void StoreU32Le(std::uint8_t* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = (v >> (8 * i)) & 0xff;
 }
@@ -179,9 +185,8 @@ Result<FrameView> DecodeFrame(const std::uint8_t* data, std::size_t size) {
   if (size < 4) {
     return Status::OutOfRange("incomplete frame: length prefix missing");
   }
-  const std::uint32_t body_len = LoadU32Le(data);
-  if (body_len < kFrameHeaderSize - 4 ||
-      body_len > kMaxPayload + (kFrameHeaderSize - 4)) {
+  std::uint32_t body_len = 0;
+  if (!ReadFrameBodyLen(data, &body_len)) {
     return Status::InvalidArgument("frame length out of bounds");
   }
   if (size < 4 + static_cast<std::size_t>(body_len)) {
@@ -194,8 +199,13 @@ Result<FrameView> DecodeFrame(const std::uint8_t* data, std::size_t size) {
   return view;
 }
 
+bool ReadFrameBodyLen(const std::uint8_t* prefix, std::uint32_t* body_len) {
+  *body_len = LoadU32Le(prefix);
+  return IsFramableBodyLen(*body_len);
+}
+
 Result<FrameView> DecodeFrameBody(const std::uint8_t* body, std::size_t len) {
-  if (len < kFrameHeaderSize - 4 || len > kMaxPayload + (kFrameHeaderSize - 4)) {
+  if (!IsFramableBodyLen(len)) {
     return Status::InvalidArgument("frame body length out of bounds");
   }
   const std::uint8_t version = body[0];

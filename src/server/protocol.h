@@ -124,6 +124,14 @@ Result<FrameView> DecodeFrame(const std::uint8_t* data, std::size_t size);
 /// the prefix announced.
 Result<FrameView> DecodeFrameBody(const std::uint8_t* body, std::size_t len);
 
+/// The one frame-length rule, shared by every framing loop (DecodeFrame,
+/// the daemon's shards, the client, the router): reads the little-endian
+/// length prefix at `prefix` into *body_len and returns whether it can
+/// frame a message — at least the 8 header bytes it counts, at most
+/// kMaxPayload of payload. A stream whose prefix fails it cannot be
+/// resynchronized.
+bool ReadFrameBodyLen(const std::uint8_t* prefix, std::uint32_t* body_len);
+
 /// Incremental frame writer: appends the header to *out, lets the caller
 /// append payload bytes, and backpatches length + CRC in Finish(). Appends
 /// only — steady-state encoding into a warmed buffer allocates nothing.

@@ -1,35 +1,24 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <utility>
 
 #include "server/conn.h"
 #include "server/protocol.h"
 #include "util/logging.h"
+#include "util/net.h"
 
 namespace mrl {
 namespace server {
 
 namespace {
-
-/// Listen backlog. C10k bursts arrive faster than the acceptor drains
-/// them; the kernel clamps this to somaxconn.
-constexpr int kListenBacklog = 4096;
-
-Status StatusFromErrno(const char* what) {
-  return Status::Internal(std::string(what) + ": " + std::strerror(errno));
-}
 
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -75,52 +64,18 @@ Status QuantileServer::Start() {
   MRL_RETURN_IF_ERROR(registry_.RecoverFromDisk());
 
   if (!options_.uds_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options_.uds_path.size() >= sizeof(addr.sun_path)) {
-      return Status::InvalidArgument("uds_path too long");
-    }
-    std::memcpy(addr.sun_path, options_.uds_path.c_str(),
-                options_.uds_path.size() + 1);
-    uds_listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (uds_listen_fd_ < 0) return StatusFromErrno("socket(AF_UNIX)");
-    ::unlink(options_.uds_path.c_str());
-    if (::bind(uds_listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(uds_listen_fd_, kListenBacklog) != 0) {
-      const Status status = StatusFromErrno("bind/listen(AF_UNIX)");
-      ::close(uds_listen_fd_);
-      uds_listen_fd_ = -1;
-      return status;
-    }
+    Result<int> fd = net::ListenUnix(options_.uds_path);
+    if (!fd.ok()) return fd.status();
+    uds_listen_fd_ = fd.value();
     SetNonBlocking(uds_listen_fd_);
   }
 
   if (options_.tcp_port != 0) {
-    tcp_listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (tcp_listen_fd_ < 0) return StatusFromErrno("socket(AF_INET)");
-    const int one = 1;
-    ::setsockopt(tcp_listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(options_.tcp_port);
-    if (::bind(tcp_listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(tcp_listen_fd_, kListenBacklog) != 0) {
-      const Status status = StatusFromErrno("bind/listen(AF_INET)");
-      ::close(tcp_listen_fd_);
-      tcp_listen_fd_ = -1;
-      return status;
-    }
+    Result<int> fd =
+        net::ListenLoopbackTcp(options_.tcp_port, &bound_tcp_port_);
+    if (!fd.ok()) return fd.status();
+    tcp_listen_fd_ = fd.value();
     SetNonBlocking(tcp_listen_fd_);
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    if (::getsockname(tcp_listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                      &bound_len) == 0) {
-      bound_tcp_port_ = ntohs(bound.sin_port);
-    }
   }
 
   Result<EventLoop> accept_loop = EventLoop::Create();

@@ -12,21 +12,6 @@ namespace {
 
 constexpr int kMaxEvents = 64;
 
-std::uint32_t LoadU32Le(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-/// True when the 4-byte length prefix can never frame a valid message —
-/// there is no way to resync a byte stream after that, so the connection
-/// is dropped (same contract as the PR5 worker served).
-bool UnframeableBodyLen(std::uint32_t body_len) {
-  return body_len < kFrameHeaderSize - 4 ||
-         body_len > kMaxPayload + kFrameHeaderSize - 4;
-}
-
 }  // namespace
 
 Shard::Shard(std::size_t index, SketchRegistry* registry,
@@ -148,8 +133,8 @@ bool Shard::MaybeMigrate(Conn* conn) {
   }
   const std::size_t avail = conn->available();
   if (avail < 4) return false;  // prefix not buffered yet: route later
-  const std::uint32_t body_len = LoadU32Le(conn->data());
-  if (UnframeableBodyLen(body_len)) {
+  std::uint32_t body_len = 0;
+  if (!ReadFrameBodyLen(conn->data(), &body_len)) {
     conn->routed = true;  // garbage: process (= drop) locally
     return false;
   }
@@ -181,9 +166,10 @@ void Shard::ProcessFrames(Conn* conn) {
   while (!conn->closing) {
     const std::size_t avail = conn->available();
     if (avail < 4) return;
-    const std::uint32_t body_len = LoadU32Le(conn->data());
-    if (UnframeableBodyLen(body_len)) {
-      // Flush what has been answered, then drop the connection.
+    std::uint32_t body_len = 0;
+    if (!ReadFrameBodyLen(conn->data(), &body_len)) {
+      // Unframeable: no way to resync the byte stream. Flush what has been
+      // answered, then drop the connection.
       conn->closing = true;
       return;
     }

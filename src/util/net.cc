@@ -1,0 +1,116 @@
+#include "util/net.h"
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
+
+namespace mrl {
+namespace net {
+
+namespace {
+
+/// C10k bursts arrive faster than an acceptor drains them.
+constexpr int kListenBacklog = 4096;
+
+IoOutcome FailedIo() {
+  return errno == EAGAIN || errno == EWOULDBLOCK ? IoOutcome::kTimeout
+                                                 : IoOutcome::kError;
+}
+
+/// bind(2) + listen(2) on a fresh socket; closes it on failure.
+Result<int> BindAndListen(int fd, const sockaddr* addr, socklen_t len,
+                          const char* what) {
+  if (::bind(fd, addr, len) != 0 || ::listen(fd, kListenBacklog) != 0) {
+    const Status status = StatusFromErrno(what);
+    ::close(fd);
+    return status;
+  }
+  return fd;
+}
+
+}  // namespace
+
+Status StatusFromErrno(const char* what) {
+  return Status::Internal(std::string(what) + ": " + std::strerror(errno));
+}
+
+IoOutcome SendAll(int fd, const std::uint8_t* buf, std::size_t n) {
+  std::size_t sent = 0;
+  while (sent < n) {
+    const ssize_t w = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return FailedIo();
+    }
+    sent += static_cast<std::size_t>(w);
+  }
+  return IoOutcome::kOk;
+}
+
+IoOutcome RecvAll(int fd, std::uint8_t* buf, std::size_t n) {
+  std::size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::recv(fd, buf + got, n - got, 0);
+    if (r == 0) return IoOutcome::kEof;
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return FailedIo();
+    }
+    got += static_cast<std::size_t>(r);
+  }
+  return IoOutcome::kOk;
+}
+
+IoOutcome RecvFrame(int fd, BodyLenRule rule,
+                    std::vector<std::uint8_t>* frame) {
+  frame->resize(4);
+  const IoOutcome got = RecvAll(fd, frame->data(), 4);
+  if (got != IoOutcome::kOk) return got;
+  std::uint32_t body_len = 0;
+  if (!rule(frame->data(), &body_len)) return IoOutcome::kBadLength;
+  frame->resize(4 + static_cast<std::size_t>(body_len));
+  return RecvAll(fd, frame->data() + 4, body_len);
+}
+
+Result<int> ListenUnix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr.sun_path)) {
+    return Status::InvalidArgument("unix socket path too long");
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return StatusFromErrno("socket(AF_UNIX)");
+  ::unlink(path.c_str());
+  return BindAndListen(fd, reinterpret_cast<const sockaddr*>(&addr),
+                       sizeof(addr), "bind/listen(AF_UNIX)");
+}
+
+Result<int> ListenLoopbackTcp(std::uint16_t port, std::uint16_t* bound_port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return StatusFromErrno("socket(AF_INET)");
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  Result<int> listening =
+      BindAndListen(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr),
+                    "bind/listen(AF_INET)");
+  if (!listening.ok()) return listening;
+  sockaddr_in bound{};
+  socklen_t len = sizeof(bound);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
+    *bound_port = ntohs(bound.sin_port);
+  }
+  return listening;
+}
+
+}  // namespace net
+}  // namespace mrl

@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -389,6 +391,160 @@ TEST_F(RouterE2eTest, ReplicaResyncThenFailover) {
   mrl::Result<server::StatsReply> stats = client.Stats("r");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().tenant_count, kN);
+}
+
+// One raw round trip: the request frame goes out as is and the whole
+// response frame comes back undecoded.
+std::vector<std::uint8_t> Exchange(Client& client,
+                                   const std::vector<std::uint8_t>& request) {
+  std::vector<std::uint8_t> response;
+  const Status status = client.ForwardFrame(request, &response);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return response;
+}
+
+// The forwarding contract: for a single-owner tenant the router's reply is
+// the owning daemon's reply, byte for byte — OK bodies and error replies
+// alike. The reference is another daemon of the fleet fed the identical
+// request sequence directly, so it holds an identically configured tenant.
+TEST_F(RouterE2eTest, SingleOwnerRepliesMatchDirectDaemonByteForByte) {
+  StartRouter(RouterOptions{});
+  Client routed = ConnectRouter();
+  const int direct_index = (router_->OwnerIndexOf("t") + 1) % kBackends;
+  Result<Client> direct_conn = Client::ConnectUnix(backend_uds_[direct_index]);
+  ASSERT_TRUE(direct_conn.ok());
+  Client direct = std::move(direct_conn).value();
+
+  TenantConfig config;
+  config.eps = 0.05;
+  config.seed = 5;
+  TenantConfig kll = config;
+  kll.kind = server::SketchKind::kKll;
+  const std::vector<Value> values = UniformStream(5000, 41);
+  std::vector<Value> with_nan = values;
+  with_nan[17] = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> phis = {0.1, 0.5, 0.9};
+
+  std::vector<std::vector<std::uint8_t>> requests;
+  const auto add = [&](auto&& encode) {
+    requests.emplace_back();
+    encode(&requests.back());
+  };
+  using namespace server;  // NOLINT(build/namespaces)
+  add([&](auto* out) { EncodePing(out); });
+  add([&](auto* out) { EncodeCreateSketch("t", config, out); });
+  add([&](auto* out) { EncodeCreateSketch("t", config, out); });  // exists
+  add([&](auto* out) { EncodeCreateSketch("t", kll, out); });  // kind clash
+  add([&](auto* out) { EncodeCreateSketch("bad name!", config, out); });
+  add([&](auto* out) { EncodeAddBatch("t", values, out); });
+  add([&](auto* out) { EncodeAddBatch("t", with_nan, out); });
+  add([&](auto* out) { EncodeAddBatch("ghost", values, out); });
+  add([&](auto* out) { EncodeQuery("t", 0.5, out); });
+  add([&](auto* out) { EncodeQuery("t", 1.5, out); });  // phi out of range
+  add([&](auto* out) { EncodeQuery("ghost", 0.5, out); });
+  add([&](auto* out) { EncodeQueryMulti("t", phis, out); });
+  add([&](auto* out) { EncodeNameRequest(MsgType::kStats, "t", out); });
+  add([&](auto* out) { EncodeNameRequest(MsgType::kFetchSummary, "t", out); });
+  add([&](auto* out) { EncodeNameRequest(MsgType::kSnapshot, "ghost", out); });
+  // A CRC mismatch is answered as an unattributable frame.
+  add([&](auto* out) {
+    EncodeQuery("t", 0.5, out);
+    out->back() ^= 0x01;
+  });
+  for (const std::vector<std::uint8_t>& request : requests) {
+    EXPECT_EQ(Exchange(routed, request), Exchange(direct, request))
+        << "request type " << static_cast<int>(request[5]);
+  }
+
+  // SNAPSHOT, RESTORE it under a new name, and read that tenant back.
+  std::vector<std::uint8_t> snapshot;
+  EncodeNameRequest(MsgType::kSnapshot, "t", &snapshot);
+  const std::vector<std::uint8_t> blob_frame = Exchange(routed, snapshot);
+  ASSERT_EQ(blob_frame, Exchange(direct, snapshot));
+  Result<FrameView> frame =
+      DecodeFrameBody(blob_frame.data() + 4, blob_frame.size() - 4);
+  ASSERT_TRUE(frame.ok());
+  Result<ResponseView> response =
+      DecodeResponse(frame.value().payload, frame.value().payload_len);
+  ASSERT_TRUE(response.ok() && response.value().ok());
+  std::vector<std::uint8_t> blob;
+  ASSERT_TRUE(DecodeSnapshotOk(response.value(), &blob).ok());
+
+  requests.clear();
+  add([&](auto* out) { EncodeRestore("t2", config, blob, out); });
+  add([&](auto* out) { EncodeRestore("t3", kll, blob, out); });  // bad kind
+  add([&](auto* out) { EncodeQueryMulti("t2", phis, out); });
+  add([&](auto* out) { EncodeNameRequest(MsgType::kDelete, "t", out); });
+  add([&](auto* out) { EncodeNameRequest(MsgType::kDelete, "t", out); });
+  for (const std::vector<std::uint8_t>& request : requests) {
+    EXPECT_EQ(Exchange(routed, request), Exchange(direct, request))
+        << "request type " << static_cast<int>(request[5]);
+  }
+}
+
+// The backend is the one validator of forwarded frames: a NaN batch for a
+// replicated tenant is refused by the primary, is never mirrored, and is
+// not mistaken for a transport failure.
+TEST_F(RouterE2eTest, ReplicatedNanBatchIsRejectedWithoutSideEffects) {
+  RouterOptions options;
+  options.replicate = true;
+  StartRouter(std::move(options));
+  Client client = ConnectRouter();
+  TenantConfig config;
+  config.seed = 13;
+  ASSERT_TRUE(client.CreateSketch("n", config).ok());
+  std::vector<Value> values = UniformStream(1000, 43);
+  ASSERT_TRUE(client.AddBatch("n", values).ok());
+
+  values[500] = std::numeric_limits<double>::quiet_NaN();
+  const mrl::Result<std::uint64_t> rejected = client.AddBatch("n", values);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(client.connected());
+
+  for (const int index :
+       {router_->OwnerIndexOf("n"), router_->ReplicaIndexOf("n")}) {
+    Result<Client> direct = Client::ConnectUnix(backend_uds_[index]);
+    ASSERT_TRUE(direct.ok());
+    mrl::Result<server::StatsReply> stats = direct.value().Stats("n");
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats.value().tenant_count, 1000u) << "backend " << index;
+  }
+  EXPECT_FALSE(router_->failed_over("n"));
+}
+
+// Threads of this process, as the kernel lists them.
+std::size_t TaskCount() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// A long-lived router must not keep one exited-but-unjoined thread per
+// connection it ever served. Such a thread is already gone from
+// /proc/self/task (which catches live leaks) but still holds its stack
+// until joined, so the router's own count of unjoined threads is checked
+// too.
+TEST_F(RouterE2eTest, FinishedConnectionThreadsAreJoined) {
+  StartRouter(RouterOptions{});
+  const std::size_t base_tasks = TaskCount();
+  for (int i = 0; i < 256; ++i) {
+    Client client = ConnectRouter();
+    ASSERT_TRUE(client.Ping().ok()) << "cycle " << i;
+  }
+  // Acceptors join finished threads when the next connection arrives; the
+  // last few may still be winding down.
+  std::size_t tasks = TaskCount();
+  for (int attempt = 0; attempt < 100 && tasks > base_tasks + 4; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    tasks = TaskCount();
+  }
+  EXPECT_LE(tasks, base_tasks + 4);
+  EXPECT_LE(router_->connection_threads(), 4u);
 }
 
 }  // namespace
