@@ -1,8 +1,9 @@
 // Writes a deterministic seed corpus for checkpoint_fuzz into the
-// directory named by argv[1]: valid v2 checkpoints of all three sketch
-// kinds at several stream lengths (empty, mid-fill, post-collapse), so the
-// fuzzer starts from byte strings that reach deep into the decoders
-// instead of dying at the magic-number check.
+// directory named by argv[1]: valid v2 checkpoints of every checkpointable
+// sketch kind, plus serialized partial summaries, at several stream
+// lengths (empty, mid-fill, post-collapse), so the fuzzer starts from byte
+// strings that reach deep into the decoders instead of dying at the
+// magic-number check.
 
 #include <cstdint>
 #include <cstdio>
@@ -11,8 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "core/det_reservoir.h"
 #include "core/extreme.h"
+#include "core/kll.h"
 #include "core/known_n.h"
+#include "core/partial.h"
+#include "core/sharded.h"
 #include "core/unknown_n.h"
 
 namespace {
@@ -61,6 +66,13 @@ int main(int argc, char** argv) {
                    usketch.value().Serialize()) &&
          ok;
 
+    // What FETCH_SUMMARY ships: the same sketch's Section 6 partial.
+    mrl::PartialSummary summary;
+    std::vector<std::uint8_t> partial;
+    if (!usketch.value().ExportPartial(&summary).ok()) return 1;
+    mrl::SerializePartialSummary(summary, &partial);
+    ok = WriteFile(dir, "partial_" + std::to_string(n), partial) && ok;
+
     mrl::KnownNOptions kopt;
     kopt.eps = 0.05;
     kopt.delta = 1e-3;
@@ -84,6 +96,40 @@ int main(int argc, char** argv) {
     for (std::uint64_t i = 0; i < n; ++i) esketch.value().Add(Synthetic(i));
     ok = WriteFile(dir, "extreme_" + std::to_string(n),
                    esketch.value().Serialize()) &&
+         ok;
+
+    // The kinds a RESTORE frame reaches besides unknown-N.
+    mrl::KllOptions lopt;
+    lopt.eps = 0.05;
+    lopt.delta = 1e-3;
+    mrl::Result<mrl::KllSketch> lsketch = mrl::KllSketch::Create(lopt);
+    if (!lsketch.ok()) return 1;
+    for (std::uint64_t i = 0; i < n; ++i) lsketch.value().Add(Synthetic(i));
+    ok = WriteFile(dir, "kll_" + std::to_string(n),
+                   lsketch.value().Serialize()) &&
+         ok;
+
+    mrl::DetReservoirOptions ropt;
+    ropt.eps = 0.05;
+    ropt.delta = 1e-3;
+    mrl::Result<mrl::DeterministicReservoirSketch> rsketch =
+        mrl::DeterministicReservoirSketch::Create(ropt);
+    if (!rsketch.ok()) return 1;
+    for (std::uint64_t i = 0; i < n; ++i) rsketch.value().Add(Synthetic(i));
+    ok = WriteFile(dir, "det_reservoir_" + std::to_string(n),
+                   rsketch.value().Serialize()) &&
+         ok;
+
+    mrl::ShardedQuantileSketch::Options sopt;
+    sopt.eps = 0.05;
+    sopt.delta = 1e-3;
+    sopt.num_shards = 2;
+    mrl::Result<mrl::ShardedQuantileSketch> ssketch =
+        mrl::ShardedQuantileSketch::Create(sopt);
+    if (!ssketch.ok()) return 1;
+    for (std::uint64_t i = 0; i < n; ++i) ssketch.value().Add(Synthetic(i));
+    ok = WriteFile(dir, "sharded_" + std::to_string(n),
+                   ssketch.value().Serialize()) &&
          ok;
   }
   return ok ? 0 : 1;

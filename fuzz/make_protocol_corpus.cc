@@ -41,16 +41,6 @@ int main(int argc, char** argv) {
   bool ok = true;
   std::vector<std::uint8_t> wire;
 
-  TenantConfig sharded;
-  sharded.kind = SketchKind::kSharded;
-  sharded.eps = 0.02;
-  sharded.delta = 1e-3;
-  sharded.num_shards = 8;
-  sharded.seed = 42;
-  EncodeCreateSketch("tenant-a", sharded, &wire);
-  ok = WriteFile(dir, "create_sharded", wire) && ok;
-
-  wire.clear();
   EncodeCreateSketch("t", TenantConfig{}, &wire);
   ok = WriteFile(dir, "create_default", wire) && ok;
 
@@ -117,7 +107,7 @@ int main(int argc, char** argv) {
   wire.clear();
   const std::vector<std::uint8_t> checkpoint = {0x4D, 0x52, 0x4C, 0x51, 0x02,
                                                 0x00, 0x01, 0x02};
-  EncodeRestore("tenant-a", sharded, checkpoint, &wire);
+  EncodeRestore("tenant-a", kll, checkpoint, &wire);
   ok = WriteFile(dir, "restore", wire) && ok;
 
   wire.clear();
@@ -151,7 +141,7 @@ int main(int argc, char** argv) {
   stats.num_tenants = 2;
   stats.total_count = 1000000;
   stats.tenant_present = true;
-  stats.tenant_kind = SketchKind::kSharded;
+  stats.tenant_kind = SketchKind::kKll;
   stats.tenant_count = 600000;
   stats.tenant_memory_elements = 4096;
   EncodeStatsOk(stats, &wire);

@@ -162,7 +162,8 @@ Status DeterministicReservoirSketch::Merge(const QuantileEstimator& other) {
 }
 
 std::vector<std::uint8_t> DeterministicReservoirSketch::Serialize() const {
-  BinaryWriter writer;
+  std::vector<std::uint8_t> out;
+  BinaryWriter writer(&out);
   writer.PutU32(kCheckpointMagic);
   writer.PutU8(kCheckpointVersion);
   writer.PutU8(kKindDetReservoir);
@@ -174,7 +175,7 @@ std::vector<std::uint8_t> DeterministicReservoirSketch::Serialize() const {
   writer.PutU64(count_);
   writer.PutValues(values_);
   for (std::uint32_t hash : hashes_) writer.PutU32(hash);
-  return writer.Take();
+  return out;
 }
 
 Result<DeterministicReservoirSketch> DeterministicReservoirSketch::Deserialize(

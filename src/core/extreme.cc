@@ -116,7 +116,8 @@ constexpr std::uint8_t kKindExtreme = 3;
 }  // namespace
 
 std::vector<std::uint8_t> ExtremeValueSketch::Serialize() const {
-  BinaryWriter writer;
+  std::vector<std::uint8_t> out;
+  BinaryWriter writer(&out);
   writer.PutU32(kCheckpointMagic);
   writer.PutU8(kCheckpointVersion);
   writer.PutU8(kKindExtreme);
@@ -136,7 +137,7 @@ std::vector<std::uint8_t> ExtremeValueSketch::Serialize() const {
   writer.PutU64(count_);
   writer.PutU64(heap_offered_);
   writer.PutValues(heap_.raw_values());
-  return writer.Take();
+  return out;
 }
 
 Result<ExtremeValueSketch> ExtremeValueSketch::Deserialize(

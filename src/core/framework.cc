@@ -1,6 +1,7 @@
 #include "core/framework.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "core/collapse.h"
@@ -215,6 +216,12 @@ Status CollapseFramework::DeserializeFrom(BinaryReader* reader) {
     if (!reader->GetU8(&state_byte) || !reader->GetU64(&weight) ||
         !reader->GetI32(&level) || !reader->GetValues(&values)) {
       return reader->status();
+    }
+    // NaN would reach the query merge, whose ordering CHECKs assume a
+    // total order: the same boundary the sketches enforce on Add.
+    if (std::any_of(values.begin(), values.end(),
+                    [](Value v) { return std::isnan(v); })) {
+      return Status::InvalidArgument("checkpoint buffer holds NaN");
     }
     Buffer buf(buffer_capacity_);
     switch (state_byte) {

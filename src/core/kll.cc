@@ -207,7 +207,8 @@ Status KllSketch::Merge(const QuantileEstimator& other) {
 }
 
 std::vector<std::uint8_t> KllSketch::Serialize() const {
-  BinaryWriter writer;
+  std::vector<std::uint8_t> out;
+  BinaryWriter writer(&out);
   writer.PutU32(kCheckpointMagic);
   writer.PutU8(kCheckpointVersion);
   writer.PutU8(kKindKll);
@@ -223,7 +224,7 @@ std::vector<std::uint8_t> KllSketch::Serialize() const {
   for (const std::vector<Value>& level : levels_) {
     writer.PutValues(level);
   }
-  return writer.Take();
+  return out;
 }
 
 Result<KllSketch> KllSketch::Deserialize(

@@ -190,7 +190,8 @@ constexpr std::uint8_t kKindKnownN = 2;
 }  // namespace
 
 std::vector<std::uint8_t> KnownNSketch::Serialize() const {
-  BinaryWriter writer;
+  std::vector<std::uint8_t> out;
+  BinaryWriter writer(&out);
   writer.PutU32(kCheckpointMagic);
   writer.PutU8(kCheckpointVersion);
   writer.PutU8(kKindKnownN);
@@ -211,7 +212,7 @@ std::vector<std::uint8_t> KnownNSketch::Serialize() const {
   writer.PutU64(sampler.pick_offset);
   writer.PutDouble(sampler.candidate);
   framework_.SerializeTo(&writer);
-  return writer.Take();
+  return out;
 }
 
 Result<KnownNSketch> KnownNSketch::Deserialize(
@@ -239,6 +240,7 @@ Result<KnownNSketch> KnownNSketch::Deserialize(
   params.k = static_cast<std::size_t>(k);
   if (params.b < 2 || params.b > 10000 || params.k < 1 || params.h < 1 ||
       params.rate < 1 || params.n < 1 ||
+      params.k > (std::uint64_t{1} << 28) ||  // b * k below cannot wrap
       params.MemoryElements() > (std::uint64_t{1} << 28)) {
     return Status::InvalidArgument("checkpoint parameters out of range");
   }
@@ -259,6 +261,7 @@ Result<KnownNSketch> KnownNSketch::Deserialize(
   if (sampler_state.rate != params.rate ||
       sampler_state.seen_in_block >= sampler_state.rate ||
       sampler_state.pick_offset >= sampler_state.rate ||
+      std::isnan(sampler_state.candidate) ||
       fill_slot >= static_cast<std::uint32_t>(params.b)) {
     return Status::InvalidArgument("checkpoint sampler/fill state invalid");
   }

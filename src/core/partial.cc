@@ -22,7 +22,7 @@ constexpr std::uint64_t kMaxPartialBuffers = std::uint64_t{1} << 16;
 
 void SerializePartialSummary(const PartialSummary& summary,
                              std::vector<std::uint8_t>* out) {
-  BinaryWriter writer;
+  BinaryWriter writer(out);
   writer.PutU32(kPartialMagic);
   writer.PutU8(kPartialVersion);
   writer.PutI32(summary.params.b);
@@ -37,8 +37,6 @@ void SerializePartialSummary(const PartialSummary& summary,
     writer.PutU64(buf.weight);
     writer.PutValues(buf.values);
   }
-  std::vector<std::uint8_t> bytes = writer.Take();
-  out->insert(out->end(), bytes.begin(), bytes.end());
 }
 
 Result<PartialSummary> DeserializePartialSummary(
@@ -70,6 +68,7 @@ Result<PartialSummary> DeserializePartialSummary(
   // unauthenticated peer can make the merge allocate.
   if (summary.params.b < 2 || summary.params.b > 10000 ||
       summary.params.k < 1 || summary.params.h < 1 ||
+      summary.params.k > (std::uint64_t{1} << 28) ||  // b * k cannot wrap
       summary.params.MemoryElements() > (std::uint64_t{1} << 28)) {
     return Status::InvalidArgument("partial summary parameters out of range");
   }

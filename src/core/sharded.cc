@@ -185,7 +185,8 @@ constexpr std::uint32_t kMaxShards = 1024;  // matches the wire-level bound
 }  // namespace
 
 std::vector<std::uint8_t> ShardedQuantileSketch::Serialize() const {
-  BinaryWriter writer;
+  std::vector<std::uint8_t> out;
+  BinaryWriter writer(&out);
   writer.PutU32(kCheckpointMagic);
   writer.PutU8(kCheckpointVersion);
   writer.PutU8(kKindSharded);
@@ -195,9 +196,9 @@ std::vector<std::uint8_t> ShardedQuantileSketch::Serialize() const {
   for (const UnknownNSketch& s : shards_) {
     const std::vector<std::uint8_t> blob = s.Serialize();
     writer.PutU32(static_cast<std::uint32_t>(blob.size()));
-    for (std::uint8_t byte : blob) writer.PutU8(byte);
+    writer.PutBytes(blob.data(), blob.size());
   }
-  return writer.Take();
+  return out;
 }
 
 Status ShardedQuantileSketch::Restore(std::span<const std::uint8_t> bytes) {
@@ -228,17 +229,11 @@ Status ShardedQuantileSketch::Restore(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint8_t> blob;
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     std::uint32_t len;
-    if (!reader.GetU32(&len)) return reader.status();
-    if (len > reader.Remaining()) {
-      return Status::InvalidArgument("checkpoint shard blob truncated");
+    const std::uint8_t* bytes;
+    if (!reader.GetU32(&len) || !reader.GetBytes(len, &bytes)) {
+      return reader.status();
     }
-    blob.clear();
-    blob.reserve(len);
-    for (std::uint32_t i = 0; i < len; ++i) {
-      std::uint8_t byte;
-      if (!reader.GetU8(&byte)) return reader.status();
-      blob.push_back(byte);
-    }
+    blob.assign(bytes, bytes + len);
     Result<UnknownNSketch> shard = UnknownNSketch::Deserialize(blob);
     if (!shard.ok()) return shard.status();
     shards.push_back(std::move(shard).value());

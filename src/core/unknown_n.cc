@@ -248,7 +248,8 @@ constexpr std::uint8_t kKindUnknownN = 1;
 }  // namespace
 
 std::vector<std::uint8_t> UnknownNSketch::Serialize() const {
-  BinaryWriter writer;
+  std::vector<std::uint8_t> out;
+  BinaryWriter writer(&out);
   writer.PutU32(kCheckpointMagic);
   writer.PutU8(kCheckpointVersion);
   writer.PutU8(kKindUnknownN);
@@ -270,7 +271,7 @@ std::vector<std::uint8_t> UnknownNSketch::Serialize() const {
   writer.PutU64(sampler.pick_offset);
   writer.PutDouble(sampler.candidate);
   framework_.SerializeTo(&writer);
-  return writer.Take();
+  return out;
 }
 
 Result<UnknownNSketch> UnknownNSketch::Deserialize(
@@ -300,6 +301,7 @@ Result<UnknownNSketch> UnknownNSketch::Deserialize(
   // Bound the pool we are willing to allocate for an (unauthenticated)
   // checkpoint before touching it: 2^28 elements = 2 GiB of doubles.
   if (params.b < 2 || params.b > 10000 || params.k < 1 || params.h < 1 ||
+      params.k > (std::uint64_t{1} << 28) ||  // b * k below cannot wrap
       params.MemoryElements() > (std::uint64_t{1} << 28)) {
     return Status::InvalidArgument("checkpoint parameters out of range");
   }
@@ -322,6 +324,7 @@ Result<UnknownNSketch> UnknownNSketch::Deserialize(
   if (sampler_state.rate < 1 ||
       sampler_state.seen_in_block >= sampler_state.rate ||
       sampler_state.pick_offset >= sampler_state.rate ||
+      std::isnan(sampler_state.candidate) ||
       fill_slot >= static_cast<std::uint32_t>(params.b) ||
       (filling != 0 && fill_weight < 1)) {
     return Status::InvalidArgument("checkpoint sampler/fill state invalid");

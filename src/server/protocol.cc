@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <string>
 
 #include "util/logging.h"
@@ -30,64 +29,19 @@ const std::array<std::uint32_t, 256>& CrcTable() {
   return table;
 }
 
-void PutU16Le(std::vector<std::uint8_t>* out, std::uint16_t v) {
-  out->push_back(v & 0xff);
-  out->push_back((v >> 8) & 0xff);
-}
-
-void PutU32Le(std::vector<std::uint8_t>* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-void PutU64Le(std::vector<std::uint8_t>* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-std::uint32_t LoadU32Le(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 /// Body bytes a length prefix may announce (see ReadFrameBodyLen).
 bool IsFramableBodyLen(std::size_t body_len) {
   return body_len >= kFrameHeaderSize - 4 &&
          body_len <= kMaxPayload + (kFrameHeaderSize - 4);
 }
 
-void StoreU32Le(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = (v >> (8 * i)) & 0xff;
-}
-
-double LoadDoubleLe(const std::uint8_t* p) {
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 /// Reads a u16-length-prefixed name and validates it. The view borrows from
 /// the payload buffer underlying `reader`.
-bool GetName(BinaryReader* reader, const std::uint8_t* payload,
-             std::size_t payload_len, bool allow_empty,
-             std::string_view* out) {
+bool GetName(BinaryReader* reader, bool allow_empty, std::string_view* out) {
   std::uint16_t n;
-  if (!reader->GetU16(&n)) return false;
-  if (n > reader->Remaining()) {
-    reader->Fail("name length exceeds payload");
-    return false;
-  }
-  const std::size_t pos = payload_len - reader->Remaining();
-  *out = std::string_view(reinterpret_cast<const char*>(payload) + pos, n);
-  // Advance the reader past the name bytes.
-  for (std::uint16_t i = 0; i < n; ++i) {
-    std::uint8_t ignored;
-    if (!reader->GetU8(&ignored)) return false;
-  }
+  const std::uint8_t* bytes;
+  if (!reader->GetU16(&n) || !reader->GetBytes(n, &bytes)) return false;
+  *out = std::string_view(reinterpret_cast<const char*>(bytes), n);
   if (out->empty() ? !allow_empty : !IsValidTenantName(*out)) {
     reader->Fail("invalid tenant name");
     return false;
@@ -103,35 +57,6 @@ Status RequireAtEnd(const BinaryReader& reader) {
   return Status::OK();
 }
 
-/// Reads and validates the TenantConfig field block shared by
-/// CREATE_SKETCH and RESTORE.
-Status GetConfig(BinaryReader* reader, TenantConfig* config) {
-  std::uint8_t kind;
-  std::uint32_t num_shards;
-  if (!reader->GetU8(&kind) || !reader->GetDouble(&config->eps) ||
-      !reader->GetDouble(&config->delta) || !reader->GetU32(&num_shards) ||
-      !reader->GetU64(&config->seed)) {
-    return reader->status();
-  }
-  if (!IsKnownSketchKind(kind)) {
-    return Status::InvalidArgument("unknown sketch kind " +
-                                   std::to_string(kind));
-  }
-  config->kind = static_cast<SketchKind>(kind);
-  if (!std::isfinite(config->eps) || config->eps <= 0 || config->eps > 0.5) {
-    return Status::InvalidArgument("eps must be in (0, 0.5]");
-  }
-  if (!std::isfinite(config->delta) || config->delta <= 0 ||
-      config->delta >= 1) {
-    return Status::InvalidArgument("delta must be in (0, 1)");
-  }
-  if (num_shards < 1 || num_shards > 1024) {
-    return Status::InvalidArgument("num_shards must be in [1, 1024]");
-  }
-  config->num_shards = static_cast<std::int32_t>(num_shards);
-  return Status::OK();
-}
-
 }  // namespace
 
 bool IsKnownMsgType(std::uint8_t type) {
@@ -140,21 +65,54 @@ bool IsKnownMsgType(std::uint8_t type) {
 }
 
 bool IsKnownSketchKind(std::uint8_t kind) {
-  return kind <= static_cast<std::uint8_t>(SketchKind::kDetReservoir);
+  return kind == static_cast<std::uint8_t>(SketchKind::kUnknownN) ||
+         kind == static_cast<std::uint8_t>(SketchKind::kKll) ||
+         kind == static_cast<std::uint8_t>(SketchKind::kDetReservoir);
 }
 
 std::string_view SketchKindName(SketchKind kind) {
   switch (kind) {
     case SketchKind::kUnknownN:
       return "unknown_n";
-    case SketchKind::kSharded:
-      return "sharded";
     case SketchKind::kKll:
       return "kll";
     case SketchKind::kDetReservoir:
       return "det_reservoir";
   }
   return "invalid";
+}
+
+void PutTenantConfig(const TenantConfig& config, BinaryWriter* writer) {
+  writer->PutU8(static_cast<std::uint8_t>(config.kind));
+  writer->PutDouble(config.eps);
+  writer->PutDouble(config.delta);
+  writer->PutU64(config.seed);
+}
+
+Status GetTenantConfig(BinaryReader* reader, TenantConfig* config) {
+  std::uint8_t kind;
+  if (!reader->GetU8(&kind) || !reader->GetDouble(&config->eps) ||
+      !reader->GetDouble(&config->delta) || !reader->GetU64(&config->seed)) {
+    return reader->status();
+  }
+  config->kind = static_cast<SketchKind>(kind);
+  return ValidateTenantConfig(*config);
+}
+
+Status ValidateTenantConfig(const TenantConfig& config) {
+  const auto kind = static_cast<std::uint8_t>(config.kind);
+  if (!IsKnownSketchKind(kind)) {
+    return Status::InvalidArgument("unknown sketch kind " +
+                                   std::to_string(kind));
+  }
+  if (!std::isfinite(config.eps) || config.eps <= 0 || config.eps > 0.5) {
+    return Status::InvalidArgument("eps must be in (0, 0.5]");
+  }
+  if (!std::isfinite(config.delta) || config.delta <= 0 ||
+      config.delta >= 1) {
+    return Status::InvalidArgument("delta must be in (0, 1)");
+  }
+  return Status::OK();
 }
 
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t n) {
@@ -210,8 +168,7 @@ Result<FrameView> DecodeFrameBody(const std::uint8_t* body, std::size_t len) {
   }
   const std::uint8_t version = body[0];
   const std::uint8_t type = body[1];
-  const std::uint16_t reserved =
-      static_cast<std::uint16_t>(body[2] | (body[3] << 8));
+  const std::uint16_t reserved = LoadU16Le(body + 2);
   const std::uint32_t crc = LoadU32Le(body + 4);
   if (version != kProtocolVersion) {
     return Status::InvalidArgument("unsupported protocol version");
@@ -234,22 +191,12 @@ Result<FrameView> DecodeFrameBody(const std::uint8_t* body, std::size_t len) {
 }
 
 FrameBuilder::FrameBuilder(MsgType type, std::vector<std::uint8_t>* out)
-    : out_(out), frame_start_(out->size()) {
-  PutU32Le(out_, 0);  // length, backpatched by Finish
-  out_->push_back(kProtocolVersion);
-  out_->push_back(static_cast<std::uint8_t>(type));
-  PutU16Le(out_, 0);  // reserved
-  PutU32Le(out_, 0);  // crc, backpatched by Finish
-}
-
-void FrameBuilder::PutU16(std::uint16_t v) { PutU16Le(out_, v); }
-void FrameBuilder::PutU32(std::uint32_t v) { PutU32Le(out_, v); }
-void FrameBuilder::PutU64(std::uint64_t v) { PutU64Le(out_, v); }
-
-void FrameBuilder::PutDouble(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64Le(out_, bits);
+    : BinaryWriter(out), frame_start_(out->size()) {
+  PutU32(0);  // length, backpatched by Finish
+  PutU8(kProtocolVersion);
+  PutU8(static_cast<std::uint8_t>(type));
+  PutU16(0);  // reserved
+  PutU32(0);  // crc, backpatched by Finish
 }
 
 void FrameBuilder::PutName(std::string_view name) {
@@ -258,15 +205,11 @@ void FrameBuilder::PutName(std::string_view name) {
   PutBytes(reinterpret_cast<const std::uint8_t*>(name.data()), name.size());
 }
 
-void FrameBuilder::PutBytes(const std::uint8_t* data, std::size_t n) {
-  out_->insert(out_->end(), data, data + n);
-}
-
 void FrameBuilder::Finish() {
-  const std::size_t payload_len =
-      out_->size() - frame_start_ - kFrameHeaderSize;
+  std::vector<std::uint8_t>& out = buffer();
+  const std::size_t payload_len = out.size() - frame_start_ - kFrameHeaderSize;
   MRL_CHECK_LE(payload_len, kMaxPayload) << "frame payload exceeds cap";
-  std::uint8_t* frame = out_->data() + frame_start_;
+  std::uint8_t* frame = out.data() + frame_start_;
   StoreU32Le(frame, static_cast<std::uint32_t>(payload_len +
                                                (kFrameHeaderSize - 4)));
   StoreU32Le(frame + 8,
@@ -280,11 +223,7 @@ void EncodeCreateSketch(std::string_view name, const TenantConfig& config,
                         std::vector<std::uint8_t>* out) {
   FrameBuilder frame(MsgType::kCreateSketch, out);
   frame.PutName(name);
-  frame.PutU8(static_cast<std::uint8_t>(config.kind));
-  frame.PutDouble(config.eps);
-  frame.PutDouble(config.delta);
-  frame.PutU32(static_cast<std::uint32_t>(config.num_shards));
-  frame.PutU64(config.seed);
+  PutTenantConfig(config, &frame);
   frame.Finish();
 }
 
@@ -333,11 +272,7 @@ void EncodeRestore(std::string_view name, const TenantConfig& config,
                    std::vector<std::uint8_t>* out) {
   FrameBuilder frame(MsgType::kRestore, out);
   frame.PutName(name);
-  frame.PutU8(static_cast<std::uint8_t>(config.kind));
-  frame.PutDouble(config.eps);
-  frame.PutDouble(config.delta);
-  frame.PutU32(static_cast<std::uint32_t>(config.num_shards));
-  frame.PutU64(config.seed);
+  PutTenantConfig(config, &frame);
   frame.PutU32(static_cast<std::uint32_t>(blob.size()));
   frame.PutBytes(blob.data(), blob.size());
   frame.Finish();
@@ -350,10 +285,10 @@ Result<CreateSketchRequest> DecodeCreateSketch(const std::uint8_t* payload,
                                                std::size_t len) {
   BinaryReader reader(payload, len);
   CreateSketchRequest req;
-  if (!GetName(&reader, payload, len, /*allow_empty=*/false, &req.name)) {
+  if (!GetName(&reader, /*allow_empty=*/false, &req.name)) {
     return reader.status();
   }
-  MRL_RETURN_IF_ERROR(GetConfig(&reader, &req.config));
+  MRL_RETURN_IF_ERROR(GetTenantConfig(&reader, &req.config));
   MRL_RETURN_IF_ERROR(RequireAtEnd(reader));
   return req;
 }
@@ -362,7 +297,7 @@ Result<AddBatchRequest> DecodeAddBatch(const std::uint8_t* payload,
                                        std::size_t len) {
   BinaryReader reader(payload, len);
   AddBatchRequest req;
-  if (!GetName(&reader, payload, len, /*allow_empty=*/false, &req.name) ||
+  if (!GetName(&reader, /*allow_empty=*/false, &req.name) ||
       !reader.GetU64(&req.count)) {
     return reader.status();
   }
@@ -379,7 +314,7 @@ Result<QueryRequest> DecodeQuery(const std::uint8_t* payload,
                                  std::size_t len) {
   BinaryReader reader(payload, len);
   QueryRequest req;
-  if (!GetName(&reader, payload, len, /*allow_empty=*/false, &req.name) ||
+  if (!GetName(&reader, /*allow_empty=*/false, &req.name) ||
       !reader.GetDouble(&req.phi)) {
     return reader.status();
   }
@@ -394,7 +329,7 @@ Result<QueryMultiRequest> DecodeQueryMulti(const std::uint8_t* payload,
                                            std::size_t len) {
   BinaryReader reader(payload, len);
   QueryMultiRequest req;
-  if (!GetName(&reader, payload, len, /*allow_empty=*/false, &req.name) ||
+  if (!GetName(&reader, /*allow_empty=*/false, &req.name) ||
       !reader.GetU64(&req.count)) {
     return reader.status();
   }
@@ -413,7 +348,7 @@ Result<NameRequest> DecodeNameRequest(MsgType type,
   BinaryReader reader(payload, len);
   NameRequest req;
   const bool allow_empty = type == MsgType::kStats;
-  if (!GetName(&reader, payload, len, allow_empty, &req.name)) {
+  if (!GetName(&reader, allow_empty, &req.name)) {
     return reader.status();
   }
   MRL_RETURN_IF_ERROR(RequireAtEnd(reader));
@@ -432,17 +367,17 @@ Result<RestoreRequest> DecodeRestore(const std::uint8_t* payload,
                                      std::size_t len) {
   BinaryReader reader(payload, len);
   RestoreRequest req;
-  if (!GetName(&reader, payload, len, /*allow_empty=*/false, &req.name)) {
+  if (!GetName(&reader, /*allow_empty=*/false, &req.name)) {
     return reader.status();
   }
-  MRL_RETURN_IF_ERROR(GetConfig(&reader, &req.config));
+  MRL_RETURN_IF_ERROR(GetTenantConfig(&reader, &req.config));
   std::uint32_t blob_len;
   if (!reader.GetU32(&blob_len)) return reader.status();
   if (blob_len != reader.Remaining()) {
     return Status::InvalidArgument(
         "RESTORE blob length disagrees with payload size");
   }
-  req.blob = payload + (len - reader.Remaining());
+  if (!reader.GetBytes(blob_len, &req.blob)) return reader.status();
   req.blob_len = blob_len;
   return req;
 }
@@ -450,8 +385,7 @@ Result<RestoreRequest> DecodeRestore(const std::uint8_t* payload,
 std::string_view FrameTenantName(const std::uint8_t* payload,
                                  std::size_t len) {
   if (payload == nullptr || len < 2) return {};
-  const std::uint16_t n = static_cast<std::uint16_t>(
-      payload[0] | (static_cast<std::uint16_t>(payload[1]) << 8));
+  const std::uint16_t n = LoadU16Le(payload);
   if (static_cast<std::size_t>(n) + 2 > len) return {};
   return std::string_view(reinterpret_cast<const char*>(payload) + 2, n);
 }
@@ -481,50 +415,52 @@ Status ResponseView::ToStatus() const {
 
 namespace {
 
-/// Starts a kResponse frame with the shared header; the caller appends the
-/// body and calls Finish.
-FrameBuilder BeginResponse(MsgType request_type, const Status& status,
-                           std::vector<std::uint8_t>* out) {
-  FrameBuilder frame(MsgType::kResponse, out);
-  frame.PutU8(static_cast<std::uint8_t>(request_type));
-  frame.PutU8(static_cast<std::uint8_t>(status.code()));
-  const std::string& msg = status.message();
-  const std::size_t n = msg.size() > 0xFFFF ? 0xFFFF : msg.size();
-  frame.PutU16(static_cast<std::uint16_t>(n));
-  frame.PutBytes(reinterpret_cast<const std::uint8_t*>(msg.data()), n);
-  return frame;
-}
+/// A kResponse frame started with the shared header; the caller appends
+/// the body and calls Finish.
+class ResponseBuilder : public FrameBuilder {
+ public:
+  ResponseBuilder(MsgType request_type, const Status& status,
+                  std::vector<std::uint8_t>* out)
+      : FrameBuilder(MsgType::kResponse, out) {
+    PutU8(static_cast<std::uint8_t>(request_type));
+    PutU8(static_cast<std::uint8_t>(status.code()));
+    const std::string& msg = status.message();
+    const std::size_t n = msg.size() > 0xFFFF ? 0xFFFF : msg.size();
+    PutU16(static_cast<std::uint16_t>(n));
+    PutBytes(reinterpret_cast<const std::uint8_t*>(msg.data()), n);
+  }
+};
 
 }  // namespace
 
 void EncodeErrorResponse(MsgType request_type, const Status& status,
                          std::vector<std::uint8_t>* out) {
   MRL_CHECK(!status.ok());
-  FrameBuilder frame = BeginResponse(request_type, status, out);
+  ResponseBuilder frame(request_type, status, out);
   frame.Finish();
 }
 
 void EncodeEmptyOk(MsgType request_type, std::vector<std::uint8_t>* out) {
-  FrameBuilder frame = BeginResponse(request_type, Status::OK(), out);
+  ResponseBuilder frame(request_type, Status::OK(), out);
   frame.Finish();
 }
 
 void EncodeAddBatchOk(std::uint64_t new_count,
                       std::vector<std::uint8_t>* out) {
-  FrameBuilder frame = BeginResponse(MsgType::kAddBatch, Status::OK(), out);
+  ResponseBuilder frame(MsgType::kAddBatch, Status::OK(), out);
   frame.PutU64(new_count);
   frame.Finish();
 }
 
 void EncodeQueryOk(double value, std::vector<std::uint8_t>* out) {
-  FrameBuilder frame = BeginResponse(MsgType::kQuery, Status::OK(), out);
+  ResponseBuilder frame(MsgType::kQuery, Status::OK(), out);
   frame.PutDouble(value);
   frame.Finish();
 }
 
 void EncodeQueryMultiOk(std::span<const Value> values,
                         std::vector<std::uint8_t>* out) {
-  FrameBuilder frame = BeginResponse(MsgType::kQueryMulti, Status::OK(), out);
+  ResponseBuilder frame(MsgType::kQueryMulti, Status::OK(), out);
   frame.PutU64(values.size());
   for (Value v : values) frame.PutDouble(v);
   frame.Finish();
@@ -532,7 +468,7 @@ void EncodeQueryMultiOk(std::span<const Value> values,
 
 void EncodeSnapshotOk(std::span<const std::uint8_t> blob,
                       std::vector<std::uint8_t>* out) {
-  FrameBuilder frame = BeginResponse(MsgType::kSnapshot, Status::OK(), out);
+  ResponseBuilder frame(MsgType::kSnapshot, Status::OK(), out);
   frame.PutU32(static_cast<std::uint32_t>(blob.size()));
   frame.PutBytes(blob.data(), blob.size());
   frame.Finish();
@@ -540,15 +476,14 @@ void EncodeSnapshotOk(std::span<const std::uint8_t> blob,
 
 void EncodeFetchSummaryOk(std::span<const std::uint8_t> blob,
                           std::vector<std::uint8_t>* out) {
-  FrameBuilder frame =
-      BeginResponse(MsgType::kFetchSummary, Status::OK(), out);
+  ResponseBuilder frame(MsgType::kFetchSummary, Status::OK(), out);
   frame.PutU32(static_cast<std::uint32_t>(blob.size()));
   frame.PutBytes(blob.data(), blob.size());
   frame.Finish();
 }
 
 void EncodeStatsOk(const StatsReply& stats, std::vector<std::uint8_t>* out) {
-  FrameBuilder frame = BeginResponse(MsgType::kStats, Status::OK(), out);
+  ResponseBuilder frame(MsgType::kStats, Status::OK(), out);
   frame.PutU64(stats.num_tenants);
   frame.PutU64(stats.total_count);
   frame.PutU8(stats.tenant_present ? 1 : 0);
@@ -604,6 +539,23 @@ Status RequireOkBody(const ResponseView& response, MsgType expect) {
   return Status::OK();
 }
 
+/// SNAPSHOT / FETCH_SUMMARY bodies: u32 length + exactly that many bytes.
+Status DecodeBlobOk(const ResponseView& response, MsgType expect,
+                    std::vector<std::uint8_t>* out) {
+  MRL_RETURN_IF_ERROR(RequireOkBody(response, expect));
+  BinaryReader reader(response.body, response.body_len);
+  std::uint32_t blob_len;
+  const std::uint8_t* blob;
+  if (!reader.GetU32(&blob_len)) return reader.status();
+  if (blob_len != reader.Remaining()) {
+    return Status::InvalidArgument(
+        "reply blob length disagrees with payload size");
+  }
+  if (!reader.GetBytes(blob_len, &blob)) return reader.status();
+  out->assign(blob, blob + blob_len);
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::uint64_t> DecodeAddBatchOk(const ResponseView& response) {
@@ -642,18 +594,7 @@ Status DecodeQueryMultiOk(const ResponseView& response,
 
 Status DecodeSnapshotOk(const ResponseView& response,
                         std::vector<std::uint8_t>* out) {
-  MRL_RETURN_IF_ERROR(RequireOkBody(response, MsgType::kSnapshot));
-  BinaryReader reader(response.body, response.body_len);
-  std::uint32_t blob_len;
-  if (!reader.GetU32(&blob_len)) return reader.status();
-  if (blob_len != reader.Remaining()) {
-    return Status::InvalidArgument(
-        "SNAPSHOT reply length disagrees with payload size");
-  }
-  const std::uint8_t* blob =
-      response.body + (response.body_len - reader.Remaining());
-  out->assign(blob, blob + blob_len);
-  return Status::OK();
+  return DecodeBlobOk(response, MsgType::kSnapshot, out);
 }
 
 Result<StatsReply> DecodeStatsOk(const ResponseView& response) {
@@ -678,18 +619,7 @@ Result<StatsReply> DecodeStatsOk(const ResponseView& response) {
 
 Status DecodeFetchSummaryOk(const ResponseView& response,
                             std::vector<std::uint8_t>* out) {
-  MRL_RETURN_IF_ERROR(RequireOkBody(response, MsgType::kFetchSummary));
-  BinaryReader reader(response.body, response.body_len);
-  std::uint32_t blob_len;
-  if (!reader.GetU32(&blob_len)) return reader.status();
-  if (blob_len != reader.Remaining()) {
-    return Status::InvalidArgument(
-        "FETCH_SUMMARY reply length disagrees with payload size");
-  }
-  const std::uint8_t* blob =
-      response.body + (response.body_len - reader.Remaining());
-  out->assign(blob, blob + blob_len);
-  return Status::OK();
+  return DecodeBlobOk(response, MsgType::kFetchSummary, out);
 }
 
 }  // namespace server

@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/serde.h"
 #include "util/status.h"
 #include "util/types.h"
 
@@ -30,8 +31,10 @@ namespace server {
 /// 2 = pluggable backends (CREATE_SKETCH/STATS gained the kll and
 /// det_reservoir kinds); 3 = distributed tier (PING health probe,
 /// FETCH_SUMMARY partial-summary export, RESTORE tenant install — the
-/// router/backend ops). Frames carrying any other version are rejected.
-inline constexpr std::uint8_t kProtocolVersion = 3;
+/// router/backend ops); 4 = kind 1 (sharded) retired, and the tenant
+/// config block lost its num_shards field. Frames carrying any other
+/// version are rejected.
+inline constexpr std::uint8_t kProtocolVersion = 4;
 
 /// Bytes before the payload: length prefix + version + type + reserved + crc.
 inline constexpr std::size_t kFrameHeaderSize = 12;
@@ -68,9 +71,10 @@ std::uint32_t Crc32(const std::uint8_t* data, std::size_t n);
 bool IsValidTenantName(std::string_view name);
 
 /// Which sketch backs a tenant (CREATE_SKETCH `kind` field).
+/// Byte 1 was the retired `sharded` kind (protocol v1–v3); it is never
+/// reused.
 enum class SketchKind : std::uint8_t {
-  kUnknownN = 0,      ///< single UnknownNSketch (single-writer tenants)
-  kSharded = 1,       ///< ShardedQuantileSketch (round-robin ingestion)
+  kUnknownN = 0,      ///< UnknownNSketch
   kKll = 2,           ///< KllSketch (protocol v2)
   kDetReservoir = 3,  ///< DeterministicReservoirSketch (protocol v2)
 };
@@ -81,25 +85,37 @@ enum class SketchKind : std::uint8_t {
 /// check. Unknown bytes must produce a clean Status, never a crash.
 bool IsKnownSketchKind(std::uint8_t kind);
 
-/// Display name of a kind ("unknown_n", "sharded", "kll", "det_reservoir";
+/// Display name of a kind ("unknown_n", "kll", "det_reservoir";
 /// "invalid" for out-of-range values). Used in server error text and the
 /// CLI stats output.
 std::string_view SketchKindName(SketchKind kind);
 
-/// Tenant configuration carried by CREATE_SKETCH and persisted in registry
-/// checkpoints.
+/// Tenant configuration carried by CREATE_SKETCH and RESTORE and persisted
+/// in registry checkpoints.
 struct TenantConfig {
   SketchKind kind = SketchKind::kUnknownN;
   double eps = 0.01;
   double delta = 1e-4;
-  std::int32_t num_shards = 4;  ///< kSharded only
   std::uint64_t seed = 1;
 };
 
 inline bool operator==(const TenantConfig& a, const TenantConfig& b) {
   return a.kind == b.kind && a.eps == b.eps && a.delta == b.delta &&
-         a.num_shards == b.num_shards && a.seed == b.seed;
+         a.seed == b.seed;
 }
+
+/// The one TenantConfig codec, shared by CREATE_SKETCH, RESTORE and the
+/// registry checkpoint's tenant records. Layout:
+///
+///   | u8 kind | double eps | double delta | u64 seed |
+void PutTenantConfig(const TenantConfig& config, BinaryWriter* writer);
+
+/// Reads the block above and validates it (ValidateTenantConfig).
+Status GetTenantConfig(BinaryReader* reader, TenantConfig* config);
+
+/// The range checks every config passes before a sketch is built: a known
+/// kind, eps in (0, 0.5], delta in (0, 1). InvalidArgument otherwise.
+Status ValidateTenantConfig(const TenantConfig& config);
 
 // ---------------------------------------------------------------------------
 // Frame scaffolding
@@ -133,27 +149,21 @@ Result<FrameView> DecodeFrameBody(const std::uint8_t* body, std::size_t len);
 bool ReadFrameBodyLen(const std::uint8_t* prefix, std::uint32_t* body_len);
 
 /// Incremental frame writer: appends the header to *out, lets the caller
-/// append payload bytes, and backpatches length + CRC in Finish(). Appends
-/// only — steady-state encoding into a warmed buffer allocates nothing.
-class FrameBuilder {
+/// append payload fields through the BinaryWriter interface, and
+/// backpatches length + CRC in Finish(). Appends only — steady-state
+/// encoding into a warmed buffer allocates nothing.
+class FrameBuilder : public BinaryWriter {
  public:
   FrameBuilder(MsgType type, std::vector<std::uint8_t>* out);
 
-  void PutU8(std::uint8_t v) { out_->push_back(v); }
-  void PutU16(std::uint16_t v);
-  void PutU32(std::uint32_t v);
-  void PutU64(std::uint64_t v);
-  void PutDouble(double v);
   /// u16 length + bytes.
   void PutName(std::string_view name);
-  void PutBytes(const std::uint8_t* data, std::size_t n);
 
   /// Backpatches the length prefix and payload CRC. Must be called exactly
   /// once; the payload must not exceed kMaxPayload.
   void Finish();
 
  private:
-  std::vector<std::uint8_t>* out_;
   std::size_t frame_start_;
 };
 

@@ -1,13 +1,16 @@
 #include "server/registry.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <utility>
 
 #include "core/det_reservoir.h"
 #include "core/kll.h"
-#include "core/sharded.h"
 #include "core/unknown_n.h"
 #include "util/logging.h"
 #include "util/serde.h"
@@ -22,14 +25,19 @@ namespace {
 // checkpoint"): header, tenant records, CRC-32 trailer over everything
 // before it. Version 2 made the sketch record uniform across backends —
 // one u32 length plus the backend's own Serialize() blob — replacing the
-// v1 per-kind layouts; v1 files are rejected (re-ingest or re-snapshot).
-// The on-disk format is partition-agnostic: tenants are written as one
-// flat list and re-hashed into partitions on recovery, so the same file
-// works across --shards settings.
+// v1 per-kind layouts; version 3 dropped num_shards from the tenant config
+// (the wire's config block, PutTenantConfig). Older files are rejected
+// (re-ingest or re-snapshot). The on-disk format is partition-agnostic:
+// tenants are written as one flat list and re-hashed into partitions on
+// recovery, so the same file works across --shards settings.
 constexpr std::uint32_t kRegistryMagic = 0x4D524C52;  // "MRLR"
-constexpr std::uint8_t kRegistryVersion = 2;
+constexpr std::uint8_t kRegistryVersion = 3;
 constexpr std::uint64_t kMaxCheckpointTenants = std::uint64_t{1} << 20;
 
+/// Durably replaces `path` with `bytes`: write a temp file, fsync it,
+/// rename it over `path`, then fsync the directory so the rename itself
+/// survives a power cut. A crash at any point leaves either the old or the
+/// new file, never a torn one.
 Status WriteFileAtomic(const std::string& path,
                        const std::vector<std::uint8_t>& bytes) {
   const std::string tmp = path + ".tmp";
@@ -40,14 +48,24 @@ Status WriteFileAtomic(const std::string& path,
   }
   const std::size_t written =
       bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fclose(f) == 0;
-  if (written != bytes.size() || !flushed) {
+  const bool synced = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
+  const bool closed = std::fclose(f) == 0;
+  if (written != bytes.size() || !synced || !closed) {
     std::remove(tmp.c_str());
-    return Status::Internal("short write to " + tmp);
+    return Status::Internal("cannot write and sync " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return Status::Internal("cannot rename " + tmp + " to " + path + ": " +
+                            std::strerror(errno));
+  }
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  const bool dir_synced = dir_fd >= 0 && ::fsync(dir_fd) == 0;
+  if (dir_fd >= 0) ::close(dir_fd);
+  if (!dir_synced) {
+    return Status::Internal("cannot sync directory " + dir + ": " +
                             std::strerror(errno));
   }
   return Status::OK();
@@ -77,68 +95,10 @@ Status ReadFileBytes(const std::string& path, std::vector<std::uint8_t>* out,
   return Status::OK();
 }
 
-Status ValidateConfig(const TenantConfig& config) {
-  if (!IsKnownSketchKind(static_cast<std::uint8_t>(config.kind))) {
-    return Status::InvalidArgument("unknown sketch kind");
-  }
-  if (!(config.eps > 0) || config.eps > 0.5) {
-    return Status::InvalidArgument("eps must be in (0, 0.5]");
-  }
-  if (!(config.delta > 0) || config.delta >= 1) {
-    return Status::InvalidArgument("delta must be in (0, 1)");
-  }
-  if (config.num_shards < 1 || config.num_shards > 1024) {
-    return Status::InvalidArgument("num_shards must be in [1, 1024]");
-  }
-  return Status::OK();
-}
-
 /// Structural equality for recycling: a pooled sketch can serve any config
 /// that solves to the same shape; the seed is replayed by Reset(seed).
 bool StructurallyEqual(const TenantConfig& a, const TenantConfig& b) {
-  return a.kind == b.kind && a.eps == b.eps && a.delta == b.delta &&
-         (a.kind != SketchKind::kSharded || a.num_shards == b.num_shards);
-}
-
-void EncodeConfig(const TenantConfig& config, BinaryWriter* writer) {
-  writer->PutU8(static_cast<std::uint8_t>(config.kind));
-  writer->PutDouble(config.eps);
-  writer->PutDouble(config.delta);
-  writer->PutI32(config.num_shards);
-  writer->PutU64(config.seed);
-}
-
-Status DecodeConfig(BinaryReader* reader, TenantConfig* config) {
-  std::uint8_t kind;
-  if (!reader->GetU8(&kind) || !reader->GetDouble(&config->eps) ||
-      !reader->GetDouble(&config->delta) ||
-      !reader->GetI32(&config->num_shards) ||
-      !reader->GetU64(&config->seed)) {
-    return reader->status();
-  }
-  if (!IsKnownSketchKind(kind)) {
-    return Status::InvalidArgument("checkpoint: unknown sketch kind " +
-                                   std::to_string(kind));
-  }
-  config->kind = static_cast<SketchKind>(kind);
-  return ValidateConfig(*config);
-}
-
-/// Reads a u32-length-prefixed sketch blob into *blob.
-Status GetBlob(BinaryReader* reader, std::vector<std::uint8_t>* blob) {
-  std::uint32_t len;
-  if (!reader->GetU32(&len)) return reader->status();
-  if (len > reader->Remaining()) {
-    return Status::InvalidArgument("checkpoint: sketch blob truncated");
-  }
-  blob->clear();
-  blob->reserve(len);
-  for (std::uint32_t i = 0; i < len; ++i) {
-    std::uint8_t byte;
-    if (!reader->GetU8(&byte)) return reader->status();
-    blob->push_back(byte);
-  }
-  return Status::OK();
+  return a.kind == b.kind && a.eps == b.eps && a.delta == b.delta;
 }
 
 }  // namespace
@@ -178,18 +138,6 @@ Result<std::unique_ptr<QuantileEstimator>> SketchRegistry::MakeSketch(
       if (!sketch.ok()) return sketch.status();
       return std::unique_ptr<QuantileEstimator>(
           new UnknownNSketch(std::move(sketch).value()));
-    }
-    case SketchKind::kSharded: {
-      ShardedQuantileSketch::Options opts;
-      opts.eps = config.eps;
-      opts.delta = config.delta;
-      opts.num_shards = config.num_shards;
-      opts.seed = config.seed;
-      Result<ShardedQuantileSketch> sketch =
-          ShardedQuantileSketch::Create(opts);
-      if (!sketch.ok()) return sketch.status();
-      return std::unique_ptr<QuantileEstimator>(
-          new ShardedQuantileSketch(std::move(sketch).value()));
     }
     case SketchKind::kKll: {
       KllOptions opts;
@@ -301,21 +249,14 @@ Status SketchRegistry::Create(std::string_view name,
   if (!IsValidTenantName(name)) {
     return Status::InvalidArgument("invalid tenant name");
   }
-  MRL_RETURN_IF_ERROR(ValidateConfig(config));
-  if (!options_.allowed_kinds.empty()) {
-    bool allowed = false;
-    for (SketchKind kind : options_.allowed_kinds) {
-      if (kind == config.kind) {
-        allowed = true;
-        break;
-      }
-    }
-    if (!allowed) {
-      return Status::FailedPrecondition(
-          "backend '" + std::string(SketchKindName(config.kind)) +
-          "' is disabled on this server");
-    }
-  }
+  MRL_RETURN_IF_ERROR(ValidateTenantConfig(config));
+  return AddTenant(name, config, nullptr);
+}
+
+Status SketchRegistry::AddTenant(std::string_view name,
+                                 const TenantConfig& config,
+                                 std::unique_ptr<QuantileEstimator> sketch) {
+  const bool replace = sketch != nullptr;
   Partition& home = PartitionFor(name);
 
   const auto exists_error = [&](const Tenant& existing) {
@@ -329,17 +270,21 @@ Status SketchRegistry::Create(std::string_view name,
     return Status::FailedPrecondition("tenant already exists");
   };
 
-  // Existence pre-check so creating an existing tenant never evicts.
+  // Existence pre-check so creating or replacing an existing tenant never
+  // evicts.
+  bool exists;
   {
     ReaderLock lock(home.mu);
     TenantMap::const_iterator it = home.tenants.find(name);
-    if (it != home.tenants.end()) return exists_error(*it->second);
+    exists = it != home.tenants.end();
+    if (exists && !replace) return exists_error(*it->second);
   }
 
   // Free a slot before building the sketch: the evicted tenant's sketch
   // lands in a free pool and — when it was in this partition and is
   // structurally compatible — serves this very create allocation-free.
-  if (live_tenants_.load(std::memory_order_relaxed) >= options_.max_tenants) {
+  if (!exists &&
+      live_tenants_.load(std::memory_order_relaxed) >= options_.max_tenants) {
     WriterLock cross(cross_mu_);
     while (live_tenants_.load(std::memory_order_relaxed) >=
            options_.max_tenants) {
@@ -350,17 +295,26 @@ Status SketchRegistry::Create(std::string_view name,
   {
     WriterLock lock(home.mu);
     TenantMap::iterator it = home.tenants.find(name);
-    if (it != home.tenants.end()) return exists_error(*it->second);
-    Result<std::unique_ptr<QuantileEstimator>> sketch =
-        ObtainSketch(home, config);
-    if (!sketch.ok()) return sketch.status();
+    if (it != home.tenants.end() && !replace) return exists_error(*it->second);
+    if (!replace) {
+      Result<std::unique_ptr<QuantileEstimator>> obtained =
+          ObtainSketch(home, config);
+      if (!obtained.ok()) return obtained.status();
+      sketch = std::move(obtained).value();
+    }
     std::shared_ptr<Tenant> tenant =
-        std::make_shared<Tenant>(config, std::move(sketch).value());
+        std::make_shared<Tenant>(config, std::move(sketch));
     tenant->last_used.store(
         use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
         std::memory_order_relaxed);
-    home.tenants.emplace(std::string(name), std::move(tenant));
-    live_tenants_.fetch_add(1, std::memory_order_relaxed);
+    if (it == home.tenants.end()) {
+      home.tenants.emplace(std::string(name), std::move(tenant));
+      live_tenants_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      std::shared_ptr<Tenant> old =
+          std::exchange(it->second, std::move(tenant));
+      if (old.use_count() == 1) RecycleLocked(home, std::move(old));
+    }
   }
 
   // Concurrent creates can overshoot the cap transiently (each saw a free
@@ -417,9 +371,9 @@ Status SketchRegistry::Snapshot(std::string_view name,
   {
     Tenant& t = *tenant;
     ReaderLock lock(t.mu);
-    BinaryWriter writer;
+    blob->clear();
+    BinaryWriter writer(blob);
     EncodeTenantSketch(t, &writer);
-    *blob = writer.Take();
   }
   if (!options_.checkpoint_path.empty()) {
     MRL_RETURN_IF_ERROR(CheckpointNow());
@@ -462,39 +416,19 @@ Status SketchRegistry::Install(std::string_view name,
   if (!IsValidTenantName(name)) {
     return Status::InvalidArgument("invalid tenant name");
   }
-  MRL_RETURN_IF_ERROR(ValidateConfig(config));
+  MRL_RETURN_IF_ERROR(ValidateTenantConfig(config));
   // The blob is Snapshot's wire form: a u32-length-prefixed sketch blob,
-  // same framing as a checkpoint entry. Unwrap it before Restore.
+  // same framing as a checkpoint entry. Restore it into a fresh sketch
+  // before touching the directory, so a bad blob leaves any existing
+  // tenant exactly as it was.
   BinaryReader reader(blob.data(), blob.size());
-  std::vector<std::uint8_t> sketch_blob;
-  MRL_RETURN_IF_ERROR(GetBlob(&reader, &sketch_blob));
+  Result<std::unique_ptr<QuantileEstimator>> sketch =
+      DecodeTenantSketch(config, &reader);
+  if (!sketch.ok()) return sketch.status();
   if (reader.Remaining() != 0) {
     return Status::InvalidArgument("install: trailing bytes after sketch");
   }
-  // Create-or-replace: drop any existing instance (NotFound is fine), then
-  // go through Create so the allowed-kinds policy, the eviction cap and
-  // the free-pool recycling all apply to installed tenants too.
-  Status deleted = Delete(name);
-  if (!deleted.ok() && deleted.code() != StatusCode::kNotFound) {
-    return deleted;
-  }
-  MRL_RETURN_IF_ERROR(Create(name, config));
-  std::shared_ptr<Tenant> tenant = FindTenant(name);
-  if (tenant == nullptr) {
-    // A concurrent delete/evict raced the create; surface it as transient.
-    return Status::Internal("tenant vanished during install");
-  }
-  Status restored;
-  {
-    Tenant& t = *tenant;
-    WriterLock lock(t.mu);
-    restored = t.sketch->Restore(std::span<const std::uint8_t>(sketch_blob));
-  }
-  if (!restored.ok()) {
-    (void)Delete(name);
-    return restored;
-  }
-  return Status::OK();
+  return AddTenant(name, config, std::move(sketch).value());
 }
 
 TenantStats SketchRegistry::Stats(std::string_view name) const {
@@ -547,19 +481,22 @@ std::size_t SketchRegistry::size() const {
 
 void SketchRegistry::EncodeTenantSketch(const Tenant& tenant,
                                         BinaryWriter* writer) {
-  std::vector<std::uint8_t> blob = tenant.sketch->Serialize();
+  const std::vector<std::uint8_t> blob = tenant.sketch->Serialize();
   writer->PutU32(static_cast<std::uint32_t>(blob.size()));
-  for (std::uint8_t byte : blob) writer->PutU8(byte);
+  writer->PutBytes(blob.data(), blob.size());
 }
 
 Result<std::unique_ptr<QuantileEstimator>> SketchRegistry::DecodeTenantSketch(
     const TenantConfig& config, BinaryReader* reader) {
-  std::vector<std::uint8_t> blob;
-  MRL_RETURN_IF_ERROR(GetBlob(reader, &blob));
+  std::uint32_t len;
+  const std::uint8_t* blob;
+  if (!reader->GetU32(&len) || !reader->GetBytes(len, &blob)) {
+    return reader->status();
+  }
   Result<std::unique_ptr<QuantileEstimator>> sketch = MakeSketch(config);
   if (!sketch.ok()) return sketch.status();
-  MRL_RETURN_IF_ERROR(sketch.value()->Restore(
-      std::span<const std::uint8_t>(blob.data(), blob.size())));
+  MRL_RETURN_IF_ERROR(
+      sketch.value()->Restore(std::span<const std::uint8_t>(blob, len)));
   return sketch;
 }
 
@@ -581,24 +518,21 @@ Status SketchRegistry::CheckpointNow() {
       snapshot.emplace_back(name, tenant);
     }
   }
-  BinaryWriter writer;
+  std::vector<std::uint8_t> bytes;
+  BinaryWriter writer(&bytes);
   writer.PutU32(kRegistryMagic);
   writer.PutU8(kRegistryVersion);
   writer.PutU64(snapshot.size());
   for (const auto& [name, tenant] : snapshot) {
     writer.PutU16(static_cast<std::uint16_t>(name.size()));
-    for (char c : name) writer.PutU8(static_cast<std::uint8_t>(c));
+    writer.PutBytes(reinterpret_cast<const std::uint8_t*>(name.data()),
+                    name.size());
     Tenant& t = *tenant;
-    EncodeConfig(t.config, &writer);
+    PutTenantConfig(t.config, &writer);
     ReaderLock lock(t.mu);
     EncodeTenantSketch(t, &writer);
   }
-  std::vector<std::uint8_t> bytes = writer.Take();
-  const std::uint32_t crc = Crc32(bytes.data(), bytes.size());
-  bytes.push_back(crc & 0xff);
-  bytes.push_back((crc >> 8) & 0xff);
-  bytes.push_back((crc >> 16) & 0xff);
-  bytes.push_back((crc >> 24) & 0xff);
+  writer.PutU32(Crc32(bytes.data(), bytes.size()));
   MRL_RETURN_IF_ERROR(WriteFileAtomic(options_.checkpoint_path, bytes));
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
@@ -615,12 +549,7 @@ Status SketchRegistry::RecoverFromDisk() {
     return Status::InvalidArgument("registry checkpoint truncated");
   }
   const std::size_t body_len = bytes.size() - 4;
-  const std::uint32_t stored_crc =
-      static_cast<std::uint32_t>(bytes[body_len]) |
-      (static_cast<std::uint32_t>(bytes[body_len + 1]) << 8) |
-      (static_cast<std::uint32_t>(bytes[body_len + 2]) << 16) |
-      (static_cast<std::uint32_t>(bytes[body_len + 3]) << 24);
-  if (Crc32(bytes.data(), body_len) != stored_crc) {
+  if (Crc32(bytes.data(), body_len) != LoadU32Le(bytes.data() + body_len)) {
     return Status::InvalidArgument("registry checkpoint CRC mismatch");
   }
   BinaryReader reader(bytes.data(), body_len);
@@ -646,19 +575,16 @@ Status SketchRegistry::RecoverFromDisk() {
   std::uint64_t recovered_count = 0;
   for (std::uint64_t i = 0; i < num_tenants; ++i) {
     std::uint16_t name_len;
-    if (!reader.GetU16(&name_len)) return reader.status();
-    std::string name;
-    name.reserve(name_len);
-    for (std::uint16_t c = 0; c < name_len; ++c) {
-      std::uint8_t byte;
-      if (!reader.GetU8(&byte)) return reader.status();
-      name.push_back(static_cast<char>(byte));
+    const std::uint8_t* name_bytes;
+    if (!reader.GetU16(&name_len) || !reader.GetBytes(name_len, &name_bytes)) {
+      return reader.status();
     }
+    std::string name(reinterpret_cast<const char*>(name_bytes), name_len);
     if (!IsValidTenantName(name)) {
       return Status::InvalidArgument("registry checkpoint: bad tenant name");
     }
     TenantConfig config;
-    MRL_RETURN_IF_ERROR(DecodeConfig(&reader, &config));
+    MRL_RETURN_IF_ERROR(GetTenantConfig(&reader, &config));
     Result<std::unique_ptr<QuantileEstimator>> sketch =
         DecodeTenantSketch(config, &reader);
     if (!sketch.ok()) return sketch.status();

@@ -31,10 +31,6 @@ struct RegistryOptions {
   /// Deleted/evicted sketches kept around for allocation-free recycling of
   /// tenant slots (QuantileEstimator::Reset(seed)), per partition.
   std::size_t max_free_pool = 8;
-  /// Backends this server will instantiate; empty means all. CREATE_SKETCH
-  /// for a kind outside the list fails with a descriptive error (the
-  /// mrlquantd --backends flag feeds this).
-  std::vector<SketchKind> allowed_kinds;
   /// Number of directory partitions, in [1, 256]. Tenants are assigned to
   /// partitions by a stable hash of their name (PartitionOf); each
   /// partition has its own directory lock and free pool, so operations on
@@ -108,12 +104,13 @@ class SketchRegistry {
   SketchRegistry& operator=(const SketchRegistry&) = delete;
 
   /// Creates tenant `name`. FailedPrecondition when it already exists,
-  /// InvalidArgument on a bad name or config.
+  /// InvalidArgument on a bad name or config (ValidateTenantConfig — the
+  /// same check the wire decoder applies, so in-process callers get it
+  /// too).
   Status Create(std::string_view name, const TenantConfig& config);
 
-  /// Ingests a batch into tenant `name` (round-robin across shards for
-  /// kSharded tenants) and returns the tenant's element count after the
-  /// batch. Steady state performs no heap allocation.
+  /// Ingests a batch into tenant `name` and returns the tenant's element
+  /// count after the batch. Steady state performs no heap allocation.
   MRLQUANT_HOT Result<std::uint64_t> AddBatch(std::string_view name,
                                               std::span<const Value> values);
 
@@ -137,10 +134,11 @@ class SketchRegistry {
   Status FetchPartial(std::string_view name, std::vector<std::uint8_t>* blob);
 
   /// Create-or-replace tenant `name` from a checkpoint blob — the RESTORE
-  /// op a router uses for replica resync and checkpoint shipping. Any
-  /// existing tenant is deleted first; on a failed restore the half-made
-  /// tenant is removed again, so the registry never serves a partially
-  /// restored sketch.
+  /// op a router uses for replica resync and checkpoint shipping. The blob
+  /// is restored into a fresh sketch first; only on success does that
+  /// sketch replace any existing tenant. A failed restore changes nothing:
+  /// an existing tenant keeps its state, and the registry never serves a
+  /// partially restored sketch.
   Status Install(std::string_view name, const TenantConfig& config,
                  std::span<const std::uint8_t> blob);
 
@@ -214,6 +212,13 @@ class SketchRegistry {
   Partition& PartitionFor(std::string_view name) const {
     return *partitions_[PartitionOf(name)];
   }
+
+  /// Adds tenant `name` (validated by the caller) under the eviction cap.
+  /// With a null `sketch` this is Create: an existing tenant is an error
+  /// and the sketch comes from ObtainSketch. Otherwise it is Install:
+  /// `sketch` replaces any existing tenant in place.
+  Status AddTenant(std::string_view name, const TenantConfig& config,
+                   std::unique_ptr<QuantileEstimator> sketch);
 
   /// Builds a tenant sketch for `config`, preferring a structurally
   /// matching free-pool entry of `p` (Reset(config.seed) makes it

@@ -11,23 +11,59 @@
 
 namespace mrl {
 
-/// Little-endian binary encoder for sketch checkpoints. Append-only; call
-/// Take() to claim the buffer.
+// Little-endian loads and stores at a raw pointer, for fixed-offset fields
+// (frame headers, trailers) and bulk value arrays. Callers bound-check.
+
+inline std::uint16_t LoadU16Le(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>(p[0] |
+                                    (static_cast<std::uint16_t>(p[1]) << 8));
+}
+
+inline std::uint32_t LoadU32Le(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  return v;
+}
+
+inline std::uint64_t LoadU64Le(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+inline double LoadDoubleLe(const std::uint8_t* p) {
+  const std::uint64_t bits = LoadU64Le(p);
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+inline void StoreU32Le(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = (v >> (8 * i)) & 0xff;
+}
+
+/// Little-endian binary encoder over a caller-owned buffer: appends to
+/// *out, keeping the bytes already there.
 class BinaryWriter {
  public:
-  void PutU8(std::uint8_t v) { out_.push_back(v); }
+  explicit BinaryWriter(std::vector<std::uint8_t>* out) : out_(out) {}
+
+  void PutU8(std::uint8_t v) { out_->push_back(v); }
 
   void PutU16(std::uint16_t v) {
-    out_.push_back(v & 0xff);
-    out_.push_back((v >> 8) & 0xff);
+    std::vector<std::uint8_t>& out = *out_;
+    out.push_back(v & 0xff);
+    out.push_back((v >> 8) & 0xff);
   }
 
   void PutU32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back((v >> (8 * i)) & 0xff);
+    std::vector<std::uint8_t>& out = *out_;
+    for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xff);
   }
 
   void PutU64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back((v >> (8 * i)) & 0xff);
+    std::vector<std::uint8_t>& out = *out_;
+    for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xff);
   }
 
   void PutI32(std::int32_t v) { PutU32(static_cast<std::uint32_t>(v)); }
@@ -38,16 +74,22 @@ class BinaryWriter {
     PutU64(bits);
   }
 
+  void PutBytes(const std::uint8_t* data, std::size_t n) {
+    out_->insert(out_->end(), data, data + n);
+  }
+
   void PutValues(const std::vector<Value>& values) {
     PutU64(values.size());
     for (Value v : values) PutDouble(v);
   }
 
-  std::size_t size() const { return out_.size(); }
-  std::vector<std::uint8_t> Take() { return std::move(out_); }
+  std::size_t size() const { return out_->size(); }
+
+ protected:
+  std::vector<std::uint8_t>& buffer() { return *out_; }
 
  private:
-  std::vector<std::uint8_t> out_;
+  std::vector<std::uint8_t>* out_;
 };
 
 /// Bounds-checked decoder. Every Get* returns false (and latches an error
@@ -68,33 +110,22 @@ class BinaryReader {
 
   bool GetU16(std::uint16_t* out) {
     if (!Require(2)) return false;
-    *out = static_cast<std::uint16_t>(
-        data_[pos_] | (static_cast<std::uint16_t>(data_[pos_ + 1]) << 8));
+    *out = LoadU16Le(data_ + pos_);
     pos_ += 2;
     return true;
   }
 
   bool GetU32(std::uint32_t* out) {
     if (!Require(4)) return false;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
+    *out = LoadU32Le(data_ + pos_);
     pos_ += 4;
-    *out = v;
     return true;
   }
 
   bool GetU64(std::uint64_t* out) {
     if (!Require(8)) return false;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
+    *out = LoadU64Le(data_ + pos_);
     pos_ += 8;
-    *out = v;
     return true;
   }
 
@@ -109,6 +140,15 @@ class BinaryReader {
     std::uint64_t bits;
     if (!GetU64(&bits)) return false;
     std::memcpy(out, &bits, sizeof(*out));
+    return true;
+  }
+
+  /// Points *out at the next `n` bytes (borrowed from the input) and skips
+  /// past them.
+  bool GetBytes(std::size_t n, const std::uint8_t** out) {
+    if (!Require(n)) return false;
+    *out = data_ + pos_;
+    pos_ += n;
     return true;
   }
 

@@ -20,7 +20,6 @@
 #include "core/det_reservoir.h"
 #include "core/estimator.h"
 #include "core/extreme.h"
-#include "core/int64_sketch.h"
 #include "core/kll.h"
 #include "core/known_n.h"
 #include "core/sharded.h"
@@ -239,46 +238,6 @@ TEST(BatchEquivalenceTest, KnownNSketchBitIdenticalState) {
     pos += chunk;
   }
   EXPECT_EQ(elementwise.Serialize(), batched.Serialize());
-}
-
-// ------------------------------------------------------- Int64QuantileSketch
-
-TEST(BatchEquivalenceTest, Int64SketchBatchValidateAndConvert) {
-  Random splitter(31);
-  std::vector<std::int64_t> stream;
-  for (int i = 0; i < 20000; ++i) {
-    std::int64_t v =
-        static_cast<std::int64_t>(splitter.UniformUint64(1000000)) - 500000;
-    if (i % 997 == 0) v = Int64QuantileSketch::kMaxMagnitude + 1;  // rejected
-    if (i % 1499 == 0) v = -Int64QuantileSketch::kMaxMagnitude - 7;
-    stream.push_back(v);
-  }
-
-  Int64QuantileSketch::Options options;
-  options.seed = 77;
-  Int64QuantileSketch elementwise =
-      std::move(Int64QuantileSketch::Create(options)).value();
-  Int64QuantileSketch batched =
-      std::move(Int64QuantileSketch::Create(options)).value();
-
-  std::size_t accepted_elementwise = 0;
-  for (std::int64_t v : stream) {
-    if (elementwise.Add(v)) ++accepted_elementwise;
-  }
-  std::size_t accepted_batched = 0;
-  std::size_t pos = 0;
-  for (std::size_t chunk : RandomSplits(stream.size(), 512, &splitter)) {
-    accepted_batched += batched.AddBatch(
-        std::span<const std::int64_t>(stream.data() + pos, chunk));
-    pos += chunk;
-  }
-
-  EXPECT_EQ(accepted_elementwise, accepted_batched);
-  EXPECT_EQ(elementwise.count(), batched.count());
-  EXPECT_EQ(elementwise.rejected_count(), batched.rejected_count());
-  const std::vector<double> phis = {0.05, 0.5, 0.95};
-  EXPECT_EQ(elementwise.QueryMany(phis).value(),
-            batched.QueryMany(phis).value());
 }
 
 // ---------------------------------------------------- ShardedQuantileSketch

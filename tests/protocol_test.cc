@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "util/serde.h"
 
 namespace mrl {
 namespace server {
@@ -45,10 +46,9 @@ TEST(TenantNameTest, Validation) {
 
 TEST(FrameTest, CreateSketchRoundTrip) {
   TenantConfig config;
-  config.kind = SketchKind::kSharded;
+  config.kind = SketchKind::kDetReservoir;
   config.eps = 0.02;
   config.delta = 1e-3;
-  config.num_shards = 8;
   config.seed = 42;
   std::vector<std::uint8_t> wire;
   EncodeCreateSketch("tenant-a", config, &wire);
@@ -64,7 +64,7 @@ TEST(FrameTest, CreateSketchRoundTrip) {
 
 TEST(SketchKindTest, ValidatorCoversExactlyTheKnownKinds) {
   EXPECT_TRUE(IsKnownSketchKind(0));
-  EXPECT_TRUE(IsKnownSketchKind(1));
+  EXPECT_FALSE(IsKnownSketchKind(1));  // retired: sharded (v1–v3)
   EXPECT_TRUE(IsKnownSketchKind(2));
   EXPECT_TRUE(IsKnownSketchKind(3));
   for (int kind = 4; kind <= 255; ++kind) {
@@ -72,10 +72,83 @@ TEST(SketchKindTest, ValidatorCoversExactlyTheKnownKinds) {
         << "kind " << kind;
   }
   EXPECT_EQ(SketchKindName(SketchKind::kUnknownN), "unknown_n");
-  EXPECT_EQ(SketchKindName(SketchKind::kSharded), "sharded");
+  EXPECT_EQ(SketchKindName(static_cast<SketchKind>(1)), "invalid");
   EXPECT_EQ(SketchKindName(SketchKind::kKll), "kll");
   EXPECT_EQ(SketchKindName(SketchKind::kDetReservoir), "det_reservoir");
   EXPECT_EQ(SketchKindName(static_cast<SketchKind>(200)), "invalid");
+}
+
+// The config block CREATE_SKETCH, RESTORE and the registry checkpoint
+// share: 25 bytes, validated on the way in.
+TEST(TenantConfigTest, CodecRoundTripAndRangeChecks) {
+  TenantConfig config;
+  config.kind = SketchKind::kKll;
+  config.eps = 0.03;
+  config.delta = 1e-6;
+  config.seed = 0x0123456789abcdefull;
+  std::vector<std::uint8_t> bytes;
+  BinaryWriter writer(&bytes);
+  PutTenantConfig(config, &writer);
+  ASSERT_EQ(bytes.size(), 25u);
+  BinaryReader reader(bytes);
+  TenantConfig decoded;
+  ASSERT_TRUE(GetTenantConfig(&reader, &decoded).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_TRUE(decoded == config);
+
+  const auto rejected = [](TenantConfig c) {
+    return ValidateTenantConfig(c).code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(ValidateTenantConfig(TenantConfig{}).ok());
+  TenantConfig bad;
+  bad.kind = static_cast<SketchKind>(1);
+  EXPECT_TRUE(rejected(bad));
+  for (double eps : {0.0, -0.1, 0.51, std::nan(""),
+                     std::numeric_limits<double>::infinity()}) {
+    bad = TenantConfig{};
+    bad.eps = eps;
+    EXPECT_TRUE(rejected(bad)) << "eps " << eps;
+  }
+  for (double delta : {0.0, 1.0, std::nan("")}) {
+    bad = TenantConfig{};
+    bad.delta = delta;
+    EXPECT_TRUE(rejected(bad)) << "delta " << delta;
+  }
+  bad = TenantConfig{};
+  bad.eps = 0.5;  // inclusive upper bound
+  EXPECT_FALSE(rejected(bad));
+}
+
+// The hot-path frames are pinned byte for byte: header, then name, count
+// and little-endian doubles.
+TEST(FrameTest, AddBatchAndQueryWireBytes) {
+  const auto frame = [](std::uint8_t type,
+                        const std::vector<std::uint8_t>& payload) {
+    std::vector<std::uint8_t> wire(kFrameHeaderSize);
+    StoreU32Le(wire.data(), static_cast<std::uint32_t>(payload.size() + 8));
+    wire[4] = kProtocolVersion;
+    wire[5] = type;
+    StoreU32Le(wire.data() + 8, Crc32(payload.data(), payload.size()));
+    wire.insert(wire.end(), payload.begin(), payload.end());
+    return wire;
+  };
+  EXPECT_EQ(kProtocolVersion, 4);
+
+  const std::vector<double> values = {1.5, -2.0};
+  std::vector<std::uint8_t> payload = {2, 0, 'a', 'b', 2, 0, 0, 0, 0, 0, 0, 0};
+  for (double v : values) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int i = 0; i < 8; ++i) payload.push_back((bits >> (8 * i)) & 0xff);
+  }
+  std::vector<std::uint8_t> wire;
+  EncodeAddBatch("ab", values, &wire);
+  EXPECT_EQ(wire, frame(2, payload));
+
+  payload = {1, 0, 'q', 0, 0, 0, 0, 0, 0, 0xe0, 0x3f};  // phi = 0.5
+  wire.clear();
+  EncodeQuery("q", 0.5, &wire);
+  EXPECT_EQ(wire, frame(3, payload));
 }
 
 TEST(FrameTest, ProtocolV2KindsRoundTrip) {
@@ -99,7 +172,7 @@ TEST(FrameTest, UnknownSketchKindByteIsCleanError) {
   // Hand-build CREATE_SKETCH payloads carrying hostile kind bytes: every
   // one must come back as InvalidArgument from the decoder — never an
   // abort, and never a half-decoded request.
-  for (int kind : {4, 5, 17, 128, 255}) {
+  for (int kind : {1, 4, 5, 17, 128, 255}) {
     std::vector<std::uint8_t> wire;
     {
       FrameBuilder frame(MsgType::kCreateSketch, &wire);
@@ -107,7 +180,6 @@ TEST(FrameTest, UnknownSketchKindByteIsCleanError) {
       frame.PutU8(static_cast<std::uint8_t>(kind));
       frame.PutDouble(0.01);   // eps
       frame.PutDouble(1e-4);   // delta
-      frame.PutU32(4);         // num_shards
       frame.PutU64(1);         // seed
       frame.Finish();
     }
@@ -228,10 +300,9 @@ TEST(FrameTest, FetchSummaryRoundTrip) {
 
 TEST(FrameTest, RestoreRoundTrip) {
   TenantConfig config;
-  config.kind = SketchKind::kSharded;
+  config.kind = SketchKind::kKll;
   config.eps = 0.02;
   config.delta = 1e-5;
-  config.num_shards = 3;
   config.seed = 99;
   const std::uint8_t blob[4] = {1, 2, 3, 4};
   std::vector<std::uint8_t> wire;
@@ -419,7 +490,7 @@ TEST(ResponseTest, TypedBodiesRoundTrip) {
   stats.num_tenants = 2;
   stats.total_count = 1000;
   stats.tenant_present = true;
-  stats.tenant_kind = SketchKind::kSharded;
+  stats.tenant_kind = SketchKind::kDetReservoir;
   stats.tenant_count = 600;
   stats.tenant_memory_elements = 4096;
   EncodeStatsOk(stats, &wire);
@@ -431,7 +502,7 @@ TEST(ResponseTest, TypedBodiesRoundTrip) {
   EXPECT_EQ(stats_out.value().num_tenants, 2u);
   EXPECT_EQ(stats_out.value().total_count, 1000u);
   EXPECT_TRUE(stats_out.value().tenant_present);
-  EXPECT_EQ(stats_out.value().tenant_kind, SketchKind::kSharded);
+  EXPECT_EQ(stats_out.value().tenant_kind, SketchKind::kDetReservoir);
   EXPECT_EQ(stats_out.value().tenant_count, 600u);
   EXPECT_EQ(stats_out.value().tenant_memory_elements, 4096u);
 }

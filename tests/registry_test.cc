@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "core/unknown_n.h"
 #include "gtest/gtest.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace mrl {
 namespace server {
@@ -42,6 +45,20 @@ std::string TempPath(const char* name) {
   path += '.';
   path += std::to_string(::getpid());
   return path;
+}
+
+std::vector<std::uint8_t> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path,
+               const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
 }
 
 TEST(RegistryTest, LifecycleAndErrors) {
@@ -83,34 +100,6 @@ TEST(RegistryTest, LifecycleAndErrors) {
   ASSERT_TRUE(registry.Delete("t").ok());
   EXPECT_EQ(registry.Delete("t").code(), StatusCode::kNotFound);
   EXPECT_EQ(registry.size(), 0u);
-}
-
-TEST(RegistryTest, ShardedTenantRoundRobin) {
-  SketchRegistry registry(RegistryOptions{});
-  TenantConfig config;
-  config.kind = SketchKind::kSharded;
-  config.num_shards = 4;
-  ASSERT_TRUE(registry.Create("s", config).ok());
-
-  const std::size_t kN = 200000;
-  const std::vector<Value> values = UniformStream(kN, 7);
-  std::vector<Value> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-
-  // Feed in many small batches so every shard sees work.
-  const std::size_t kBatch = 1000;
-  for (std::size_t i = 0; i < kN; i += kBatch) {
-    std::span<const Value> batch(values.data() + i, kBatch);
-    ASSERT_TRUE(registry.AddBatch("s", batch).ok());
-  }
-  EXPECT_EQ(registry.Stats("s").count, kN);
-
-  for (double phi : {0.1, 0.5, 0.9, 0.99}) {
-    Result<Value> answer = registry.Query("s", phi);
-    ASSERT_TRUE(answer.ok());
-    EXPECT_NEAR(RankOf(sorted, answer.value()), phi, config.eps)
-        << "phi=" << phi;
-  }
 }
 
 TEST(RegistryTest, LruEvictionAndRecycling) {
@@ -260,15 +249,14 @@ TEST(RegistryTest, CheckpointRecoverRoundTrip) {
     options.checkpoint_path = path;
     SketchRegistry registry(options);
     TenantConfig unknown_cfg;
-    TenantConfig sharded_cfg;
-    sharded_cfg.kind = SketchKind::kSharded;
-    sharded_cfg.num_shards = 3;
+    TenantConfig kll_cfg;
+    kll_cfg.kind = SketchKind::kKll;
     ASSERT_TRUE(registry.Create("u", unknown_cfg).ok());
-    ASSERT_TRUE(registry.Create("s", sharded_cfg).ok());
+    ASSERT_TRUE(registry.Create("k", kll_cfg).ok());
     for (std::size_t i = 0; i < values.size(); i += 5000) {
       std::span<const Value> batch(values.data() + i, 5000);
       ASSERT_TRUE(registry.AddBatch("u", batch).ok());
-      ASSERT_TRUE(registry.AddBatch("s", batch).ok());
+      ASSERT_TRUE(registry.AddBatch("k", batch).ok());
     }
     ASSERT_TRUE(registry.CheckpointNow().ok());
     before = registry.GlobalStats();
@@ -281,12 +269,12 @@ TEST(RegistryTest, CheckpointRecoverRoundTrip) {
   EXPECT_EQ(recovered.size(), 2u);
   EXPECT_EQ(recovered.GlobalStats().total_count, before.total_count);
   EXPECT_EQ(recovered.Stats("u").count, values.size());
-  EXPECT_EQ(recovered.Stats("s").count, values.size());
-  EXPECT_EQ(recovered.Stats("s").config.kind, SketchKind::kSharded);
+  EXPECT_EQ(recovered.Stats("k").count, values.size());
+  EXPECT_EQ(recovered.Stats("k").config.kind, SketchKind::kKll);
 
   std::vector<Value> sorted = values;
   std::sort(sorted.begin(), sorted.end());
-  for (const char* tenant : {"u", "s"}) {
+  for (const char* tenant : {"u", "k"}) {
     Result<Value> answer = recovered.Query(tenant, 0.5);
     ASSERT_TRUE(answer.ok());
     EXPECT_NEAR(RankOf(sorted, answer.value()), 0.5, 0.01);
@@ -299,34 +287,109 @@ TEST(RegistryTest, CheckpointRecoverRoundTrip) {
   std::remove(path.c_str());
 }
 
+// Every truncation and every single-byte flip of an MRLR v3 file holding
+// one tenant of each kind must fail recovery, and a failed recovery must
+// leave the tenants already in the registry as they were.
 TEST(RegistryTest, RecoverRejectsCorruptCheckpoint) {
   const std::string path = TempPath("registry_ckpt_corrupt");
   {
     RegistryOptions options;
     options.checkpoint_path = path;
     SketchRegistry registry(options);
-    ASSERT_TRUE(registry.Create("t", TenantConfig{}).ok());
+    for (SketchKind kind :
+         {SketchKind::kUnknownN, SketchKind::kKll, SketchKind::kDetReservoir}) {
+      TenantConfig config;
+      config.kind = kind;
+      config.eps = 0.1;
+      const std::string name(SketchKindName(kind));
+      ASSERT_TRUE(registry.Create(name, config).ok());
+      ASSERT_TRUE(registry.AddBatch(name, UniformStream(100, 5)).ok());
+    }
     ASSERT_TRUE(registry.CheckpointNow().ok());
   }
-
-  // Flip one byte mid-file: the CRC trailer must catch it.
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, 10, SEEK_SET), 0);
-  const int c = std::fgetc(f);
-  ASSERT_NE(c, EOF);
-  ASSERT_EQ(std::fseek(f, 10, SEEK_SET), 0);
-  std::fputc(c ^ 0xFF, f);
-  std::fclose(f);
+  const std::vector<std::uint8_t> good = ReadFile(path);
+  ASSERT_GT(good.size(), 5u);
+  EXPECT_EQ(good[4], 3) << "MRLR version byte";
 
   RegistryOptions options;
   options.checkpoint_path = path;
-  SketchRegistry recovered(options);
-  const Status status = recovered.RecoverFromDisk();
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(recovered.size(), 0u);
+  SketchRegistry registry(options);
+  ASSERT_TRUE(registry.Create("keep", TenantConfig{}).ok());
+  ASSERT_TRUE(registry.AddBatch("keep", std::vector<Value>{1, 2, 3}).ok());
+  const auto expect_rejected = [&](const std::vector<std::uint8_t>& bytes,
+                                   const std::string& what) {
+    WriteFile(path, bytes);
+    EXPECT_FALSE(registry.RecoverFromDisk().ok()) << what;
+    EXPECT_EQ(registry.size(), 1u) << what;
+    EXPECT_EQ(registry.Stats("keep").count, 3u) << what;
+  };
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    expect_rejected(std::vector<std::uint8_t>(good.begin(), good.begin() + len),
+                    "truncated to " + std::to_string(len));
+  }
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::vector<std::uint8_t> flipped = good;
+    flipped[i] ^= 0xFF;
+    expect_rejected(flipped, "byte " + std::to_string(i) + " flipped");
+  }
+  // A v2 file is rejected by its version even when its CRC is valid.
+  std::vector<std::uint8_t> v2 = good;
+  v2[4] = 2;
+  StoreU32Le(v2.data() + v2.size() - 4, Crc32(v2.data(), v2.size() - 4));
+  expect_rejected(v2, "version 2");
 
+  WriteFile(path, good);
+  ASSERT_TRUE(registry.RecoverFromDisk().ok());
+  EXPECT_EQ(registry.size(), 3u);
   std::remove(path.c_str());
+}
+
+// RESTORE is create-or-replace, but only once the blob has restored: a
+// blob that fails to decode leaves the tenant it targets untouched.
+TEST(RegistryTest, FailedInstallKeepsExistingTenant) {
+  SketchRegistry registry(RegistryOptions{});
+  ASSERT_TRUE(registry.Create("t", TenantConfig{}).ok());
+  ASSERT_TRUE(registry.AddBatch("t", UniformStream(1000, 9)).ok());
+  std::vector<std::uint8_t> before;
+  ASSERT_TRUE(registry.Snapshot("t", &before).ok());
+
+  TenantConfig kll_config;
+  kll_config.kind = SketchKind::kKll;
+  ASSERT_TRUE(registry.Create("k", kll_config).ok());
+  ASSERT_TRUE(registry.AddBatch("k", UniformStream(1000, 10)).ok());
+  std::vector<std::uint8_t> kll_blob;
+  ASSERT_TRUE(registry.Snapshot("k", &kll_blob).ok());
+
+  // Snapshot framing: u32 length, then the sketch blob (u32 magic, u8
+  // version, ...); byte 8 is the sketch's version.
+  std::vector<std::uint8_t> corrupt = before;
+  corrupt[8] ^= 0xFF;
+  const struct {
+    const char* what;
+    std::vector<std::uint8_t> blob;
+  } cases[] = {
+      {"corrupt", corrupt},
+      {"truncated", std::vector<std::uint8_t>(before.begin(),
+                                              before.begin() + 5)},
+      {"wrong kind", kll_blob},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(registry.Install("t", TenantConfig{}, c.blob).code(),
+              StatusCode::kInvalidArgument)
+        << c.what;
+    EXPECT_EQ(registry.Stats("t").count, 1000u) << c.what;
+    std::vector<std::uint8_t> after;
+    ASSERT_TRUE(registry.Snapshot("t", &after).ok()) << c.what;
+    EXPECT_EQ(after, before) << c.what;
+  }
+
+  // A good blob replaces the tenant, kind included.
+  ASSERT_TRUE(registry.Install("t", kll_config, kll_blob).ok());
+  EXPECT_EQ(registry.Stats("t").config.kind, SketchKind::kKll);
+  EXPECT_EQ(registry.size(), 2u);
+  std::vector<std::uint8_t> replaced;
+  ASSERT_TRUE(registry.Snapshot("t", &replaced).ok());
+  EXPECT_EQ(replaced, kll_blob);
 }
 
 TEST(RegistryTest, MissingCheckpointIsEmptyRegistry) {

@@ -1,11 +1,13 @@
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/extreme.h"
 #include "core/known_n.h"
+#include "core/partial.h"
 #include "core/unknown_n.h"
 #include "stream/generator.h"
 #include "util/serde.h"
@@ -16,14 +18,14 @@ namespace {
 // ----------------------------------------------------------- Writer/Reader
 
 TEST(SerdeTest, PrimitivesRoundTrip) {
-  BinaryWriter w;
+  std::vector<std::uint8_t> bytes;
+  BinaryWriter w(&bytes);
   w.PutU8(0xAB);
   w.PutU32(0xDEADBEEF);
   w.PutU64(0x0123456789ABCDEFull);
   w.PutI32(-42);
   w.PutDouble(-0.15625);
   w.PutValues({1.0, -2.5, 3.75});
-  std::vector<std::uint8_t> bytes = w.Take();
 
   BinaryReader r(bytes);
   std::uint8_t u8;
@@ -48,9 +50,9 @@ TEST(SerdeTest, PrimitivesRoundTrip) {
 }
 
 TEST(SerdeTest, TruncatedReadFailsAndLatches) {
-  BinaryWriter w;
+  std::vector<std::uint8_t> bytes;
+  BinaryWriter w(&bytes);
   w.PutU32(7);
-  std::vector<std::uint8_t> bytes = w.Take();
   BinaryReader r(bytes);
   std::uint64_t u64;
   EXPECT_FALSE(r.GetU64(&u64));
@@ -61,9 +63,9 @@ TEST(SerdeTest, TruncatedReadFailsAndLatches) {
 }
 
 TEST(SerdeTest, HostileLengthPrefixRejected) {
-  BinaryWriter w;
+  std::vector<std::uint8_t> bytes;
+  BinaryWriter w(&bytes);
   w.PutU64(std::uint64_t{1} << 60);  // claims 2^60 doubles follow
-  std::vector<std::uint8_t> bytes = w.Take();
   BinaryReader r(bytes);
   std::vector<Value> values;
   EXPECT_FALSE(r.GetValues(&values));
@@ -335,6 +337,70 @@ TEST(ExtremeCheckpointTest, BitFlipsNeverCrash) {
     }
   }
   EXPECT_GT(rejected, 0);
+}
+
+// A NaN planted in any buffer value of an otherwise valid checkpoint must
+// be rejected at decode: accepted, it would reach the query merge, whose
+// ordering CHECKs abort (found by checkpoint_fuzz; RESTORE reaches this
+// decoder from the network).
+TEST(SketchCheckpointTest, RejectsNaNValues) {
+  UnknownNParams p;
+  p.b = 3;
+  p.k = 16;
+  p.h = 2;
+  p.alpha = 0.5;
+  UnknownNOptions options;
+  options.params = p;
+  options.seed = 5;
+  UnknownNSketch sketch = std::move(UnknownNSketch::Create(options)).value();
+  for (int i = 0; i < 400; ++i) sketch.Add(i + 0.25);
+  const std::vector<std::uint8_t> bytes = sketch.Serialize();
+
+  int planted = 0;
+  for (std::size_t pos = 0; pos + 8 <= bytes.size(); ++pos) {
+    double v;
+    std::memcpy(&v, bytes.data() + pos, 8);
+    if (!(v >= 0.25 && v < 400 && v - std::floor(v) == 0.25)) continue;
+    std::vector<std::uint8_t> corrupted = bytes;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::memcpy(corrupted.data() + pos, &nan, 8);
+    EXPECT_FALSE(UnknownNSketch::Deserialize(corrupted).ok()) << "pos=" << pos;
+    ++planted;
+  }
+  EXPECT_GT(planted, 0);
+}
+
+// Pool parameters whose product b * k wraps 64 bits must be rejected
+// before anything is allocated (found by checkpoint_fuzz). Every decoder
+// below starts with i32 b then u64 k, at `b_offset`.
+TEST(SketchCheckpointTest, RejectsWrappingPoolSize) {
+  const auto plant = [](std::vector<std::uint8_t> bytes,
+                        std::size_t b_offset) {
+    StoreU32Le(bytes.data() + b_offset, 2);  // b = 2, k = 2^63: b * k == 0
+    for (int i = 0; i < 8; ++i) bytes[b_offset + 4 + i] = i == 7 ? 0x80 : 0;
+    return bytes;
+  };
+  UnknownNOptions options;
+  options.eps = 0.05;
+  UnknownNSketch unknown = std::move(UnknownNSketch::Create(options)).value();
+  for (int i = 0; i < 100; ++i) unknown.Add(i);
+  // Sketch checkpoints: magic u32, version u8, kind u8, then b.
+  EXPECT_EQ(UnknownNSketch::Deserialize(plant(unknown.Serialize(), 6))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      KnownNSketch::Deserialize(plant(MakeKnownNForCorruption().Serialize(), 6))
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+  // Partial summaries: magic u32, version u8, then b.
+  PartialSummary summary;
+  ASSERT_TRUE(unknown.ExportPartial(&summary).ok());
+  std::vector<std::uint8_t> partial;
+  SerializePartialSummary(summary, &partial);
+  EXPECT_EQ(DeserializePartialSummary(plant(partial, 5)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SketchCheckpointTest, RejectsIllegalPoolState) {

@@ -147,9 +147,7 @@ TEST_F(ServerE2eTest, MultiThreadedIngestionMeetsEpsBound) {
   constexpr double kEps = 0.01;
 
   TenantConfig config;
-  config.kind = SketchKind::kSharded;
   config.eps = kEps;
-  config.num_shards = kThreads;
   {
     Client admin = Connect();
     ASSERT_TRUE(admin.CreateSketch("latency", config).ok());
@@ -282,39 +280,25 @@ TEST_F(ServerE2eTest, KillAndRestartRecoversFromCheckpoint) {
   }
 }
 
-TEST_F(ServerE2eTest, DisabledBackendErrorTextReachesClient) {
-  ServerOptions options;
-  options.registry.allowed_kinds = {SketchKind::kUnknownN,
-                                    SketchKind::kSharded};
-  std::unique_ptr<QuantileServer> server = StartServer(std::move(options));
+TEST_F(ServerE2eTest, KindMismatchErrorTextReachesClient) {
+  std::unique_ptr<QuantileServer> server = StartServer(ServerOptions{});
   ASSERT_NE(server, nullptr);
   Client client = Connect();
 
-  // CREATE_SKETCH for a backend outside --backends: the server's exact
-  // error text must round-trip to the caller, naming the backend.
+  // Re-creating an existing tenant under a different kind: the server's
+  // exact error text must round-trip to the caller, naming both the held
+  // and the requested backend.
   TenantConfig kll_config;
   kll_config.kind = SketchKind::kKll;
-  const Status disabled = client.CreateSketch("t", kll_config);
-  EXPECT_EQ(disabled.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(disabled.message().find("disabled on this server"),
-            std::string::npos)
-      << disabled.message();
-  EXPECT_NE(disabled.message().find("kll"), std::string::npos)
-      << disabled.message();
-
-  // Re-creating an existing tenant under a different kind names both the
-  // held and the requested backend in the error.
-  ASSERT_TRUE(client.CreateSketch("t", TenantConfig{}).ok());
-  TenantConfig sharded_config;
-  sharded_config.kind = SketchKind::kSharded;
-  const Status mismatch = client.CreateSketch("t", sharded_config);
+  ASSERT_TRUE(client.CreateSketch("t", kll_config).ok());
+  const Status mismatch = client.CreateSketch("t", TenantConfig{});
   EXPECT_EQ(mismatch.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(mismatch.message().find("kll"), std::string::npos)
+      << mismatch.message();
   EXPECT_NE(mismatch.message().find("unknown_n"), std::string::npos)
       << mismatch.message();
-  EXPECT_NE(mismatch.message().find("sharded"), std::string::npos)
-      << mismatch.message();
 
-  // The error responses must leave the connection usable.
+  // The error response must leave the connection usable.
   ASSERT_TRUE(client.AddBatch("t", std::vector<Value>{1.0}).ok());
   server->Stop();
 }

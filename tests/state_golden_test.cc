@@ -220,9 +220,10 @@ std::uint64_t PolicyGolden(CollapsePolicyKind kind) {
     }
     fw.CommitFull(slot, /*weight=*/1, /*level=*/0);
   }
-  BinaryWriter writer;
+  std::vector<std::uint8_t> bytes;
+  BinaryWriter writer(&bytes);
   fw.SerializeTo(&writer);
-  return Fnv1a(writer.Take());
+  return Fnv1a(bytes);
 }
 
 constexpr std::uint64_t kMrlPolicyGolden = 0x0762fa809649afc1ull;

@@ -103,9 +103,9 @@ TEST(SummaryTest, SerializationRoundTrip) {
   std::vector<Value> a = {1, 2, 3, 4};
   std::vector<WeightedRun> runs = {{a.data(), a.size(), 7}};
   QuantileSummary s = QuantileSummary::FromRuns(runs);
-  BinaryWriter w;
+  std::vector<std::uint8_t> bytes;
+  BinaryWriter w(&bytes);
   s.SerializeTo(&w);
-  std::vector<std::uint8_t> bytes = w.Take();
   BinaryReader r(bytes);
   QuantileSummary restored =
       std::move(QuantileSummary::DeserializeFrom(&r)).value();
@@ -116,13 +116,13 @@ TEST(SummaryTest, SerializationRoundTrip) {
 }
 
 TEST(SummaryTest, DeserializeRejectsNonMonotone) {
-  BinaryWriter w;
+  std::vector<std::uint8_t> bytes;
+  BinaryWriter w(&bytes);
   w.PutU64(2);
   w.PutDouble(5.0);
   w.PutU64(10);
   w.PutDouble(4.0);  // values must ascend
   w.PutU64(20);
-  std::vector<std::uint8_t> bytes = w.Take();
   BinaryReader r(bytes);
   EXPECT_FALSE(QuantileSummary::DeserializeFrom(&r).ok());
 }

@@ -1,6 +1,6 @@
 // mrlquant_client: command-line client for mrlquantd.
 //
-//   mrlquant_client --uds=/tmp/mrlquant.sock create latency --kind=sharded
+//   mrlquant_client --uds=/tmp/mrlquant.sock create latency --kind=kll
 //   seq 1 1000000 | mrlquant_client --uds=/tmp/mrlquant.sock add latency -
 //   mrlquant_client --uds=/tmp/mrlquant.sock query latency 0.5
 //   mrlquant_client --uds=/tmp/mrlquant.sock quantiles latency 0.5 0.9 0.99
@@ -32,9 +32,8 @@ void Usage() {
       stderr,
       "usage: mrlquant_client (--uds=PATH | --host=IP --port=N)\n"
       "                       [--timeout-ms=N] CMD ...\n"
-      "  create NAME [--kind=unknown|sharded|kll|dreservoir] [--eps=E]\n"
-      "              [--delta=D]\n"
-      "              [--shards=N] [--seed=S]\n"
+      "  create NAME [--kind=unknown|kll|dreservoir] [--eps=E]\n"
+      "              [--delta=D] [--seed=S]\n"
       "  add NAME V...       ('-' reads whitespace-separated values "
       "from stdin)\n"
       "  query NAME PHI\n"
@@ -128,8 +127,6 @@ int main(int argc, char** argv) {
       if (FlagValue(argv[i], "--kind", &v)) {
         if (v == "unknown" || v == "unknown_n") {
           config.kind = SketchKind::kUnknownN;
-        } else if (v == "sharded") {
-          config.kind = SketchKind::kSharded;
         } else if (v == "kll") {
           config.kind = SketchKind::kKll;
         } else if (v == "dreservoir" || v == "det_reservoir") {
@@ -137,7 +134,7 @@ int main(int argc, char** argv) {
         } else {
           std::fprintf(stderr,
                        "mrlquant_client: bad --kind: %s (expected unknown, "
-                       "sharded, kll or dreservoir)\n",
+                       "kll or dreservoir)\n",
                        v.c_str());
           return 2;
         }
@@ -145,8 +142,6 @@ int main(int argc, char** argv) {
         config.eps = ParseDouble(v.c_str());
       } else if (FlagValue(argv[i], "--delta", &v)) {
         config.delta = ParseDouble(v.c_str());
-      } else if (FlagValue(argv[i], "--shards", &v)) {
-        config.num_shards = std::atoi(v.c_str());
       } else if (FlagValue(argv[i], "--seed", &v)) {
         config.seed = static_cast<std::uint64_t>(
             std::strtoull(v.c_str(), nullptr, 10));

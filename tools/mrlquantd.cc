@@ -22,7 +22,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "server/server.h"
 #include "util/simd.h"
@@ -47,44 +46,10 @@ void Usage(const char* argv0) {
       "usage: %s [--uds=PATH] [--port=N] [--shards=N]\n"
       "          [--max-tenants=N] [--checkpoint=PATH]\n"
       "          [--checkpoint-interval-ms=N] [--checkpoint-on-stop]\n"
-      "          [--backends=LIST]\n"
       "At least one of --uds / --port is required.\n"
       "--shards sets the number of shared-nothing event-loop shards\n"
-      "(default: one per core).\n"
-      "--backends limits which sketch kinds CREATE_SKETCH may instantiate:\n"
-      "a comma-separated subset of unknown_n,sharded,kll,det_reservoir\n"
-      "(default: all).\n",
+      "(default: one per core).\n",
       argv0);
-}
-
-/// Parses a comma-separated backend list ("kll,det_reservoir") into kinds.
-/// Exits with a diagnostic on an unrecognized name.
-std::vector<mrl::server::SketchKind> ParseBackendList(const std::string& text) {
-  std::vector<mrl::server::SketchKind> kinds;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string name = text.substr(start, comma - start);
-    bool found = false;
-    for (std::uint8_t k = 0; mrl::server::IsKnownSketchKind(k); ++k) {
-      const auto kind = static_cast<mrl::server::SketchKind>(k);
-      if (name == mrl::server::SketchKindName(kind)) {
-        kinds.push_back(kind);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr,
-                   "mrlquantd: bad --backends entry: '%s' (expected a subset "
-                   "of unknown_n,sharded,kll,det_reservoir)\n",
-                   name.c_str());
-      std::exit(2);
-    }
-    start = comma + 1;
-  }
-  return kinds;
 }
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
@@ -113,7 +78,6 @@ bool ParseIntFlag(const char* arg, const char* name, long* out) {
 int main(int argc, char** argv) {
   mrl::server::ServerOptions options;
   for (int i = 1; i < argc; ++i) {
-    std::string text;
     long value = 0;
     if (ParseFlag(argv[i], "--uds", &options.uds_path)) continue;
     if (ParseIntFlag(argv[i], "--port", &value)) {
@@ -130,10 +94,6 @@ int main(int argc, char** argv) {
     }
     if (ParseFlag(argv[i], "--checkpoint", &options.registry.checkpoint_path))
       continue;
-    if (ParseFlag(argv[i], "--backends", &text)) {
-      options.registry.allowed_kinds = ParseBackendList(text);
-      continue;
-    }
     if (ParseIntFlag(argv[i], "--checkpoint-interval-ms", &value)) {
       options.checkpoint_interval_ms = static_cast<int>(value);
       continue;
