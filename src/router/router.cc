@@ -1,17 +1,11 @@
 #include "router/router.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <utility>
 
 #include "core/partial.h"
-#include "util/net.h"
 
 namespace mrl {
 namespace router {
@@ -66,7 +60,7 @@ Status ParseBackendAddress(const std::string& address, bool* is_unix,
 }
 
 /// Whether `response`, a whole response frame from a backend, reports OK.
-bool IsOkResponse(const std::vector<std::uint8_t>& response) {
+bool IsOkResponse(std::span<const std::uint8_t> response) {
   Result<FrameView> frame =
       server::DecodeFrameBody(response.data() + 4, response.size() - 4);
   if (!frame.ok()) return false;
@@ -100,9 +94,6 @@ Result<std::unique_ptr<Router>> Router::Create(RouterOptions options) {
   if (options.backends.empty()) {
     return Status::InvalidArgument("router needs at least one backend");
   }
-  if (options.uds_path.empty() && options.tcp_port < 0) {
-    return Status::InvalidArgument("no listener configured");
-  }
   if (options.replicate && options.backends.size() < 2) {
     return Status::InvalidArgument(
         "replication needs at least two backends");
@@ -123,26 +114,10 @@ Status Router::Start() {
     backends_.push_back(std::move(backend));
   }
 
-  if (!options_.uds_path.empty()) {
-    Result<int> fd = net::ListenUnix(options_.uds_path);
-    if (!fd.ok()) return fd.status();
-    uds_listen_fd_ = fd.value();
-    bound_uds_path_ = options_.uds_path;
-  }
-  if (options_.tcp_port >= 0) {
-    Result<int> fd = net::ListenLoopbackTcp(
-        static_cast<std::uint16_t>(options_.tcp_port), &tcp_port_);
-    if (!fd.ok()) return fd.status();
-    tcp_listen_fd_ = fd.value();
-  }
-
-  running_.store(true, std::memory_order_release);
-  if (uds_listen_fd_ >= 0) {
-    acceptors_.emplace_back(&Router::AcceptLoop, this, uds_listen_fd_);
-  }
-  if (tcp_listen_fd_ >= 0) {
-    acceptors_.emplace_back(&Router::AcceptLoop, this, tcp_listen_fd_);
-  }
+  Result<std::unique_ptr<server::FrameServer>> frames =
+      server::FrameServer::Create(options_.listen, /*num_shards=*/0, this);
+  if (!frames.ok()) return frames.status();
+  frames_ = std::move(frames).value();
   health_thread_ = std::thread(&Router::HealthLoop, this);
   return Status::OK();
 }
@@ -150,105 +125,14 @@ Status Router::Start() {
 Router::~Router() { Stop(); }
 
 void Router::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  // Connections first: a shard mid-RPC finishes its frame before it joins.
+  if (frames_ != nullptr) frames_->Stop();
   {
     MutexLock lock(health_mu_);
     health_stop_ = true;
   }
   health_cv_.notify_all();
   if (health_thread_.joinable()) health_thread_.join();
-
-  // shutdown() wakes the blocking accept(2); the loops see running_ false
-  // and exit. The fds are closed after the acceptors are gone.
-  if (uds_listen_fd_ >= 0) ::shutdown(uds_listen_fd_, SHUT_RDWR);
-  if (tcp_listen_fd_ >= 0) ::shutdown(tcp_listen_fd_, SHUT_RDWR);
-  for (std::thread& t : acceptors_) {
-    if (t.joinable()) t.join();
-  }
-  acceptors_.clear();
-  if (uds_listen_fd_ >= 0) {
-    ::close(uds_listen_fd_);
-    uds_listen_fd_ = -1;
-  }
-  if (tcp_listen_fd_ >= 0) {
-    ::close(tcp_listen_fd_);
-    tcp_listen_fd_ = -1;
-  }
-  if (!bound_uds_path_.empty()) {
-    ::unlink(bound_uds_path_.c_str());
-    bound_uds_path_.clear();
-  }
-
-  // Wake every connection thread mid-read. Entries are removed from
-  // conn_fds_ (under conns_mu_) before their fd is closed, so a shutdown
-  // here can never hit a recycled descriptor.
-  std::unordered_map<std::thread::id, std::thread> conns;
-  {
-    MutexLock lock(conns_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    conns.swap(conn_threads_);
-    finished_conns_.clear();
-  }
-  for (auto& entry : conns) entry.second.join();
-}
-
-void Router::AcceptLoop(int listen_fd) {
-  while (running_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    ReapFinishedConnections();
-    if (fd < 0) continue;  // EINTR, shutdown, or transient (EMFILE, ...)
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    MutexLock lock(conns_mu_);
-    if (!running_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
-    }
-    conn_fds_.push_back(fd);
-    // Registered before the lock drops, so the thread is in the map by the
-    // time it can report itself finished.
-    std::thread thread(&Router::ServeConnection, this, fd);
-    conn_threads_.emplace(thread.get_id(), std::move(thread));
-  }
-}
-
-void Router::ReapFinishedConnections() {
-  std::vector<std::thread> done;
-  {
-    MutexLock lock(conns_mu_);
-    for (const std::thread::id id : finished_conns_) {
-      auto it = conn_threads_.find(id);
-      if (it == conn_threads_.end()) continue;
-      done.push_back(std::move(it->second));
-      conn_threads_.erase(it);
-    }
-    finished_conns_.clear();
-  }
-  // Each has left its serving loop; join only waits out its return.
-  for (std::thread& t : done) t.join();
-}
-
-void Router::ServeConnection(int fd) {
-  std::vector<std::uint8_t> request;
-  std::vector<std::uint8_t> out;
-  // Any read failure ends the connection, including an unframeable length
-  // prefix: there is no reliable way to resynchronize the stream.
-  while (running_.load(std::memory_order_acquire) &&
-         net::RecvFrame(fd, server::ReadFrameBodyLen, &request) ==
-             net::IoOutcome::kOk) {
-    out.clear();
-    HandleFrame(request, &out);
-    if (net::SendAll(fd, out.data(), out.size()) != net::IoOutcome::kOk) {
-      break;
-    }
-  }
-  {
-    MutexLock lock(conns_mu_);
-    conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-                    conn_fds_.end());
-    finished_conns_.push_back(std::this_thread::get_id());
-  }
-  ::close(fd);
 }
 
 // ---------------------------------------------------------------------------
@@ -306,11 +190,6 @@ bool Router::failed_over(std::string_view name) const {
   return it != tenants_.end() && it->second.failed_over;
 }
 
-std::size_t Router::connection_threads() const {
-  MutexLock lock(conns_mu_);
-  return conn_threads_.size();
-}
-
 bool Router::IsPartitioned(std::string_view name) const {
   for (const std::string& tenant : options_.partitioned) {
     if (tenant == name) return true;
@@ -352,6 +231,9 @@ void Router::HandleFrame(std::span<const std::uint8_t> request,
 void Router::ForwardFrame(MsgType type, std::string_view name,
                           std::span<const std::uint8_t> request,
                           std::vector<std::uint8_t>* out) {
+  // *out may hold earlier pipelined responses of this connection: the
+  // reply is appended after them, and everything below looks only at it.
+  const std::size_t start = out->size();
   const int owner = ring_.OwnerOf(name);
   const int replica = options_.replicate ? ring_.ReplicaOf(name) : -1;
   bool known = false;
@@ -388,7 +270,7 @@ void Router::ForwardFrame(MsgType type, std::string_view name,
   if (!status.ok()) {
     // A frame of unknown type is attributable to no request: echo
     // kResponse, as a backend would.
-    out->clear();
+    out->resize(start);
     server::EncodeErrorResponse(
         server::IsKnownMsgType(request[5]) ? type : MsgType::kResponse,
         status, out);
@@ -408,7 +290,9 @@ void Router::ForwardFrame(MsgType type, std::string_view name,
   const bool is_write = type == MsgType::kCreateSketch ||
                         type == MsgType::kRestore ||
                         (type == MsgType::kAddBatch && known);
-  if (!is_write || !IsOkResponse(*out)) return;
+  const std::span<const std::uint8_t> reply(out->data() + start,
+                                            out->size() - start);
+  if (!is_write || !IsOkResponse(reply)) return;
   // Mirror the same bytes — same config and seed at CREATE, so both copies
   // make identical sampling decisions. A miss (dead replica, stale copy)
   // never fails the client's write; it marks the replica dirty for the

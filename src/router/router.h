@@ -1,7 +1,6 @@
 #ifndef MRLQUANT_ROUTER_ROUTER_H_
 #define MRLQUANT_ROUTER_ROUTER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -15,6 +14,7 @@
 #include "router/hash_ring.h"
 #include "router/health.h"
 #include "server/client.h"
+#include "server/frame_server.h"
 #include "server/protocol.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -26,10 +26,8 @@ struct PartialSummary;
 namespace router {
 
 struct RouterOptions {
-  /// Listeners; at least one must be configured. `tcp_port == 0` binds an
-  /// ephemeral port (read it back with tcp_port()).
-  std::string uds_path;
-  int tcp_port = -1;
+  /// Listeners; at least one must be enabled.
+  server::Listeners listen;
 
   /// Backend addresses, "unix:PATH" or dotted-quad "HOST:PORT". Order is
   /// the backend index used by HealthTracker and the test hooks.
@@ -76,12 +74,15 @@ struct RouterOptions {
 /// after the primary answers OK. The router answers only PING, STATS with
 /// an empty name, partitioned tenants, and transport failures itself.
 ///
-/// Threading: one acceptor thread per listener, one blocking thread per
-/// client connection (responses are written in request order, preserving
-/// the protocol's pipelining contract), plus one health/resync thread.
-/// Acceptors join connection threads as they finish; Stop()/the destructor
-/// joins the rest.
-class Router {
+/// Threading: the router serves on a server::FrameServer, the substrate
+/// mrlquantd uses: one acceptor thread and one event-loop shard per core,
+/// with buffered framing, request pipelining (responses leave in request
+/// order) and the per-connection write-buffer cap. A shard runs
+/// HandleFrame inline, so a blocking backend RPC holds the shard for up to
+/// `rpc_timeout_ms`, and other connections homed on that shard wait
+/// behind it. The only other thread is the health/resync thread. Stop()
+/// (or the destructor) winds both down.
+class Router final : private server::FrameHandler {
  public:
   static Result<std::unique_ptr<Router>> Create(RouterOptions options);
 
@@ -91,9 +92,9 @@ class Router {
 
   void Stop();
 
-  /// Bound TCP port (the ephemeral one when options.tcp_port was 0), or 0
-  /// when no TCP listener exists.
-  std::uint16_t tcp_port() const { return tcp_port_; }
+  /// Bound TCP port (the ephemeral one when options.listen.tcp_port was 0),
+  /// or 0 when no TCP listener exists.
+  std::uint16_t tcp_port() const { return frames_->tcp_port(); }
 
   std::size_t num_backends() const { return ring_.size(); }
 
@@ -109,9 +110,6 @@ class Router {
   BackendState backend_state(int index) const { return health_.state(index); }
   /// Whether `name` has been failed over to its replica.
   bool failed_over(std::string_view name) const;
-  /// Connection threads not yet joined: live ones plus any that finished
-  /// since an acceptor last reaped.
-  std::size_t connection_threads() const;
 
  private:
   /// One backend: parsed address plus a small pool of warm connections
@@ -147,15 +145,10 @@ class Router {
   explicit Router(RouterOptions options);
   Status Start();
 
-  void AcceptLoop(int listen_fd);
-  void ServeConnection(int fd);
-  /// Joins the connection threads that have finished serving.
-  void ReapFinishedConnections();
-
   /// Handles one whole request frame (length prefix included), appending
-  /// exactly one response frame to *out.
+  /// exactly one response frame to *out (the FrameHandler contract).
   void HandleFrame(std::span<const std::uint8_t> request,
-                   std::vector<std::uint8_t>* out);
+                   std::vector<std::uint8_t>* out) override;
 
   /// The single-owner path: placement, verbatim forwarding, the one
   /// failover retry, mirroring, and tenant bookkeeping (see class comment).
@@ -221,25 +214,12 @@ class Router {
   std::unordered_map<std::string, TenantState> tenants_
       MRLQUANT_GUARDED_BY(tenants_mu_);
 
-  int uds_listen_fd_ = -1;
-  int tcp_listen_fd_ = -1;
-  std::uint16_t tcp_port_ = 0;
-  std::string bound_uds_path_;
-
-  std::atomic<bool> running_{false};
-  std::vector<std::thread> acceptors_;
+  std::unique_ptr<server::FrameServer> frames_;
 
   std::thread health_thread_;
   Mutex health_mu_;
   std::condition_variable health_cv_;
   bool health_stop_ MRLQUANT_GUARDED_BY(health_mu_) = false;
-
-  mutable Mutex conns_mu_;
-  std::unordered_map<std::thread::id, std::thread> conn_threads_
-      MRLQUANT_GUARDED_BY(conns_mu_);
-  /// Connection threads that left their serving loop, awaiting a join.
-  std::vector<std::thread::id> finished_conns_ MRLQUANT_GUARDED_BY(conns_mu_);
-  std::vector<int> conn_fds_ MRLQUANT_GUARDED_BY(conns_mu_);
 };
 
 }  // namespace router

@@ -171,18 +171,26 @@ Status Client::Send(const std::uint8_t* data, std::size_t n) {
   return status;
 }
 
-Status Client::ReadFrame(std::vector<std::uint8_t>* frame) {
-  const IoOutcome got = net::RecvFrame(fd_, ReadFrameBodyLen, frame);
-  if (got == IoOutcome::kOk) return Status::OK();
-  Close();
-  switch (got) {
-    case IoOutcome::kTimeout:
-      return Status::Internal("read timed out awaiting response");
-    case IoOutcome::kBadLength:
-      return Status::Internal("response frame length out of range");
-    default:
-      return Status::Internal("connection closed while awaiting response");
+Status Client::ReadFrame(std::vector<std::uint8_t>* out) {
+  const std::size_t start = out->size();
+  out->resize(start + 4);
+  std::uint32_t body_len = 0;
+  IoOutcome got = net::RecvAll(fd_, out->data() + start, 4);
+  if (got == IoOutcome::kOk &&
+      ReadFrameBodyLen(out->data() + start, &body_len)) {
+    out->resize(start + 4 + body_len);
+    got = net::RecvAll(fd_, out->data() + start + 4, body_len);
+    if (got == IoOutcome::kOk) return Status::OK();
   }
+  // Still kOk here: the prefix was refused, and a byte stream cannot be
+  // resynchronized after it.
+  const bool bad_length = got == IoOutcome::kOk;
+  out->resize(start);
+  Close();
+  if (bad_length) return Status::Internal("response frame length out of range");
+  return got == IoOutcome::kTimeout
+             ? Status::Internal("read timed out awaiting response")
+             : Status::Internal("connection closed while awaiting response");
 }
 
 Result<ResponseView> Client::RoundTrip(MsgType sent) {
@@ -191,6 +199,7 @@ Result<ResponseView> Client::RoundTrip(MsgType sent) {
 }
 
 Result<ResponseView> Client::ReadResponse(MsgType sent) {
+  response_.clear();
   MRL_RETURN_IF_ERROR(ReadFrame(&response_));
   Result<FrameView> frame =
       DecodeFrameBody(response_.data() + 4, response_.size() - 4);

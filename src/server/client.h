@@ -76,10 +76,11 @@ class Client {
                        std::span<const std::uint8_t> blob);
 
   /// Sends `request`, one complete pre-encoded request frame, unchanged and
-  /// reads the server's response frame into *response (length prefix
+  /// appends the server's response frame to *response (length prefix
   /// included) without decoding or CRC-checking it: the router's verbatim
   /// forwarding path. Non-OK only on transport failure, which closes the
-  /// connection; the server's own verdict is inside *response.
+  /// connection and appends nothing; the server's own verdict is inside
+  /// the appended frame.
   Status ForwardFrame(std::span<const std::uint8_t> request,
                       std::vector<std::uint8_t>* response);
 
@@ -126,9 +127,9 @@ class Client {
   /// Writes [data, data + n); a transport failure closes the connection.
   Status Send(const std::uint8_t* data, std::size_t n);
 
-  /// Reads one whole frame (prefix included) into *frame; a transport or
-  /// framing failure closes the connection.
-  Status ReadFrame(std::vector<std::uint8_t>* frame);
+  /// Appends one whole frame (prefix included) to *out; a transport or
+  /// framing failure closes the connection and leaves *out as it was.
+  Status ReadFrame(std::vector<std::uint8_t>* out);
 
   /// Writes request_, reads one response frame into response_, and decodes
   /// its header. Checks that the response echoes `sent` as request type.

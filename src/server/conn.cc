@@ -19,8 +19,7 @@ constexpr std::size_t kReadSpill = 64 * 1024;
 
 }  // namespace
 
-Conn::Conn(int fd, std::size_t write_buffer_cap)
-    : fd_(fd), write_buffer_cap_(write_buffer_cap) {}
+Conn::Conn(int fd) : fd_(fd) {}
 
 Conn::~Conn() {
   if (fd_ >= 0) ::close(fd_);

@@ -24,12 +24,8 @@ namespace server {
 /// (bench/server_throughput.cc pins this with a counting operator new).
 class Conn {
  public:
-  /// Takes ownership of `fd` (closed on destruction). `write_buffer_cap`
-  /// bounds the unflushed response backlog; a connection that pipelines
-  /// requests faster than it drains responses is answered with a
-  /// ResourceExhausted ERROR and closed instead of buffering without
-  /// bound.
-  Conn(int fd, std::size_t write_buffer_cap);
+  /// Takes ownership of `fd` (closed on destruction).
+  explicit Conn(int fd);
   ~Conn();
 
   Conn(const Conn&) = delete;
@@ -60,10 +56,9 @@ class Conn {
   /// tail. Flush() drains from the front.
   std::vector<std::uint8_t>* out() { return &out_; }
   std::size_t pending_out() const { return out_.size() - out_head_; }
-  std::size_t write_buffer_cap() const { return write_buffer_cap_; }
 
   /// Rolls the response buffer back to `bytes` pending — discards a
-  /// response that would overflow the cap (the write-cap ERROR path).
+  /// response that would overflow the shard's write-buffer cap.
   void RollbackOut(std::size_t bytes) { out_.resize(out_head_ + bytes); }
 
   /// Writes as much pending response data as the socket accepts (one
@@ -86,7 +81,6 @@ class Conn {
 
  private:
   int fd_;
-  std::size_t write_buffer_cap_;
 
   std::vector<std::uint8_t> in_;
   std::size_t in_head_ = 0;

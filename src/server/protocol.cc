@@ -390,6 +390,18 @@ std::string_view FrameTenantName(const std::uint8_t* payload,
   return std::string_view(reinterpret_cast<const char*>(payload) + 2, n);
 }
 
+std::uint64_t TenantNameHash(std::string_view name) {
+  // Stable across platforms and standard-library versions, so tenant →
+  // shard/partition routing never changes under recompilation (the
+  // checkpoint format does not depend on it either way).
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : name) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
 Status DecodeDoublesInto(const std::uint8_t* le, std::uint64_t count,
                          bool reject_nan, std::vector<double>* out) {
   out->clear();

@@ -254,6 +254,12 @@ Result<RestoreRequest> DecodeRestore(const std::uint8_t* payload,
 std::string_view FrameTenantName(const std::uint8_t* payload,
                                  std::size_t len);
 
+/// Stable hash of a tenant name (FNV-1a, 64-bit), the one name hash of the
+/// serving tier: the registry reduces it modulo its partition count and the
+/// frame server modulo its shard count, so a tenant's home shard and its
+/// registry partition agree by construction.
+std::uint64_t TenantNameHash(std::string_view name);
+
 /// Copies `count` little-endian doubles into *out (capacity reused).
 /// `reject_nan` refuses NaN bit patterns with InvalidArgument — ADD_BATCH
 /// and QUERY_MULTI both use it, keeping the sketches' NaN CHECK-abort

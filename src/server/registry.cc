@@ -114,18 +114,6 @@ SketchRegistry::SketchRegistry(RegistryOptions options)
   }
 }
 
-std::uint64_t SketchRegistry::NameHash(std::string_view name) {
-  // FNV-1a, 64-bit: stable across platforms and standard-library versions,
-  // so tenant → partition routing never changes under recompilation (the
-  // checkpoint format does not depend on it either way).
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : name) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 Result<std::unique_ptr<QuantileEstimator>> SketchRegistry::MakeSketch(
     const TenantConfig& config) {
   switch (config.kind) {

@@ -34,10 +34,10 @@ struct RegistryOptions {
   /// Number of directory partitions, in [1, 256]. Tenants are assigned to
   /// partitions by a stable hash of their name (PartitionOf); each
   /// partition has its own directory lock and free pool, so operations on
-  /// tenants in different partitions never contend on a shared mutex. The
-  /// sharded event-loop server sets this to its shard count and routes
-  /// each connection to the shard owning its tenant's partition, making
-  /// the steady-state ingest path shared-nothing.
+  /// tenants in different partitions never contend on a shared mutex.
+  /// QuantileServer sets this to its frame server's shard count, which
+  /// routes each connection to the shard owning its tenant's partition,
+  /// making the steady-state ingest path shared-nothing.
   std::size_t num_partitions = 1;
 };
 
@@ -158,13 +158,12 @@ class SketchRegistry {
 
   std::size_t size() const;
 
-  /// Stable hash of a tenant name (FNV-1a); PartitionOf reduces it modulo
-  /// num_partitions. The server uses the same function to route a
-  /// connection to the shard owning its tenant, so "partition i" and
-  /// "shard i" agree by construction.
-  static std::uint64_t NameHash(std::string_view name);
+  /// TenantNameHash modulo num_partitions. The frame server routes a
+  /// connection by the same hash modulo its shard count, so "partition i"
+  /// and "shard i" agree by construction.
   std::size_t PartitionOf(std::string_view name) const {
-    return static_cast<std::size_t>(NameHash(name)) % partitions_.size();
+    return static_cast<std::size_t>(TenantNameHash(name)) %
+           partitions_.size();
   }
   std::size_t num_partitions() const { return partitions_.size(); }
 

@@ -1,59 +1,26 @@
 #include "server/server.h"
 
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <iostream>
 #include <utility>
 
-#include "server/conn.h"
 #include "server/protocol.h"
-#include "util/logging.h"
-#include "util/net.h"
 
 namespace mrl {
 namespace server {
-
-namespace {
-
-void SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-int ResolveNumShards(int requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-}  // namespace
 
 QuantileServer::QuantileServer(ServerOptions options)
     : options_(std::move(options)), registry_(options_.registry) {}
 
 Result<std::unique_ptr<QuantileServer>> QuantileServer::Create(
     ServerOptions options) {
-  if (options.uds_path.empty() && options.tcp_port == 0) {
-    return Status::InvalidArgument("no listener configured");
-  }
-  const int num_shards = ResolveNumShards(options.num_shards);
-  if (num_shards < 1 || num_shards > 256) {
-    return Status::InvalidArgument("num_shards must be in [1, 256]");
-  }
-  options.num_shards = num_shards;
+  Result<int> num_shards = FrameServer::ResolveNumShards(options.num_shards);
+  if (!num_shards.ok()) return num_shards.status();
+  options.num_shards = num_shards.value();
   // Partition the registry exactly as the shards are laid out, so shard i
   // exclusively serves partition i once connections migrate home.
-  options.registry.num_partitions = static_cast<std::size_t>(num_shards);
-  if (options.write_buffer_cap == 0) {
-    // One max-size response frame (SNAPSHOT of the largest tenant) plus
-    // slack for small responses queued behind it.
-    options.write_buffer_cap = kMaxPayload + kFrameHeaderSize + (64u << 10);
-  }
+  options.registry.num_partitions =
+      static_cast<std::size_t>(num_shards.value());
   std::unique_ptr<QuantileServer> server(
       new QuantileServer(std::move(options)));
   MRL_RETURN_IF_ERROR(server->Start());
@@ -62,39 +29,11 @@ Result<std::unique_ptr<QuantileServer>> QuantileServer::Create(
 
 Status QuantileServer::Start() {
   MRL_RETURN_IF_ERROR(registry_.RecoverFromDisk());
-
-  if (!options_.uds_path.empty()) {
-    Result<int> fd = net::ListenUnix(options_.uds_path);
-    if (!fd.ok()) return fd.status();
-    uds_listen_fd_ = fd.value();
-    SetNonBlocking(uds_listen_fd_);
-  }
-
-  if (options_.tcp_port != 0) {
-    Result<int> fd =
-        net::ListenLoopbackTcp(options_.tcp_port, &bound_tcp_port_);
-    if (!fd.ok()) return fd.status();
-    tcp_listen_fd_ = fd.value();
-    SetNonBlocking(tcp_listen_fd_);
-  }
-
-  Result<EventLoop> accept_loop = EventLoop::Create();
-  if (!accept_loop.ok()) return accept_loop.status();
-  accept_loop_.emplace(std::move(accept_loop).value());
-
-  shards_.reserve(static_cast<std::size_t>(options_.num_shards));
-  for (int i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(
-        static_cast<std::size_t>(i), &registry_, options_.write_buffer_cap));
-  }
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->SetPeers(shards_);
-  }
+  Result<std::unique_ptr<FrameServer>> frames =
+      FrameServer::Create(options_.listen, options_.num_shards, this);
+  if (!frames.ok()) return frames.status();
+  frames_ = std::move(frames).value();
   running_.store(true, std::memory_order_release);
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    MRL_RETURN_IF_ERROR(shard->Start());
-  }
-  acceptor_ = std::thread(&QuantileServer::AcceptLoop, this);
   if (options_.checkpoint_interval_ms > 0 &&
       !options_.registry.checkpoint_path.empty()) {
     housekeeper_ = std::thread(&QuantileServer::HousekeepingLoop, this);
@@ -107,11 +46,7 @@ QuantileServer::~QuantileServer() { Stop(); }
 void QuantileServer::Stop() {
   const bool was_running = running_.exchange(false, std::memory_order_acq_rel);
   if (!was_running) return;
-  if (accept_loop_.has_value()) accept_loop_->Wake();
-  if (acceptor_.joinable()) acceptor_.join();
-  // Wind the shards down in parallel: signal them all, then reap.
-  for (std::unique_ptr<Shard>& shard : shards_) shard->RequestStop();
-  for (std::unique_ptr<Shard>& shard : shards_) shard->Join();
+  frames_->Stop();
   if (housekeeper_.joinable()) {
     {
       MutexLock lock(housekeeper_mu_);
@@ -119,15 +54,6 @@ void QuantileServer::Stop() {
     }
     housekeeper_cv_.notify_all();
     housekeeper_.join();
-  }
-  if (uds_listen_fd_ >= 0) {
-    ::close(uds_listen_fd_);
-    uds_listen_fd_ = -1;
-    ::unlink(options_.uds_path.c_str());
-  }
-  if (tcp_listen_fd_ >= 0) {
-    ::close(tcp_listen_fd_);
-    tcp_listen_fd_ = -1;
   }
   if (options_.checkpoint_on_stop) {
     const Status status = registry_.CheckpointNow();
@@ -138,44 +64,126 @@ void QuantileServer::Stop() {
   }
 }
 
-void QuantileServer::AcceptLoop() {
-  int listeners[2];
-  int num_listeners = 0;
-  if (uds_listen_fd_ >= 0) listeners[num_listeners++] = uds_listen_fd_;
-  if (tcp_listen_fd_ >= 0) listeners[num_listeners++] = tcp_listen_fd_;
-  for (int i = 0; i < num_listeners; ++i) {
-    if (!accept_loop_->Add(listeners[i], EPOLLIN, &listeners[i]).ok()) {
-      return;
-    }
+void QuantileServer::HandleFrame(std::span<const std::uint8_t> frame,
+                                 std::vector<std::uint8_t>* out) {
+  // Per-shard-thread request scratch, reused across every connection the
+  // shard serves, so steady-state handling allocates nothing.
+  thread_local std::vector<double> doubles;
+  thread_local std::vector<Value> answers;
+  thread_local std::vector<std::uint8_t> blob;
+
+  const Result<FrameView> decoded =
+      DecodeFrameBody(frame.data() + 4, frame.size() - 4);
+  if (!decoded.ok()) {
+    // Framing is intact (the prefix was sane) but the frame is malformed
+    // (bad CRC, unknown type/version): attributable to no request.
+    return EncodeErrorResponse(MsgType::kResponse, decoded.status(), out);
   }
-  std::size_t next_shard = 0;
-  epoll_event events[4];
-  while (running_.load(std::memory_order_acquire)) {
-    const int n = accept_loop_->Wait(events, 4, /*timeout_ms=*/-1);
-    if (n < 0) return;
-    for (int i = 0; i < n; ++i) {
-      if (events[i].data.ptr == nullptr) {
-        accept_loop_->ConsumeWake();
-        continue;  // the while condition re-checks running_
-      }
-      const int listen_fd = *static_cast<int*>(events[i].data.ptr);
-      for (;;) {
-        const int fd =
-            ::accept4(listen_fd, nullptr, nullptr,
-                      SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (fd < 0) break;  // EAGAIN: drained; anything else: retry on event
-        if (listen_fd == tcp_listen_fd_) {
-          const int one = 1;
-          ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        }
-        // Round-robin placement; the shard re-routes to the tenant's home
-        // shard when the first frame arrives.
-        shards_[next_shard]->Adopt(
-            std::make_unique<Conn>(fd, options_.write_buffer_cap));
-        next_shard = (next_shard + 1) % shards_.size();
-      }
+  const MsgType type = decoded.value().type;
+  const std::uint8_t* payload = decoded.value().payload;
+  const std::size_t payload_len = decoded.value().payload_len;
+  switch (type) {
+    case MsgType::kCreateSketch: {
+      Result<CreateSketchRequest> req =
+          DecodeCreateSketch(payload, payload_len);
+      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
+      const Status status =
+          registry_.Create(req.value().name, req.value().config);
+      if (!status.ok()) return EncodeErrorResponse(type, status, out);
+      return EncodeEmptyOk(type, out);
     }
+    case MsgType::kAddBatch: {
+      Result<AddBatchRequest> req = DecodeAddBatch(payload, payload_len);
+      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
+      const Status values =
+          DecodeDoublesInto(req.value().values_le, req.value().count,
+                            /*reject_nan=*/true, &doubles);
+      if (!values.ok()) return EncodeErrorResponse(type, values, out);
+      Result<std::uint64_t> count =
+          registry_.AddBatch(req.value().name, doubles);
+      if (!count.ok()) return EncodeErrorResponse(type, count.status(), out);
+      return EncodeAddBatchOk(count.value(), out);
+    }
+    case MsgType::kQuery: {
+      Result<QueryRequest> req = DecodeQuery(payload, payload_len);
+      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
+      Result<Value> answer = registry_.Query(req.value().name, req.value().phi);
+      if (!answer.ok()) {
+        return EncodeErrorResponse(type, answer.status(), out);
+      }
+      return EncodeQueryOk(answer.value(), out);
+    }
+    case MsgType::kQueryMulti: {
+      Result<QueryMultiRequest> req = DecodeQueryMulti(payload, payload_len);
+      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
+      const Status phis =
+          DecodeDoublesInto(req.value().phis_le, req.value().count,
+                            /*reject_nan=*/true, &doubles);
+      if (!phis.ok()) return EncodeErrorResponse(type, phis, out);
+      const Status status = registry_.QueryMany(
+          req.value().name, doubles, &answers);
+      if (!status.ok()) return EncodeErrorResponse(type, status, out);
+      return EncodeQueryMultiOk(answers, out);
+    }
+    case MsgType::kSnapshot: {
+      Result<NameRequest> req = DecodeNameRequest(type, payload, payload_len);
+      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
+      const Status status = registry_.Snapshot(req.value().name, &blob);
+      if (!status.ok()) return EncodeErrorResponse(type, status, out);
+      return EncodeSnapshotOk(blob, out);
+    }
+    case MsgType::kDelete: {
+      Result<NameRequest> req = DecodeNameRequest(type, payload, payload_len);
+      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
+      const Status status = registry_.Delete(req.value().name);
+      if (!status.ok()) return EncodeErrorResponse(type, status, out);
+      return EncodeEmptyOk(type, out);
+    }
+    case MsgType::kStats: {
+      Result<NameRequest> req = DecodeNameRequest(type, payload, payload_len);
+      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
+      const RegistryStats global = registry_.GlobalStats();
+      StatsReply reply;
+      reply.num_tenants = global.num_tenants;
+      reply.total_count = global.total_count;
+      if (!req.value().name.empty()) {
+        const TenantStats tenant = registry_.Stats(req.value().name);
+        reply.tenant_present = tenant.present;
+        reply.tenant_kind = tenant.config.kind;
+        reply.tenant_count = tenant.count;
+        reply.tenant_memory_elements = tenant.memory_elements;
+      }
+      return EncodeStatsOk(reply, out);
+    }
+    case MsgType::kPing: {
+      const Status status = DecodePing(payload, payload_len);
+      if (!status.ok()) return EncodeErrorResponse(type, status, out);
+      return EncodeEmptyOk(type, out);
+    }
+    case MsgType::kFetchSummary: {
+      Result<NameRequest> req = DecodeNameRequest(type, payload, payload_len);
+      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
+      const Status status =
+          registry_.FetchPartial(req.value().name, &blob);
+      if (!status.ok()) return EncodeErrorResponse(type, status, out);
+      return EncodeFetchSummaryOk(blob, out);
+    }
+    case MsgType::kRestore: {
+      Result<RestoreRequest> req = DecodeRestore(payload, payload_len);
+      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
+      const Status status = registry_.Install(
+          req.value().name, req.value().config,
+          std::span<const std::uint8_t>(req.value().blob,
+                                        req.value().blob_len));
+      if (!status.ok()) return EncodeErrorResponse(type, status, out);
+      return EncodeEmptyOk(type, out);
+    }
+    case MsgType::kResponse:
+      break;
   }
+  EncodeErrorResponse(MsgType::kResponse,
+                      Status::InvalidArgument("response frame sent to server"),
+                      out);
 }
 
 void QuantileServer::HousekeepingLoop() {

@@ -5,14 +5,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
+#include <span>
 #include <thread>
 #include <vector>
 
-#include "server/event_loop.h"
+#include "server/frame_server.h"
 #include "server/registry.h"
-#include "server/shard.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
@@ -20,15 +18,12 @@ namespace mrl {
 namespace server {
 
 struct ServerOptions {
-  /// Unix-domain socket path; empty disables the UDS listener.
-  std::string uds_path;
-  /// TCP port on 127.0.0.1; 0 disables the TCP listener. At least one
-  /// listener must be enabled.
-  std::uint16_t tcp_port = 0;
+  /// Listeners; at least one must be enabled.
+  Listeners listen;
   /// Shared-nothing event-loop shards, each a thread with its own epoll
   /// set and registry partition. 0 means one per core. A shard multiplexes
-  /// any number of connections, so — unlike the PR5 worker pool — this is
-  /// not a concurrent-connection cap.
+  /// any number of connections, so this is not a concurrent-connection
+  /// cap.
   int num_shards = 0;
   /// Registry configuration (tenant cap, checkpoint path, free pool).
   /// `num_partitions` is overridden to the resolved shard count so
@@ -41,29 +36,19 @@ struct ServerOptions {
   /// a crash: whatever the last explicit/periodic checkpoint captured is
   /// exactly what a restarted daemon recovers.
   bool checkpoint_on_stop = false;
-  /// Per-connection cap on buffered-but-unflushed response bytes; a
-  /// pipelining client that outruns its own reads is answered with a
-  /// ResourceExhausted ERROR and closed instead of growing the buffer
-  /// without bound. 0 means one max-size frame plus slack (so SNAPSHOT of
-  /// the largest tenant always fits).
-  std::size_t write_buffer_cap = 0;
 };
 
-/// Sharded event-loop socket daemon (docs/engineering.md, "The sharded
-/// event-loop server"): an acceptor thread multiplexes the listen sockets
-/// and hands accepted connections round-robin to N shared-nothing shards;
-/// each shard owns an epoll set, the connections routed to it, and the
-/// registry partition with its index, so once a connection migrates to its
-/// tenant's home shard (on its first frame) steady-state ADD_BATCH touches
-/// no cross-shard lock. Connections are nonblocking with buffered framing
-/// and request pipelining — many frames decoded per read, responses
-/// batched per write — so a single fat connection can keep a shard busy.
-/// Every thread blocks in epoll_wait indefinitely; an idle daemon performs
-/// zero periodic wakeups.
-class QuantileServer {
+/// The quantile daemon: a SketchRegistry served on a FrameServer
+/// (docs/engineering.md, "The frame server"). Shard i of the frame server
+/// is the home shard of registry partition i, so once a connection has
+/// moved to its tenant's home shard (on its first frame) steady-state
+/// ADD_BATCH touches no cross-shard lock. This class holds only the
+/// daemon's side: one request frame against the registry, and the
+/// periodic checkpoint.
+class QuantileServer final : private FrameHandler {
  public:
-  /// Binds the configured listeners, recovers the registry from its
-  /// checkpoint (if any), and starts the acceptor + shard threads.
+  /// Recovers the registry from its checkpoint (if any), then binds the
+  /// configured listeners and starts serving.
   static Result<std::unique_ptr<QuantileServer>> Create(ServerOptions options);
 
   ~QuantileServer();
@@ -76,9 +61,9 @@ class QuantileServer {
   void Stop();
 
   /// Port actually bound (useful with an ephemeral tcp_port request).
-  std::uint16_t tcp_port() const { return bound_tcp_port_; }
+  std::uint16_t tcp_port() const { return frames_->tcp_port(); }
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  int num_shards() const { return frames_->num_shards(); }
 
   SketchRegistry& registry() { return registry_; }
   const SketchRegistry& registry() const { return registry_; }
@@ -88,26 +73,18 @@ class QuantileServer {
 
   Status Start();
 
-  void AcceptLoop();
+  /// Decodes one request frame and executes it against the registry,
+  /// appending the response frame to *out.
+  void HandleFrame(std::span<const std::uint8_t> frame,
+                   std::vector<std::uint8_t>* out) override;
+
   void HousekeepingLoop() MRLQUANT_EXCLUDES(housekeeper_mu_);
 
   ServerOptions options_;
   SketchRegistry registry_;
-
-  int uds_listen_fd_ = -1;
-  int tcp_listen_fd_ = -1;
-  std::uint16_t bound_tcp_port_ = 0;
+  std::unique_ptr<FrameServer> frames_;
 
   std::atomic<bool> running_{false};
-
-  /// The shards; index i serves registry partition i. Stable once Start()
-  /// returns (shards hold a span over this vector for migration).
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  /// Acceptor: epolls the listen fds, blocks until a connection or a
-  /// shutdown wakeup arrives — no timeout polling.
-  std::optional<EventLoop> accept_loop_;
-  std::thread acceptor_;
 
   /// Housekeeper: periodic checkpoints on a condvar timed wait (absent
   /// entirely when no interval is configured — an idle daemon has no

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <utility>
 
+#include "server/protocol.h"
 #include "util/logging.h"
 
 namespace mrl {
@@ -12,13 +13,24 @@ namespace {
 
 constexpr int kMaxEvents = 64;
 
+/// Per-connection cap on buffered-but-unflushed response bytes: one
+/// max-size response frame (SNAPSHOT of the largest tenant) plus slack for
+/// small responses queued behind it.
+constexpr std::size_t kWriteBufferCap =
+    kMaxPayload + kFrameHeaderSize + (std::size_t{64} << 10);
+
+/// The request type named by a frame's type byte; kResponse when no request
+/// has that type (as handlers answer frames they cannot attribute).
+MsgType RequestTypeOf(const std::uint8_t* frame) {
+  const std::uint8_t type = frame[5];
+  return IsKnownMsgType(type) ? static_cast<MsgType>(type)
+                              : MsgType::kResponse;
+}
+
 }  // namespace
 
-Shard::Shard(std::size_t index, SketchRegistry* registry,
-             std::size_t write_buffer_cap)
-    : index_(index),
-      registry_(registry),
-      write_buffer_cap_(write_buffer_cap) {}
+Shard::Shard(std::size_t index, FrameHandler* handler)
+    : index_(index), handler_(handler) {}
 
 Shard::~Shard() {
   RequestStop();
@@ -148,7 +160,7 @@ bool Shard::MaybeMigrate(Conn* conn) {
                       body_len - (kFrameHeaderSize - 4));
   if (name.empty()) return false;
   const std::size_t target =
-      registry_->PartitionOf(name) % peers_.size();
+      static_cast<std::size_t>(TenantNameHash(name)) % peers_.size();
   if (target == index_ || peers_[target].get() == this) return false;
   // Hand the whole connection over (its buffered input travels with it;
   // no response has been produced yet, so the write buffer is empty).
@@ -175,35 +187,19 @@ void Shard::ProcessFrames(Conn* conn) {
     }
     const std::size_t frame_size = 4 + static_cast<std::size_t>(body_len);
     if (avail < frame_size) return;  // partial frame: wait for more bytes
-    const Result<FrameView> frame =
-        DecodeFrameBody(conn->data() + 4, body_len);
     const std::size_t pending_before = conn->pending_out();
-    MsgType request_type = MsgType::kResponse;
-    if (!frame.ok()) {
-      // Framing is intact (the prefix was sane) but the frame is malformed
-      // (bad CRC, unknown type/version): answer the error, keep going.
-      EncodeErrorResponse(MsgType::kResponse, frame.status(), conn->out());
-    } else if (frame.value().type == MsgType::kResponse) {
-      EncodeErrorResponse(
-          MsgType::kResponse,
-          Status::InvalidArgument("response frame sent to server"),
-          conn->out());
-    } else {
-      request_type = frame.value().type;
-      HandleFrame(conn, frame.value().type, frame.value().payload,
-                  frame.value().payload_len);
-    }
-    conn->Consume(frame_size);
+    handler_->HandleFrame(std::span<const std::uint8_t>(conn->data(),
+                                                        frame_size),
+                          conn->out());
     // Write-buffer cap: a pipelining client that outpaces its own reads
     // gets its newest response replaced by a ResourceExhausted ERROR and
     // the connection closed — bounded memory, never OOM. A single
     // oversized response with no backlog is let through (it drains
     // incrementally via EPOLLOUT).
-    if (pending_before > 0 &&
-        conn->pending_out() > conn->write_buffer_cap()) {
+    if (pending_before > 0 && conn->pending_out() > kWriteBufferCap) {
       conn->RollbackOut(pending_before);
       EncodeErrorResponse(
-          request_type,
+          RequestTypeOf(conn->data()),
           Status::ResourceExhausted(
               "write buffer cap exceeded: read responses before "
               "pipelining more requests"),
@@ -211,113 +207,8 @@ void Shard::ProcessFrames(Conn* conn) {
       conn->closing = true;
       return;
     }
+    conn->Consume(frame_size);
   }
-}
-
-void Shard::HandleFrame(Conn* conn, MsgType type, const std::uint8_t* payload,
-                        std::size_t payload_len) {
-  std::vector<std::uint8_t>* out = conn->out();
-  switch (type) {
-    case MsgType::kCreateSketch: {
-      Result<CreateSketchRequest> req =
-          DecodeCreateSketch(payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status status =
-          registry_->Create(req.value().name, req.value().config);
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeEmptyOk(type, out);
-    }
-    case MsgType::kAddBatch: {
-      Result<AddBatchRequest> req = DecodeAddBatch(payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status decoded =
-          DecodeDoublesInto(req.value().values_le, req.value().count,
-                            /*reject_nan=*/true, &doubles_);
-      if (!decoded.ok()) return EncodeErrorResponse(type, decoded, out);
-      Result<std::uint64_t> count =
-          registry_->AddBatch(req.value().name, doubles_);
-      if (!count.ok()) return EncodeErrorResponse(type, count.status(), out);
-      return EncodeAddBatchOk(count.value(), out);
-    }
-    case MsgType::kQuery: {
-      Result<QueryRequest> req = DecodeQuery(payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      Result<Value> answer =
-          registry_->Query(req.value().name, req.value().phi);
-      if (!answer.ok()) {
-        return EncodeErrorResponse(type, answer.status(), out);
-      }
-      return EncodeQueryOk(answer.value(), out);
-    }
-    case MsgType::kQueryMulti: {
-      Result<QueryMultiRequest> req = DecodeQueryMulti(payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status decoded =
-          DecodeDoublesInto(req.value().phis_le, req.value().count,
-                            /*reject_nan=*/true, &doubles_);
-      if (!decoded.ok()) return EncodeErrorResponse(type, decoded, out);
-      const Status status =
-          registry_->QueryMany(req.value().name, doubles_, &answers_);
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeQueryMultiOk(answers_, out);
-    }
-    case MsgType::kSnapshot: {
-      Result<NameRequest> req = DecodeNameRequest(type, payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status status = registry_->Snapshot(req.value().name, &blob_);
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeSnapshotOk(blob_, out);
-    }
-    case MsgType::kDelete: {
-      Result<NameRequest> req = DecodeNameRequest(type, payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status status = registry_->Delete(req.value().name);
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeEmptyOk(type, out);
-    }
-    case MsgType::kStats: {
-      Result<NameRequest> req = DecodeNameRequest(type, payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const RegistryStats global = registry_->GlobalStats();
-      StatsReply reply;
-      reply.num_tenants = global.num_tenants;
-      reply.total_count = global.total_count;
-      if (!req.value().name.empty()) {
-        const TenantStats tenant = registry_->Stats(req.value().name);
-        reply.tenant_present = tenant.present;
-        reply.tenant_kind = tenant.config.kind;
-        reply.tenant_count = tenant.count;
-        reply.tenant_memory_elements = tenant.memory_elements;
-      }
-      return EncodeStatsOk(reply, out);
-    }
-    case MsgType::kPing: {
-      const Status status = DecodePing(payload, payload_len);
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeEmptyOk(type, out);
-    }
-    case MsgType::kFetchSummary: {
-      Result<NameRequest> req = DecodeNameRequest(type, payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status status = registry_->FetchPartial(req.value().name, &blob_);
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeFetchSummaryOk(blob_, out);
-    }
-    case MsgType::kRestore: {
-      Result<RestoreRequest> req = DecodeRestore(payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status status = registry_->Install(
-          req.value().name, req.value().config,
-          std::span<const std::uint8_t>(req.value().blob,
-                                        req.value().blob_len));
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeEmptyOk(type, out);
-    }
-    case MsgType::kResponse:
-      break;  // rejected by ProcessFrames
-  }
-  EncodeErrorResponse(type, Status::Unimplemented("unhandled request type"),
-                      out);
 }
 
 void Shard::FlushOrArm(Conn* conn) {

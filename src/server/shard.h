@@ -12,20 +12,16 @@
 
 #include "server/conn.h"
 #include "server/event_loop.h"
-#include "server/protocol.h"
-#include "server/registry.h"
+#include "server/frame_server.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace mrl {
 namespace server {
 
-/// One shared-nothing event-loop shard. A shard owns its epoll set, the
-/// connections registered there, and one reusable request scratch; it
-/// serves the registry partition with its own index, so once a connection
-/// has been routed to its tenant's home shard, steady-state ADD_BATCH
-/// crosses no lock that any other thread ever takes (the partition lock is
-/// acquired uncontended; see the lock-order comment in registry.h).
+/// One shared-nothing event-loop shard of a FrameServer: it owns its epoll
+/// set and the connections registered there, and feeds their frames to the
+/// server's FrameHandler.
 ///
 /// Connections enter through Adopt() — an eventfd-woken MPSC inbox fed by
 /// the acceptor (round-robin) and by peer shards (tenant-affinity
@@ -33,16 +29,14 @@ namespace server {
 /// shard's own thread; no other member is shared.
 class Shard {
  public:
-  Shard(std::size_t index, SketchRegistry* registry,
-        std::size_t write_buffer_cap);
+  Shard(std::size_t index, FrameHandler* handler);
   ~Shard();
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
-  /// Peer array for tenant-affinity migration (index i = shard i ==
-  /// registry partition i). Call once, after all shards exist, before
-  /// Start().
+  /// Peer array for tenant-affinity migration (index i = home shard i).
+  /// Call once, after all shards exist, before Start().
   void SetPeers(std::span<const std::unique_ptr<Shard>> peers) {
     peers_ = peers;
   }
@@ -60,8 +54,6 @@ class Shard {
   /// after shutdown began is closed immediately.
   void Adopt(std::unique_ptr<Conn> conn) MRLQUANT_EXCLUDES(inbox_mu_);
 
-  std::size_t index() const { return index_; }
-
  private:
   void Loop() MRLQUANT_EXCLUDES(inbox_mu_);
   void DrainInbox() MRLQUANT_EXCLUDES(inbox_mu_);
@@ -70,15 +62,10 @@ class Shard {
   void OnReadable(Conn* conn);
   void OnWritable(Conn* conn);
 
-  /// Decodes and executes every complete frame in the input buffer
+  /// Hands every complete frame in the input buffer to the handler
   /// (request pipelining: one readiness event, many requests). Responses
   /// accumulate in the connection's write buffer.
   MRLQUANT_HOT void ProcessFrames(Conn* conn);
-
-  /// Executes one request against the registry, appending the response
-  /// frame to conn's write buffer.
-  void HandleFrame(Conn* conn, MsgType type, const std::uint8_t* payload,
-                   std::size_t payload_len);
 
   /// Routes an unrouted connection to its tenant's home shard once the
   /// first frame is fully buffered. Returns true when the connection was
@@ -92,8 +79,7 @@ class Shard {
   void CloseConn(Conn* conn);
 
   std::size_t index_;
-  SketchRegistry* registry_;
-  std::size_t write_buffer_cap_;
+  FrameHandler* handler_;
   std::span<const std::unique_ptr<Shard>> peers_;
 
   EventLoop loop_;
@@ -106,13 +92,8 @@ class Shard {
   Mutex inbox_mu_;
   std::vector<std::unique_ptr<Conn>> inbox_ MRLQUANT_GUARDED_BY(inbox_mu_);
 
-  /// Shard-thread-only state below: connections keyed by fd, and request
-  /// scratch reused across all of them (decoded doubles, QueryMany
-  /// answers, Snapshot blob), so steady-state handling allocates nothing.
+  /// Shard-thread-only: connections keyed by fd.
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
-  std::vector<double> doubles_;
-  std::vector<Value> answers_;
-  std::vector<std::uint8_t> blob_;
 };
 
 }  // namespace server

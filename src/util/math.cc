@@ -1,5 +1,7 @@
 #include "util/math.h"
 
+#include <math.h>
+
 #include <cmath>
 
 #include "util/logging.h"
@@ -28,9 +30,13 @@ std::uint64_t SaturatingBinomial(std::uint64_t n, std::uint64_t r) {
 
 double LogBinomial(std::uint64_t n, std::uint64_t r) {
   MRL_CHECK_LE(r, n);
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(r) + 1.0) -
-         std::lgamma(static_cast<double>(n - r) + 1.0);
+  // lgamma_r, not std::lgamma: lgamma writes glibc's global `signgam`, a
+  // data race when threads solve parameters concurrently (tenant creates
+  // do). Every argument is >= 1, so the sign is always +.
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign) -
+         ::lgamma_r(static_cast<double>(r) + 1.0, &sign) -
+         ::lgamma_r(static_cast<double>(n - r) + 1.0, &sign);
 }
 
 double KlBernoulli(double p, double q) {

@@ -66,17 +66,6 @@ IoOutcome RecvAll(int fd, std::uint8_t* buf, std::size_t n) {
   return IoOutcome::kOk;
 }
 
-IoOutcome RecvFrame(int fd, BodyLenRule rule,
-                    std::vector<std::uint8_t>* frame) {
-  frame->resize(4);
-  const IoOutcome got = RecvAll(fd, frame->data(), 4);
-  if (got != IoOutcome::kOk) return got;
-  std::uint32_t body_len = 0;
-  if (!rule(frame->data(), &body_len)) return IoOutcome::kBadLength;
-  frame->resize(4 + static_cast<std::size_t>(body_len));
-  return RecvAll(fd, frame->data() + 4, body_len);
-}
-
 Result<int> ListenUnix(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -84,7 +73,8 @@ Result<int> ListenUnix(const std::string& path) {
     return Status::InvalidArgument("unix socket path too long");
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd =
+      ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return StatusFromErrno("socket(AF_UNIX)");
   ::unlink(path.c_str());
   return BindAndListen(fd, reinterpret_cast<const sockaddr*>(&addr),
@@ -92,7 +82,8 @@ Result<int> ListenUnix(const std::string& path) {
 }
 
 Result<int> ListenLoopbackTcp(std::uint16_t port, std::uint16_t* bound_port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return StatusFromErrno("socket(AF_INET)");
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));

@@ -137,7 +137,7 @@ TEST(RegistryTest, LruEvictionAndRecycling) {
 }
 
 // The sharded-server layout: one partition per shard, tenants spread by
-// NameHash. Every operation must behave identically to the single-map
+// TenantNameHash. Every operation must behave identically to the single-map
 // registry, and global accounting must aggregate across partitions.
 TEST(RegistryTest, PartitionedRegistryFullLifecycle) {
   RegistryOptions options;

@@ -106,7 +106,7 @@ class RouterE2eTest : public ::testing::Test {
   }
 
   void StartRouter(RouterOptions options) {
-    options.uds_path = router_uds_;
+    options.listen.uds_path = router_uds_;
     for (int i = 0; i < kBackends; ++i) {
       options.backends.push_back("unix:" + backend_uds_[i]);
     }
@@ -513,38 +513,48 @@ TEST_F(RouterE2eTest, ReplicatedNanBatchIsRejectedWithoutSideEffects) {
   EXPECT_FALSE(router_->failed_over("n"));
 }
 
-// Threads of this process, as the kernel lists them.
-std::size_t TaskCount() {
+// Entries of a /proc/self directory: threads of this process
+// ("/proc/self/task") or its open descriptors ("/proc/self/fd").
+std::size_t ProcEntries(const char* dir) {
   std::size_t n = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task")) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     (void)entry;
     ++n;
   }
   return n;
 }
 
-// A long-lived router must not keep one exited-but-unjoined thread per
-// connection it ever served. Such a thread is already gone from
-// /proc/self/task (which catches live leaks) but still holds its stack
-// until joined, so the router's own count of unjoined threads is checked
-// too.
-TEST_F(RouterE2eTest, FinishedConnectionThreadsAreJoined) {
+// A long-lived router holds bounded resources: serving a connection costs
+// no thread, and a closed connection leaves no descriptor behind. After
+// 256 connect→PING→close cycles the process's thread and descriptor
+// counts return to their pre-loop baseline.
+TEST_F(RouterE2eTest, ConnectionCyclesReturnThreadsAndFdsToBaseline) {
   StartRouter(RouterOptions{});
-  const std::size_t base_tasks = TaskCount();
+  {
+    Client warm = ConnectRouter();
+    ASSERT_TRUE(warm.Ping().ok());
+  }
+  // Let the health thread's first probes pool one connection per backend,
+  // so the baseline already holds them.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::size_t base_tasks = ProcEntries("/proc/self/task");
+  const std::size_t base_fds = ProcEntries("/proc/self/fd");
   for (int i = 0; i < 256; ++i) {
     Client client = ConnectRouter();
     ASSERT_TRUE(client.Ping().ok()) << "cycle " << i;
   }
-  // Acceptors join finished threads when the next connection arrives; the
-  // last few may still be winding down.
-  std::size_t tasks = TaskCount();
-  for (int attempt = 0; attempt < 100 && tasks > base_tasks + 4; ++attempt) {
+  // The shards close their side when they see each EOF; the last few may
+  // still be in flight.
+  std::size_t tasks = 0;
+  std::size_t fds = 0;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    tasks = ProcEntries("/proc/self/task");
+    fds = ProcEntries("/proc/self/fd");
+    if (tasks == base_tasks && fds == base_fds) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    tasks = TaskCount();
   }
-  EXPECT_LE(tasks, base_tasks + 4);
-  EXPECT_LE(router_->connection_threads(), 4u);
+  EXPECT_EQ(tasks, base_tasks);
+  EXPECT_EQ(fds, base_fds);
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ double RankOf(const std::vector<Value>& sorted, Value answer) {
 class ServerE2eTest : public ::testing::Test {
  protected:
   std::unique_ptr<QuantileServer> StartServer(ServerOptions options) {
-    options.uds_path = uds_path_;
+    options.listen.uds_path = uds_path_;
     Result<std::unique_ptr<QuantileServer>> server =
         QuantileServer::Create(std::move(options));
     EXPECT_TRUE(server.ok()) << server.status().ToString();

@@ -1,8 +1,12 @@
-// Request-pipelining and stream-framing edge cases for the sharded
-// event-loop server (src/server/shard.cc): the wire protocol is
-// length-prefixed frames over a byte stream, so the server must decode
-// correctly no matter how the bytes are sliced into reads — and it must
-// survive clients that write many requests before reading any response.
+// Request-pipelining and stream-framing edge cases for the frame server
+// (src/server/frame_server.h), the serving substrate of both the daemon
+// and the router. The wire protocol is length-prefixed frames over a byte
+// stream, so a server must decode correctly no matter how the bytes are
+// sliced into reads — and it must survive clients that write many
+// requests before reading any response. Every case runs twice: against a
+// daemon directly, and against a router in front of one daemon, whose
+// handler forwards each frame to the backend and appends the reply behind
+// the earlier pipelined ones.
 //
 // Raw-socket tests drive the framing layer directly (frames split across
 // read boundaries, many frames in one read); Client-API tests cover the
@@ -12,6 +16,7 @@
 // followed by close, never unbounded buffering.
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -25,6 +30,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "router/router.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -50,27 +56,46 @@ struct Reply {
   std::vector<std::uint8_t> body;
 };
 
-class ServerPipelineTest : public ::testing::Test {
+/// What a case talks to.
+enum class Target {
+  kDaemon,  ///< a QuantileServer
+  kRouter,  ///< a Router in front of one QuantileServer
+};
+
+class ServerPipelineTest : public ::testing::TestWithParam<Target> {
  protected:
   void SetUp() override {
-    uds_path_ = "/tmp/mrlq_pipe_test." +
-                std::to_string(static_cast<long>(::getpid())) + ".sock";
+    const std::string base =
+        "/tmp/mrlq_pipe_test." + std::to_string(static_cast<long>(::getpid()));
+    uds_path_ = base + ".sock";
+    backend_path_ = base + ".backend.sock";
   }
 
   void TearDown() override {
+    router_.reset();
     server_.reset();
     std::remove(uds_path_.c_str());
+    std::remove(backend_path_.c_str());
   }
 
-  void StartServer(std::size_t write_buffer_cap = 0) {
+  /// Starts the target; clients connect to uds_path_ either way.
+  void StartServer() {
+    const bool routed = GetParam() == Target::kRouter;
     ServerOptions options;
-    options.uds_path = uds_path_;
+    options.listen.uds_path = routed ? backend_path_ : uds_path_;
     options.num_shards = 2;  // exercise tenant-affinity migration too
-    options.write_buffer_cap = write_buffer_cap;
     Result<std::unique_ptr<QuantileServer>> server =
         QuantileServer::Create(std::move(options));
     ASSERT_TRUE(server.ok()) << server.status().message();
     server_ = std::move(server).value();
+    if (!routed) return;
+    router::RouterOptions router_options;
+    router_options.listen.uds_path = uds_path_;
+    router_options.backends = {"unix:" + backend_path_};
+    Result<std::unique_ptr<router::Router>> router =
+        router::Router::Create(std::move(router_options));
+    ASSERT_TRUE(router.ok()) << router.status().message();
+    router_ = std::move(router).value();
   }
 
   /// Raw connected socket (caller closes).
@@ -84,6 +109,10 @@ class ServerPipelineTest : public ::testing::Test {
                         sizeof(addr)),
               0)
         << std::strerror(errno);
+    // A reply that never comes (a lost pipelined response) fails the read
+    // instead of hanging the suite.
+    const timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     return fd;
   }
 
@@ -143,13 +172,15 @@ class ServerPipelineTest : public ::testing::Test {
   }
 
   std::string uds_path_;
+  std::string backend_path_;
   std::unique_ptr<QuantileServer> server_;
+  std::unique_ptr<router::Router> router_;
 };
 
 // A frame dribbled in one-byte writes — the length prefix, header, and
 // payload all split across readv boundaries — must decode exactly as if
 // it arrived whole.
-TEST_F(ServerPipelineTest, PartialFramesAcrossReadBoundaries) {
+TEST_P(ServerPipelineTest, PartialFramesAcrossReadBoundaries) {
   StartServer();
   const int fd = ConnectRaw();
 
@@ -185,7 +216,7 @@ TEST_F(ServerPipelineTest, PartialFramesAcrossReadBoundaries) {
 // Many frames written back-to-back arrive in one readv; the shard must
 // decode them all from a single readiness event and answer each, in
 // order.
-TEST_F(ServerPipelineTest, MultipleFramesPerReadAnswerInOrder) {
+TEST_P(ServerPipelineTest, MultipleFramesPerReadAnswerInOrder) {
   StartServer();
   const int fd = ConnectRaw();
 
@@ -221,7 +252,7 @@ TEST_F(ServerPipelineTest, MultipleFramesPerReadAnswerInOrder) {
 
 // The Client pipelining API end to end: one flush carries CREATE + many
 // ADD_BATCH + QUERY, and the replies come back positionally.
-TEST_F(ServerPipelineTest, ClientPipelineRepliesMatchRequests) {
+TEST_P(ServerPipelineTest, ClientPipelineRepliesMatchRequests) {
   StartServer();
   Result<Client> connected = Client::ConnectUnix(uds_path_);
   ASSERT_TRUE(connected.ok()) << connected.status().message();
@@ -270,7 +301,7 @@ TEST_F(ServerPipelineTest, ClientPipelineRepliesMatchRequests) {
 
 // Server-side per-request errors are isolated to their reply; the
 // requests after them still execute and the connection survives.
-TEST_F(ServerPipelineTest, PipelinedErrorsAreIsolatedPerRequest) {
+TEST_P(ServerPipelineTest, PipelinedErrorsAreIsolatedPerRequest) {
   StartServer();
   Result<Client> connected = Client::ConnectUnix(uds_path_);
   ASSERT_TRUE(connected.ok());
@@ -295,8 +326,8 @@ TEST_F(ServerPipelineTest, PipelinedErrorsAreIsolatedPerRequest) {
 // A response backlog larger than the socket buffers: the server's writev
 // returns short/EAGAIN, it arms EPOLLOUT, and drains the queue as the
 // client reads. Every response must still arrive, in order.
-TEST_F(ServerPipelineTest, ResponseBacklogDrainsViaShortWrites) {
-  StartServer();  // default (generous) write-buffer cap
+TEST_P(ServerPipelineTest, ResponseBacklogDrainsViaShortWrites) {
+  StartServer();
   const int fd = ConnectRaw();
 
   // One tenant with enough data that QUERY_MULTI responses are meaty.
@@ -336,12 +367,12 @@ TEST_F(ServerPipelineTest, ResponseBacklogDrainsViaShortWrites) {
 }
 
 // A slow reader that pipelines past the per-connection write-buffer cap
-// gets a graceful ResourceExhausted ERROR response and a close — the
-// server never buffers without bound. Responses completed before the
-// overflow still arrive first (the guarantee is in-order up to the
-// error).
-TEST_F(ServerPipelineTest, SlowReaderHitsWriteBufferCap) {
-  StartServer(/*write_buffer_cap=*/64u << 10);
+// (one max-size frame plus 64 KiB) gets a graceful ResourceExhausted ERROR
+// response and a close — the server never buffers without bound.
+// Responses completed before the overflow still arrive first (the
+// guarantee is in-order up to the error).
+TEST_P(ServerPipelineTest, SlowReaderHitsWriteBufferCap) {
+  StartServer();
   const int fd = ConnectRaw();
 
   std::vector<std::uint8_t> wire;
@@ -355,12 +386,12 @@ TEST_F(ServerPipelineTest, SlowReaderHitsWriteBufferCap) {
   ASSERT_EQ(reply.code, StatusCode::kOk) << reply.message;
 
   // SNAPSHOT requests are ~20 bytes but their responses carry the whole
-  // tenant blob (tens of KiB here): 512 of them fit comfortably in the
-  // socket buffers — the send below cannot block — while the responses
-  // would total many MiB. Without reading a single one, the backlog blows
-  // through the 64 KiB cap and the server must fail this connection
-  // cleanly instead of buffering it all.
-  constexpr int kRequests = 512;
+  // tenant blob (~28 KiB here): 2048 of them fit comfortably in the socket
+  // buffers — the send below cannot block — while the responses would
+  // total ~56 MiB. Without reading a single one, the backlog blows through
+  // the ~16 MiB cap and the server must fail this connection cleanly
+  // instead of buffering it all.
+  constexpr int kRequests = 2048;
   wire.clear();
   for (int i = 0; i < kRequests; ++i) {
     EncodeNameRequest(MsgType::kSnapshot, "slow", &wire);
@@ -391,6 +422,13 @@ TEST_F(ServerPipelineTest, SlowReaderHitsWriteBufferCap) {
   ASSERT_TRUE(connected.ok());
   EXPECT_TRUE(connected.value().Query("slow", 0.5).ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Targets, ServerPipelineTest,
+    ::testing::Values(Target::kDaemon, Target::kRouter),
+    [](const ::testing::TestParamInfo<Target>& info) {
+      return info.param == Target::kDaemon ? "daemon" : "router";
+    });
 
 }  // namespace
 }  // namespace server

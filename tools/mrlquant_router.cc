@@ -14,26 +14,17 @@
 
 #include <unistd.h>
 
-#include <cerrno>
-#include <csignal>
-#include <cstdint>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "daemon_main.h"
 #include "router/router.h"
 
 namespace {
-
-int g_signal_pipe[2] = {-1, -1};
-
-void HandleSignal(int) {
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t w = write(g_signal_pipe[1], &byte, 1);
-}
 
 void Usage(const char* argv0) {
   std::fprintf(
@@ -64,39 +55,17 @@ std::vector<std::string> SplitCommas(const std::string& text) {
   return parts;
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
-
-bool ParseIntFlag(const char* arg, const char* name, long* out) {
-  std::string text;
-  if (!ParseFlag(arg, name, &text)) return false;
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    std::fprintf(stderr, "mrlquant_router: bad integer for %s: %s\n", name,
-                 text.c_str());
-    std::exit(2);
-  }
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using mrl::cli::ParseFlag;
+  using mrl::cli::ParseIntFlag;
   mrl::router::RouterOptions options;
   for (int i = 1; i < argc; ++i) {
     std::string text;
     long value = 0;
-    if (ParseFlag(argv[i], "--uds", &options.uds_path)) continue;
-    if (ParseIntFlag(argv[i], "--port", &value)) {
-      options.tcp_port = static_cast<int>(value);
-      continue;
-    }
+    if (ParseFlag(argv[i], "--uds", &options.listen.uds_path)) continue;
+    if (mrl::cli::ParsePortFlag(argv[i], &options.listen.tcp_port)) continue;
     if (ParseFlag(argv[i], "--backends", &text)) {
       options.backends = SplitCommas(text);
       continue;
@@ -111,19 +80,19 @@ int main(int argc, char** argv) {
       options.replicate = true;
       continue;
     }
-    if (ParseIntFlag(argv[i], "--vnodes", &value)) {
+    if (ParseIntFlag(argv[i], "--vnodes", 0, INT_MAX, &value)) {
       options.vnodes = static_cast<int>(value);
       continue;
     }
-    if (ParseIntFlag(argv[i], "--health-interval-ms", &value)) {
+    if (ParseIntFlag(argv[i], "--health-interval-ms", 0, INT_MAX, &value)) {
       options.health_interval_ms = static_cast<int>(value);
       continue;
     }
-    if (ParseIntFlag(argv[i], "--rpc-timeout-ms", &value)) {
+    if (ParseIntFlag(argv[i], "--rpc-timeout-ms", 0, INT_MAX, &value)) {
       options.rpc_timeout_ms = static_cast<int>(value);
       continue;
     }
-    if (ParseIntFlag(argv[i], "--fail-threshold", &value)) {
+    if (ParseIntFlag(argv[i], "--fail-threshold", 0, INT_MAX, &value)) {
       options.fail_threshold = static_cast<int>(value);
       continue;
     }
@@ -136,11 +105,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (pipe(g_signal_pipe) != 0) {
-    std::fprintf(stderr, "mrlquant_router: pipe: %s\n", std::strerror(errno));
-    return 1;
-  }
-
   const std::size_t num_backends = options.backends.size();
   const bool replicated = options.replicate;
   auto router = mrl::router::Router::Create(std::move(options));
@@ -150,8 +114,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
   std::fprintf(stderr,
                "mrlquant_router: serving (pid %ld, %zu backend%s%s",
                static_cast<long>(getpid()), num_backends,
@@ -162,10 +124,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned>(router.value()->tcp_port()));
   }
   std::fprintf(stderr, ")\n");
-  char byte;
-  while (read(g_signal_pipe[0], &byte, 1) < 0 && errno == EINTR) {
-  }
+  const bool parked = mrl::cli::WaitForStopSignal();
   std::fprintf(stderr, "mrlquant_router: shutting down\n");
   router.value()->Stop();
-  return 0;
+  return parked ? 0 : 1;
 }

@@ -8,37 +8,23 @@
 // socket and/or loopback TCP, on N shared-nothing event-loop shards
 // (--shards, default one per core). Runs until SIGINT/SIGTERM, then shuts
 // down cleanly (checkpointing once more when --checkpoint-on-stop is
-// given). The main thread parks on a self-pipe read — like the event
-// loops, it does zero periodic wakeups while idle (strace -c shows no
-// poll/sleep churn at rest).
+// given). The main thread parks on a self-pipe read (daemon_main.h) —
+// like the event loops, it does zero periodic wakeups while idle (strace -c
+// shows no poll/sleep churn at rest).
 
 #include <unistd.h>
 
-#include <cerrno>
-#include <csignal>
-#include <cstdint>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 
+#include "daemon_main.h"
 #include "server/server.h"
 #include "util/simd.h"
 
 namespace {
-
-/// Self-pipe: the signal handler writes one byte; main blocks on read.
-/// (An eventfd would do, but a pipe write is the canonical async-signal-
-/// safe wakeup and needs no extra headers here.)
-int g_signal_pipe[2] = {-1, -1};
-
-void HandleSignal(int) {
-  const char byte = 1;
-  // write(2) is async-signal-safe; a full pipe just means a wakeup is
-  // already pending.
-  [[maybe_unused]] const ssize_t w = write(g_signal_pipe[1], &byte, 1);
-}
 
 void Usage(const char* argv0) {
   std::fprintf(
@@ -46,55 +32,35 @@ void Usage(const char* argv0) {
       "usage: %s [--uds=PATH] [--port=N] [--shards=N]\n"
       "          [--max-tenants=N] [--checkpoint=PATH]\n"
       "          [--checkpoint-interval-ms=N] [--checkpoint-on-stop]\n"
-      "At least one of --uds / --port is required.\n"
+      "At least one of --uds / --port is required (--port=0 binds an\n"
+      "ephemeral port).\n"
       "--shards sets the number of shared-nothing event-loop shards\n"
       "(default: one per core).\n",
       argv0);
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
-
-bool ParseIntFlag(const char* arg, const char* name, long* out) {
-  std::string text;
-  if (!ParseFlag(arg, name, &text)) return false;
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    std::fprintf(stderr, "mrlquantd: bad integer for %s: %s\n", name,
-                 text.c_str());
-    std::exit(2);
-  }
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using mrl::cli::ParseFlag;
+  using mrl::cli::ParseIntFlag;
   mrl::server::ServerOptions options;
   for (int i = 1; i < argc; ++i) {
     long value = 0;
-    if (ParseFlag(argv[i], "--uds", &options.uds_path)) continue;
-    if (ParseIntFlag(argv[i], "--port", &value)) {
-      options.tcp_port = static_cast<std::uint16_t>(value);
-      continue;
-    }
-    if (ParseIntFlag(argv[i], "--shards", &value)) {
+    if (ParseFlag(argv[i], "--uds", &options.listen.uds_path)) continue;
+    if (mrl::cli::ParsePortFlag(argv[i], &options.listen.tcp_port)) continue;
+    if (ParseIntFlag(argv[i], "--shards", 0, 256, &value)) {
       options.num_shards = static_cast<int>(value);
       continue;
     }
-    if (ParseIntFlag(argv[i], "--max-tenants", &value)) {
+    if (ParseIntFlag(argv[i], "--max-tenants", 0, LONG_MAX, &value)) {
       options.registry.max_tenants = static_cast<std::size_t>(value);
       continue;
     }
     if (ParseFlag(argv[i], "--checkpoint", &options.registry.checkpoint_path))
       continue;
-    if (ParseIntFlag(argv[i], "--checkpoint-interval-ms", &value)) {
+    if (ParseIntFlag(argv[i], "--checkpoint-interval-ms", 0, INT_MAX,
+                     &value)) {
       options.checkpoint_interval_ms = static_cast<int>(value);
       continue;
     }
@@ -111,11 +77,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (pipe(g_signal_pipe) != 0) {
-    std::fprintf(stderr, "mrlquantd: pipe: %s\n", std::strerror(errno));
-    return 1;
-  }
-
   auto server = mrl::server::QuantileServer::Create(std::move(options));
   if (!server.ok()) {
     std::fprintf(stderr, "mrlquantd: %s\n",
@@ -123,19 +84,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
   std::fprintf(stderr,
-               "mrlquantd: serving (pid %ld, %d shard%s, simd %s [%s])\n",
+               "mrlquantd: serving (pid %ld, %d shard%s, simd %s [%s]",
                static_cast<long>(getpid()), server.value()->num_shards(),
                server.value()->num_shards() == 1 ? "" : "s",
                mrl::simd::ActivePathName(),
                mrl::simd::CpuFeatureString().c_str());
-  // Park until a signal arrives: one blocking read, zero periodic wakeups.
-  char byte;
-  while (read(g_signal_pipe[0], &byte, 1) < 0 && errno == EINTR) {
+  if (server.value()->tcp_port() != 0) {
+    std::fprintf(stderr, ", tcp port %u",
+                 static_cast<unsigned>(server.value()->tcp_port()));
   }
+  std::fprintf(stderr, ")\n");
+  const bool parked = mrl::cli::WaitForStopSignal();
   std::fprintf(stderr, "mrlquantd: shutting down\n");
   server.value()->Stop();
-  return 0;
+  return parked ? 0 : 1;
 }
