@@ -17,6 +17,8 @@
 #include "app/equidepth_histogram.h"
 #include "app/online_aggregation.h"
 #include "app/selectivity.h"
+#include "baseline/ars.h"
+#include "baseline/munro_paterson.h"
 #include "core/det_reservoir.h"
 #include "core/estimator.h"
 #include "core/extreme.h"
@@ -429,6 +431,22 @@ TEST(BatchEquivalenceTest, EveryBackendAddBatchBitIdenticalToAdd) {
     return std::unique_ptr<QuantileEstimator>(new DeterministicReservoirSketch(
         std::move(DeterministicReservoirSketch::Create(options)).value()));
   }});
+  // The deterministic baselines ignore the seed and have no checkpoint
+  // format; the answer comparison below is what covers them.
+  backends.push_back({"ars", [](std::uint64_t) {
+    ArsSketch::Options options;
+    options.eps = 0.02;
+    options.n = 30000;
+    return std::unique_ptr<QuantileEstimator>(
+        new ArsSketch(std::move(ArsSketch::Create(options)).value()));
+  }});
+  backends.push_back({"munro_paterson", [](std::uint64_t) {
+    MunroPatersonSketch::Options options;
+    options.eps = 0.02;
+    options.n = 30000;
+    return std::unique_ptr<QuantileEstimator>(new MunroPatersonSketch(
+        std::move(MunroPatersonSketch::Create(options)).value()));
+  }});
 
   Random splitter(61);
   for (const Backend& backend : backends) {
@@ -456,6 +474,13 @@ TEST(BatchEquivalenceTest, EveryBackendAddBatchBitIdenticalToAdd) {
       EXPECT_EQ(elementwise->count(), batched->count()) << "trial " << trial;
       EXPECT_EQ(elementwise->Serialize(), batched->Serialize())
           << "trial " << trial;
+      const std::vector<double> phis = {0.01, 0.25, 0.5, 0.75, 0.99};
+      Result<std::vector<Value>> want = elementwise->QueryMany(phis);
+      Result<std::vector<Value>> got = batched->QueryMany(phis);
+      ASSERT_EQ(want.ok(), got.ok()) << "trial " << trial;
+      if (want.ok()) {
+        EXPECT_EQ(want.value(), got.value()) << "trial " << trial;
+      }
     }
   }
 }

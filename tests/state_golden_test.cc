@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/ars.h"
+#include "baseline/munro_paterson.h"
 #include "core/collapse_policy.h"
 #include "core/framework.h"
 #include "core/known_n.h"
@@ -198,6 +200,58 @@ TEST(StateGoldenTest, ParallelCoordinator) {
   hash = Fnv1a(reinterpret_cast<const std::uint8_t*>(&collapses),
                sizeof(collapses), hash);
   GOLDEN_EQ(hash, kParallelGolden);
+}
+
+// ------------------------------------------------ ARS and Munro-Paterson
+
+// The deterministic baselines have no checkpoint format, so the pin is
+// their answers plus the shape of the tree they built.
+template <typename Sketch>
+std::uint64_t BaselineGolden(const Sketch& sketch) {
+  std::uint64_t hash = HashValues(sketch.QueryMany(Phis()).value());
+  const TreeStats& stats = sketch.tree_stats();
+  EXPECT_GT(stats.num_collapses, 0u) << "the stream must exercise Collapse";
+  for (std::uint64_t field :
+       {sketch.count(), stats.num_collapses, stats.sum_collapse_weights,
+        stats.leaves_created, static_cast<std::uint64_t>(stats.max_level)}) {
+    hash = Fnv1a(reinterpret_cast<const std::uint8_t*>(&field),
+                 sizeof(field), hash);
+  }
+  return hash;
+}
+
+constexpr std::uint64_t kArsGolden = 0x5049248719fa8d52ull;
+
+TEST(StateGoldenTest, Ars) {
+  StreamSpec spec;
+  spec.distribution = "gaussian";
+  spec.n = 30011;  // not a multiple of k: a partial buffer stays open
+  spec.seed = 45;
+  std::vector<Value> stream = GenerateStream(spec).values();
+
+  ArsSketch::Options options;
+  options.eps = 0.02;
+  options.n = spec.n;
+  ArsSketch sketch = std::move(ArsSketch::Create(options)).value();
+  sketch.AddBatch(stream);
+  GOLDEN_EQ(BaselineGolden(sketch), kArsGolden);
+}
+
+constexpr std::uint64_t kMunroPatersonGolden = 0x24e4b365b400574full;
+
+TEST(StateGoldenTest, MunroPaterson) {
+  StreamSpec spec;
+  spec.n = 30011;
+  spec.seed = 46;
+  std::vector<Value> stream = GenerateStream(spec).values();
+
+  MunroPatersonSketch::Options options;
+  options.eps = 0.02;
+  options.n = spec.n;
+  MunroPatersonSketch sketch =
+      std::move(MunroPatersonSketch::Create(options)).value();
+  sketch.AddBatch(stream);
+  GOLDEN_EQ(BaselineGolden(sketch), kMunroPatersonGolden);
 }
 
 // ----------------------------------------------- framework, every policy
