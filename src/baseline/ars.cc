@@ -5,10 +5,7 @@
 #include <limits>
 
 #include "core/collapse_policy.h"
-#include "core/output.h"
-#include "util/logging.h"
 #include "util/math.h"
-#include "util/sort.h"
 
 namespace mrl {
 
@@ -76,51 +73,18 @@ Result<ArsSketch> ArsSketch::Create(const Options& options) {
 
 ArsSketch::ArsSketch(const ArsParams& params)
     : params_(params),
-      framework_(params.b, params.k,
-                 MakeCollapsePolicy(CollapsePolicyKind::kCollapseAll)) {}
+      tree_(params.b, params.k,
+            MakeCollapsePolicy(CollapsePolicyKind::kCollapseAll),
+            BlockSampler(Random(0))) {}
 
-void ArsSketch::Add(Value v) {
-  if (!filling_) {
-    fill_slot_ = framework_.AcquireEmptySlot();
-    framework_.buffer(fill_slot_).StartFill();
-    filling_ = true;
-  }
-  Buffer& buf = framework_.buffer(fill_slot_);
-  buf.Append(v);
-  ++count_;
-  if (buf.size() == buf.capacity()) {
-    framework_.CommitFull(fill_slot_, /*weight=*/1, /*level=*/0);
-    filling_ = false;
-  }
+void ArsSketch::Add(Value v) { tree_.Add(v, *this); }
+
+void ArsSketch::AddBatch(std::span<const Value> values) {
+  tree_.AddBatch(values, *this);
 }
 
-ArsSketch::RunSnapshot ArsSketch::Snapshot() const {
-  RunSnapshot snap;
-  if (filling_) {
-    const Buffer& buf = framework_.buffer(fill_slot_);
-    if (!buf.values().empty()) {
-      snap.partial_sorted = buf.values();
-      SortValues(snap.partial_sorted.data(), snap.partial_sorted.size());
-    }
-  }
-  snap.runs = framework_.FullBufferRuns();
-  if (!snap.partial_sorted.empty()) {
-    snap.runs.push_back(
-        {snap.partial_sorted.data(), snap.partial_sorted.size(), Weight{1}});
-  }
-  return snap;
-}
+Result<Value> ArsSketch::Query(double phi) const { return tree_.Query(phi); }
 
-Result<Value> ArsSketch::Query(double phi) const {
-  RunSnapshot snap = Snapshot();
-  return WeightedQuantile(snap.runs, phi);
-}
-
-void ArsSketch::Reset() {
-  framework_.Reset();
-  count_ = 0;
-  filling_ = false;
-  fill_slot_ = 0;
-}
+void ArsSketch::Reset() { tree_.Reset(BlockSampler(Random(0))); }
 
 }  // namespace mrl

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/estimator.h"
-#include "core/framework.h"
+#include "core/sampled_tree.h"
 #include "util/status.h"
 #include "util/types.h"
 
@@ -31,7 +31,7 @@ Result<ArsParams> SolveArs(double eps, std::uint64_t n);
 
 /// The ARS-style algorithm realized as the framework instance with the
 /// collapse-everything policy — the second known algorithm MRL98 subsumed.
-class ArsSketch : public QuantileEstimator {
+class ArsSketch : public QuantileEstimator, private NewRule {
  public:
   struct Options {
     double eps = 0.01;
@@ -45,7 +45,8 @@ class ArsSketch : public QuantileEstimator {
   ArsSketch& operator=(ArsSketch&&) = default;
 
   void Add(Value v) override;
-  std::uint64_t count() const override { return count_; }
+  void AddBatch(std::span<const Value> values) override;
+  std::uint64_t count() const override { return tree_.count(); }
   Result<Value> Query(double phi) const override;
   std::uint64_t MemoryElements() const override {
     return params_.MemoryElements();
@@ -57,22 +58,15 @@ class ArsSketch : public QuantileEstimator {
   void Reset() override;
 
   const ArsParams& params() const { return params_; }
-  const TreeStats& tree_stats() const { return framework_.stats(); }
+  const TreeStats& tree_stats() const { return tree_.framework().stats(); }
 
  private:
   explicit ArsSketch(const ArsParams& params);
 
-  struct RunSnapshot {
-    std::vector<Value> partial_sorted;
-    std::vector<WeightedRun> runs;
-  };
-  RunSnapshot Snapshot() const;
-
+  // The NewRule defaults apply: every New at rate 1 and level 0, so the
+  // sampler passes each element through and draws no random numbers.
   ArsParams params_;
-  CollapseFramework framework_;
-  std::uint64_t count_ = 0;
-  bool filling_ = false;
-  std::size_t fill_slot_ = 0;
+  SampledTree tree_;
 };
 
 }  // namespace mrl

@@ -5,10 +5,7 @@
 #include <limits>
 
 #include "core/collapse_policy.h"
-#include "core/output.h"
-#include "util/logging.h"
 #include "util/math.h"
-#include "util/sort.h"
 
 namespace mrl {
 
@@ -60,51 +57,20 @@ Result<MunroPatersonSketch> MunroPatersonSketch::Create(
 
 MunroPatersonSketch::MunroPatersonSketch(const MunroPatersonParams& params)
     : params_(params),
-      framework_(params.b, params.k,
-                 MakeCollapsePolicy(CollapsePolicyKind::kMunroPaterson)) {}
+      tree_(params.b, params.k,
+            MakeCollapsePolicy(CollapsePolicyKind::kMunroPaterson),
+            BlockSampler(Random(0))) {}
 
-void MunroPatersonSketch::Add(Value v) {
-  if (!filling_) {
-    fill_slot_ = framework_.AcquireEmptySlot();
-    framework_.buffer(fill_slot_).StartFill();
-    filling_ = true;
-  }
-  Buffer& buf = framework_.buffer(fill_slot_);
-  buf.Append(v);
-  ++count_;
-  if (buf.size() == buf.capacity()) {
-    framework_.CommitFull(fill_slot_, /*weight=*/1, /*level=*/0);
-    filling_ = false;
-  }
-}
+void MunroPatersonSketch::Add(Value v) { tree_.Add(v, *this); }
 
-MunroPatersonSketch::RunSnapshot MunroPatersonSketch::Snapshot() const {
-  RunSnapshot snap;
-  if (filling_) {
-    const Buffer& buf = framework_.buffer(fill_slot_);
-    if (!buf.values().empty()) {
-      snap.partial_sorted = buf.values();
-      SortValues(snap.partial_sorted.data(), snap.partial_sorted.size());
-    }
-  }
-  snap.runs = framework_.FullBufferRuns();
-  if (!snap.partial_sorted.empty()) {
-    snap.runs.push_back(
-        {snap.partial_sorted.data(), snap.partial_sorted.size(), Weight{1}});
-  }
-  return snap;
+void MunroPatersonSketch::AddBatch(std::span<const Value> values) {
+  tree_.AddBatch(values, *this);
 }
 
 Result<Value> MunroPatersonSketch::Query(double phi) const {
-  RunSnapshot snap = Snapshot();
-  return WeightedQuantile(snap.runs, phi);
+  return tree_.Query(phi);
 }
 
-void MunroPatersonSketch::Reset() {
-  framework_.Reset();
-  count_ = 0;
-  filling_ = false;
-  fill_slot_ = 0;
-}
+void MunroPatersonSketch::Reset() { tree_.Reset(BlockSampler(Random(0))); }
 
 }  // namespace mrl

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/estimator.h"
-#include "core/framework.h"
+#include "core/sampled_tree.h"
 #include "util/status.h"
 #include "util/types.h"
 
@@ -34,7 +34,7 @@ Result<MunroPatersonParams> SolveMunroPaterson(double eps, std::uint64_t n);
 /// framework instance with binary collapses of the two lowest-level
 /// buffers. Deterministic: no sampling, guarantee holds with probability 1
 /// for streams of at most the declared length.
-class MunroPatersonSketch : public QuantileEstimator {
+class MunroPatersonSketch : public QuantileEstimator, private NewRule {
  public:
   struct Options {
     double eps = 0.01;
@@ -48,7 +48,8 @@ class MunroPatersonSketch : public QuantileEstimator {
   MunroPatersonSketch& operator=(MunroPatersonSketch&&) = default;
 
   void Add(Value v) override;
-  std::uint64_t count() const override { return count_; }
+  void AddBatch(std::span<const Value> values) override;
+  std::uint64_t count() const override { return tree_.count(); }
   Result<Value> Query(double phi) const override;
   std::uint64_t MemoryElements() const override {
     return params_.MemoryElements();
@@ -60,22 +61,15 @@ class MunroPatersonSketch : public QuantileEstimator {
   void Reset() override;
 
   const MunroPatersonParams& params() const { return params_; }
-  const TreeStats& tree_stats() const { return framework_.stats(); }
+  const TreeStats& tree_stats() const { return tree_.framework().stats(); }
 
  private:
   explicit MunroPatersonSketch(const MunroPatersonParams& params);
 
-  struct RunSnapshot {
-    std::vector<Value> partial_sorted;
-    std::vector<WeightedRun> runs;
-  };
-  RunSnapshot Snapshot() const;
-
+  // The NewRule defaults apply: every New at rate 1 and level 0, so the
+  // sampler passes each element through and draws no random numbers.
   MunroPatersonParams params_;
-  CollapseFramework framework_;
-  std::uint64_t count_ = 0;
-  bool filling_ = false;
-  std::size_t fill_slot_ = 0;
+  SampledTree tree_;
 };
 
 }  // namespace mrl

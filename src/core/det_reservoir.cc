@@ -17,10 +17,6 @@ namespace {
 /// would be meaningless for a 32-bit hash.
 constexpr std::uint8_t kMaxSkipDegree = 32;
 
-constexpr std::uint32_t kCheckpointMagic = 0x4D524C51;  // "MRLQ"
-constexpr std::uint8_t kCheckpointVersion = 2;
-constexpr std::uint8_t kKindDetReservoir = 6;
-
 constexpr std::uint64_t kMaxCapacity = std::uint64_t{1} << 28;
 
 Status ValidateEpsDelta(double eps, double delta) {
@@ -164,9 +160,7 @@ Status DeterministicReservoirSketch::Merge(const QuantileEstimator& other) {
 std::vector<std::uint8_t> DeterministicReservoirSketch::Serialize() const {
   std::vector<std::uint8_t> out;
   BinaryWriter writer(&out);
-  writer.PutU32(kCheckpointMagic);
-  writer.PutU8(kCheckpointVersion);
-  writer.PutU8(kKindDetReservoir);
+  PutCheckpointHeader(&writer, CheckpointKind::kDetReservoir);
   writer.PutDouble(options_.eps);
   writer.PutDouble(options_.delta);
   writer.PutU64(options_.seed);
@@ -179,20 +173,10 @@ std::vector<std::uint8_t> DeterministicReservoirSketch::Serialize() const {
 }
 
 Result<DeterministicReservoirSketch> DeterministicReservoirSketch::Deserialize(
-    const std::vector<std::uint8_t>& bytes) {
+    std::span<const std::uint8_t> bytes) {
   BinaryReader reader(bytes);
-  std::uint32_t magic;
-  std::uint8_t version, kind;
-  if (!reader.GetU32(&magic) || !reader.GetU8(&version) ||
-      !reader.GetU8(&kind)) {
-    return reader.status();
-  }
-  if (magic != kCheckpointMagic) {
-    return Status::InvalidArgument("not an mrlquant checkpoint");
-  }
-  if (version != kCheckpointVersion || kind != kKindDetReservoir) {
-    return Status::InvalidArgument("unsupported checkpoint version or kind");
-  }
+  MRL_RETURN_IF_ERROR(
+      GetCheckpointHeader(&reader, CheckpointKind::kDetReservoir));
   DetReservoirOptions options;
   std::uint64_t capacity, count;
   std::uint8_t skip_degree;
@@ -246,7 +230,7 @@ Result<DeterministicReservoirSketch> DeterministicReservoirSketch::Deserialize(
 Status DeterministicReservoirSketch::Restore(
     std::span<const std::uint8_t> bytes) {
   Result<DeterministicReservoirSketch> restored =
-      Deserialize(std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+      Deserialize(bytes);
   if (!restored.ok()) return restored.status();
   *this = std::move(restored).value();
   return Status::OK();

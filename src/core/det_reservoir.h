@@ -67,7 +67,7 @@ class DeterministicReservoirSketch : public QuantileEstimator {
   std::vector<std::uint8_t> Serialize() const override;
   Status Restore(std::span<const std::uint8_t> bytes) override;
   static Result<DeterministicReservoirSketch> Deserialize(
-      const std::vector<std::uint8_t>& bytes);
+      std::span<const std::uint8_t> bytes);
 
   std::uint8_t skip_degree() const { return skip_degree_; }
   std::uint64_t sample_size() const { return values_.size(); }

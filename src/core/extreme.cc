@@ -107,20 +107,10 @@ Result<Value> ExtremeValueSketch::Query(double phi) const {
   return sorted[static_cast<std::size_t>(j - 1)];
 }
 
-namespace {
-constexpr std::uint32_t kCheckpointMagic = 0x4D524C51;  // "MRLQ"
-// Version 2: repo-wide bump (kinds 1-2 gained the sampler pick offset;
-// this kind's layout is unchanged from v1).
-constexpr std::uint8_t kCheckpointVersion = 2;
-constexpr std::uint8_t kKindExtreme = 3;
-}  // namespace
-
 std::vector<std::uint8_t> ExtremeValueSketch::Serialize() const {
   std::vector<std::uint8_t> out;
   BinaryWriter writer(&out);
-  writer.PutU32(kCheckpointMagic);
-  writer.PutU8(kCheckpointVersion);
-  writer.PutU8(kKindExtreme);
+  PutCheckpointHeader(&writer, CheckpointKind::kExtremeValue);
   writer.PutDouble(options_.phi);
   writer.PutDouble(options_.eps);
   writer.PutDouble(options_.delta);
@@ -141,20 +131,10 @@ std::vector<std::uint8_t> ExtremeValueSketch::Serialize() const {
 }
 
 Result<ExtremeValueSketch> ExtremeValueSketch::Deserialize(
-    const std::vector<std::uint8_t>& bytes) {
+    std::span<const std::uint8_t> bytes) {
   BinaryReader reader(bytes);
-  std::uint32_t magic;
-  std::uint8_t version, kind;
-  if (!reader.GetU32(&magic) || !reader.GetU8(&version) ||
-      !reader.GetU8(&kind)) {
-    return reader.status();
-  }
-  if (magic != kCheckpointMagic) {
-    return Status::InvalidArgument("not an mrlquant checkpoint");
-  }
-  if (version != kCheckpointVersion || kind != kKindExtreme) {
-    return Status::InvalidArgument("unsupported checkpoint version or kind");
-  }
+  MRL_RETURN_IF_ERROR(
+      GetCheckpointHeader(&reader, CheckpointKind::kExtremeValue));
   ExtremeValueOptions options;
   ExtremeValueSizing sizing;
   if (!reader.GetDouble(&options.phi) || !reader.GetDouble(&options.eps) ||
@@ -276,7 +256,7 @@ void ExtremeValueSketch::Reset(std::uint64_t seed) {
 
 Status ExtremeValueSketch::Restore(std::span<const std::uint8_t> bytes) {
   Result<ExtremeValueSketch> restored =
-      Deserialize(std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+      Deserialize(bytes);
   if (!restored.ok()) return restored.status();
   *this = std::move(restored).value();
   return Status::OK();

@@ -77,7 +77,7 @@ class ExtremeValueSketch : public QuantileEstimator {
   bool SupportsCheckpoint() const override { return true; }
   std::vector<std::uint8_t> Serialize() const override;
   static Result<ExtremeValueSketch> Deserialize(
-      const std::vector<std::uint8_t>& bytes);
+      std::span<const std::uint8_t> bytes);
 
   /// In-place restore from Serialize() output (see UnknownNSketch::Restore).
   Status Restore(std::span<const std::uint8_t> bytes) override;

@@ -19,10 +19,6 @@ constexpr std::uint32_t kMinK = 8;
 constexpr std::uint32_t kMaxK = 1u << 16;
 constexpr std::size_t kMaxLevels = 64;
 
-constexpr std::uint32_t kCheckpointMagic = 0x4D524C51;  // "MRLQ"
-constexpr std::uint8_t kCheckpointVersion = 2;
-constexpr std::uint8_t kKindKll = 5;
-
 Status ValidateEpsDelta(double eps, double delta) {
   if (!(eps > 0.0) || eps >= 1.0) {
     return Status::InvalidArgument("eps must be in (0, 1)");
@@ -209,9 +205,7 @@ Status KllSketch::Merge(const QuantileEstimator& other) {
 std::vector<std::uint8_t> KllSketch::Serialize() const {
   std::vector<std::uint8_t> out;
   BinaryWriter writer(&out);
-  writer.PutU32(kCheckpointMagic);
-  writer.PutU8(kCheckpointVersion);
-  writer.PutU8(kKindKll);
+  PutCheckpointHeader(&writer, CheckpointKind::kKll);
   writer.PutDouble(options_.eps);
   writer.PutDouble(options_.delta);
   writer.PutU64(options_.seed);
@@ -228,20 +222,10 @@ std::vector<std::uint8_t> KllSketch::Serialize() const {
 }
 
 Result<KllSketch> KllSketch::Deserialize(
-    const std::vector<std::uint8_t>& bytes) {
+    std::span<const std::uint8_t> bytes) {
   BinaryReader reader(bytes);
-  std::uint32_t magic;
-  std::uint8_t version, kind;
-  if (!reader.GetU32(&magic) || !reader.GetU8(&version) ||
-      !reader.GetU8(&kind)) {
-    return reader.status();
-  }
-  if (magic != kCheckpointMagic) {
-    return Status::InvalidArgument("not an mrlquant checkpoint");
-  }
-  if (version != kCheckpointVersion || kind != kKindKll) {
-    return Status::InvalidArgument("unsupported checkpoint version or kind");
-  }
+  MRL_RETURN_IF_ERROR(
+      GetCheckpointHeader(&reader, CheckpointKind::kKll));
   KllOptions options;
   std::uint32_t k;
   std::uint64_t count;
@@ -301,7 +285,7 @@ Result<KllSketch> KllSketch::Deserialize(
 
 Status KllSketch::Restore(std::span<const std::uint8_t> bytes) {
   Result<KllSketch> restored =
-      Deserialize(std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+      Deserialize(bytes);
   if (!restored.ok()) return restored.status();
   *this = std::move(restored).value();
   return Status::OK();

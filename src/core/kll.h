@@ -67,7 +67,7 @@ class KllSketch : public QuantileEstimator {
   bool SupportsCheckpoint() const override { return true; }
   std::vector<std::uint8_t> Serialize() const override;
   Status Restore(std::span<const std::uint8_t> bytes) override;
-  static Result<KllSketch> Deserialize(const std::vector<std::uint8_t>& bytes);
+  static Result<KllSketch> Deserialize(std::span<const std::uint8_t> bytes);
 
   std::uint32_t k() const { return k_; }
   std::size_t num_levels() const { return levels_.size(); }

@@ -8,8 +8,7 @@
 #include "core/estimator.h"
 #include "core/framework.h"
 #include "core/params.h"
-#include "sampling/block_sampler.h"
-#include "util/random.h"
+#include "core/sampled_tree.h"
 #include "util/status.h"
 #include "util/types.h"
 
@@ -32,7 +31,7 @@ struct KnownNOptions {
 /// deterministic collapse tree; r = 1 degenerates to the fully
 /// deterministic algorithm. This is the "Known N" line of Figure 4 and the
 /// right-hand columns of Table 1.
-class KnownNSketch : public QuantileEstimator {
+class KnownNSketch : public QuantileEstimator, private NewRule {
  public:
   static Result<KnownNSketch> Create(const KnownNOptions& options);
 
@@ -45,7 +44,7 @@ class KnownNSketch : public QuantileEstimator {
   /// same seed for any batching of the stream (see UnknownNSketch::AddBatch).
   void AddBatch(std::span<const Value> values) override;
 
-  std::uint64_t count() const override { return count_; }
+  std::uint64_t count() const override { return tree_.count(); }
 
   /// Anytime estimate over the prefix consumed so far; the paper-grade
   /// guarantee applies at count() == n. Fails with FailedPrecondition when
@@ -68,19 +67,19 @@ class KnownNSketch : public QuantileEstimator {
   void Reset(std::uint64_t seed) override;
 
   const KnownNParams& params() const { return params_; }
-  bool overflowed() const { return count_ > params_.n; }
-  const TreeStats& tree_stats() const { return framework_.stats(); }
-  Weight HeldWeight() const;
+  bool overflowed() const { return count() > params_.n; }
+  const TreeStats& tree_stats() const { return framework().stats(); }
+  Weight HeldWeight() const { return tree_.HeldWeight(); }
 
   /// Internal framework, exposed read-only for white-box tests (mirrors
   /// UnknownNSketch::framework()).
-  const CollapseFramework& framework() const { return framework_; }
+  const CollapseFramework& framework() const { return tree_.framework(); }
 
   /// Checkpointing, mirroring UnknownNSketch::Serialize/Deserialize.
   bool SupportsCheckpoint() const override { return true; }
   std::vector<std::uint8_t> Serialize() const override;
   static Result<KnownNSketch> Deserialize(
-      const std::vector<std::uint8_t>& bytes);
+      std::span<const std::uint8_t> bytes);
 
   /// In-place restore from Serialize() output (see UnknownNSketch::Restore).
   Status Restore(std::span<const std::uint8_t> bytes) override;
@@ -88,39 +87,21 @@ class KnownNSketch : public QuantileEstimator {
  private:
   KnownNSketch(const KnownNParams& params, std::uint64_t seed);
 
-  struct RunSnapshot {
-    std::vector<Value> partial_sorted;
-    std::vector<Value> tail;
-    std::vector<WeightedRun> runs;
-  };
-  RunSnapshot Snapshot() const;
-
-  /// As Snapshot, reusing *snap's capacity (see UnknownNSketch).
-  void SnapshotInto(RunSnapshot* snap) const;
-
-  void StartNewFill();
-
-  /// MRLQUANT_AUDIT hook run after each buffer commit: weight conservation
-  /// always, the Eq. 2 height budget when params_ came from the solver.
-  void AuditAfterCommit() const;
+  // NewRule: every New at the fixed rate r, level 0.
+  NewRound NextRound(const CollapseFramework& framework) const override;
+  /// The Eq. 2 height budget, when params_ came from the solver.
+  Status AuditCommit(const CollapseFramework& framework,
+                     std::uint64_t count) const override;
 
   KnownNParams params_;
-  CollapseFramework framework_;
-  BlockSampler sampler_;
+  SampledTree tree_;
   std::uint64_t seed_ = 1;  ///< construction seed, replayed by Reset()
-  std::uint64_t count_ = 0;
-
-  bool filling_ = false;
-  std::size_t fill_slot_ = 0;
 
   /// True when params_ came from SolveKnownN, whose Eq. 2 sizing is what
   /// justifies the MRLQUANT_AUDIT tree-height check; explicit parameters
   /// make no height promise. Not checkpointed (restored sketches skip the
   /// height audit).
   bool audit_height_budget_ = false;
-
-  /// Survivor staging area reused across AddBatch calls; not sketch state.
-  std::vector<Value> batch_scratch_;
 };
 
 }  // namespace mrl

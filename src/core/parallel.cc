@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/output.h"
+#include "core/sampled_tree.h"
 #include "util/audit.h"
 #include "util/logging.h"
 #include "util/sort.h"
@@ -122,17 +123,10 @@ Result<Value> ParallelCoordinator::Query(double phi) const {
 Result<std::vector<Value>> ParallelCoordinator::QueryMany(
     const std::vector<double>& phis) const {
   // Thread-local (not member) scratch: concurrent const queries on a
-  // quiescent coordinator stay race-free.
-  thread_local std::vector<Value> staged_sorted;
-  thread_local std::vector<WeightedRun> runs;
-  staged_sorted.assign(staging_.begin(), staging_.end());
-  SortValues(staged_sorted.data(), staged_sorted.size());
-  framework_.FullBufferRunsInto(&runs);
-  if (!staged_sorted.empty()) {
-    runs.push_back(
-        {staged_sorted.data(), staged_sorted.size(), staging_weight_});
-  }
-  return WeightedQuantiles(runs, phis);
+  // quiescent coordinator stay race-free. B0 is the partial run.
+  thread_local OutputRuns runs;
+  runs.Build(framework_, staging_, staging_weight_);
+  return WeightedQuantiles(runs.runs, phis);
 }
 
 Result<std::vector<Value>> ParallelQuantiles(

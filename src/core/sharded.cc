@@ -178,18 +178,13 @@ std::uint64_t ShardedQuantileSketch::MemoryElements() const {
 }
 
 namespace {
-constexpr std::uint32_t kCheckpointMagic = 0x4D524C51;  // "MRLQ"
-constexpr std::uint8_t kCheckpointVersion = 2;
-constexpr std::uint8_t kKindSharded = 4;
 constexpr std::uint32_t kMaxShards = 1024;  // matches the wire-level bound
 }  // namespace
 
 std::vector<std::uint8_t> ShardedQuantileSketch::Serialize() const {
   std::vector<std::uint8_t> out;
   BinaryWriter writer(&out);
-  writer.PutU32(kCheckpointMagic);
-  writer.PutU8(kCheckpointVersion);
-  writer.PutU8(kKindSharded);
+  PutCheckpointHeader(&writer, CheckpointKind::kSharded);
   writer.PutU64(seed_);
   writer.PutU64(rr_cursor_);
   writer.PutU32(static_cast<std::uint32_t>(shards_.size()));
@@ -202,21 +197,13 @@ std::vector<std::uint8_t> ShardedQuantileSketch::Serialize() const {
 }
 
 Status ShardedQuantileSketch::Restore(std::span<const std::uint8_t> bytes) {
-  BinaryReader reader(bytes.data(), bytes.size());
-  std::uint32_t magic;
-  std::uint8_t version, kind;
+  BinaryReader reader(bytes);
+  MRL_RETURN_IF_ERROR(GetCheckpointHeader(&reader, CheckpointKind::kSharded));
   std::uint64_t seed, rr_cursor;
   std::uint32_t num_shards;
-  if (!reader.GetU32(&magic) || !reader.GetU8(&version) ||
-      !reader.GetU8(&kind) || !reader.GetU64(&seed) ||
-      !reader.GetU64(&rr_cursor) || !reader.GetU32(&num_shards)) {
+  if (!reader.GetU64(&seed) || !reader.GetU64(&rr_cursor) ||
+      !reader.GetU32(&num_shards)) {
     return reader.status();
-  }
-  if (magic != kCheckpointMagic) {
-    return Status::InvalidArgument("not an mrlquant checkpoint");
-  }
-  if (version != kCheckpointVersion || kind != kKindSharded) {
-    return Status::InvalidArgument("unsupported checkpoint version or kind");
   }
   if (num_shards < 1 || num_shards > kMaxShards) {
     return Status::InvalidArgument("checkpoint shard count out of range");
@@ -226,15 +213,13 @@ Status ShardedQuantileSketch::Restore(std::span<const std::uint8_t> bytes) {
   }
   std::vector<UnknownNSketch> shards;
   shards.reserve(num_shards);
-  std::vector<std::uint8_t> blob;
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     std::uint32_t len;
-    const std::uint8_t* bytes;
-    if (!reader.GetU32(&len) || !reader.GetBytes(len, &bytes)) {
+    const std::uint8_t* blob;
+    if (!reader.GetU32(&len) || !reader.GetBytes(len, &blob)) {
       return reader.status();
     }
-    blob.assign(bytes, bytes + len);
-    Result<UnknownNSketch> shard = UnknownNSketch::Deserialize(blob);
+    Result<UnknownNSketch> shard = UnknownNSketch::Deserialize({blob, len});
     if (!shard.ok()) return shard.status();
     shards.push_back(std::move(shard).value());
   }

@@ -11,9 +11,8 @@
 #include "core/framework.h"
 #include "core/params.h"
 #include "core/partial.h"
+#include "core/sampled_tree.h"
 #include "core/summary.h"
-#include "sampling/block_sampler.h"
-#include "util/random.h"
 #include "util/thread_annotations.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -67,7 +66,7 @@ struct UnknownNOptions {
 ///   MRL_CHECK(sketch.ok());
 ///   for (Value v : stream) sketch.value().Add(v);
 ///   Result<Value> median = sketch.value().Query(0.5);
-class UnknownNSketch : public QuantileEstimator {
+class UnknownNSketch : public QuantileEstimator, private NewRule {
  public:
   /// Validates options and solves for parameters.
   static Result<UnknownNSketch> Create(const UnknownNOptions& options);
@@ -84,7 +83,7 @@ class UnknownNSketch : public QuantileEstimator {
   /// any partition of the stream into batches.
   MRLQUANT_HOT void AddBatch(std::span<const Value> values) override;
 
-  std::uint64_t count() const override { return count_; }
+  std::uint64_t count() const override { return tree_.count(); }
   Result<Value> Query(double phi) const override;
   std::uint64_t MemoryElements() const override {
     return params_.MemoryElements();
@@ -128,24 +127,24 @@ class UnknownNSketch : public QuantileEstimator {
 
   /// Current block-sampling rate r (1 until the tree reaches height h,
   /// then 2, 4, ... as the tree grows).
-  Weight sampling_rate() const { return sampler_.rate(); }
+  Weight sampling_rate() const { return tree_.sampler().rate(); }
 
   /// Memory in use right now: allocated buffers times k. Differs from
   /// MemoryElements() only under dynamic buffer allocation.
   std::uint64_t CurrentMemoryElements() const {
-    return static_cast<std::uint64_t>(framework_.usable_buffers()) *
+    return static_cast<std::uint64_t>(framework().usable_buffers()) *
            params_.k;
   }
 
   /// Tree statistics (collapses, their weight sum, leaves, height).
-  const TreeStats& tree_stats() const { return framework_.stats(); }
+  const TreeStats& tree_stats() const { return framework().stats(); }
 
   /// Sum of weights currently represented by the sketch; equals count()
   /// at all times (an invariant the tests rely on).
-  Weight HeldWeight() const;
+  Weight HeldWeight() const { return tree_.HeldWeight(); }
 
   /// Internal framework, exposed read-only for white-box tests.
-  const CollapseFramework& framework() const { return framework_; }
+  const CollapseFramework& framework() const { return tree_.framework(); }
 
   /// Checkpointing: encodes the complete sketch state (parameters, buffer
   /// pool, sampler with its in-flight block, counters) so a DBMS operator
@@ -166,13 +165,13 @@ class UnknownNSketch : public QuantileEstimator {
   /// dynamic allocation schedule (Section 5), pass the same allowance
   /// again, otherwise leave it null.
   static Result<UnknownNSketch> Deserialize(
-      const std::vector<std::uint8_t>& bytes,
+      std::span<const std::uint8_t> bytes,
       std::function<int(std::uint64_t)> buffer_allowance = nullptr);
 
   /// Worker-side termination for the parallel algorithm (Section 6):
-  /// performs the final Collapse over all full buffers and returns at most
-  /// one full buffer plus up to two partial ones (the in-progress buffer
-  /// and the in-flight block candidate), each tagged with its weight.
+  /// performs the final Collapse over all full buffers and returns
+  /// ExportPartial's buffers: at most one full buffer plus the in-progress
+  /// buffer and the in-flight block candidate, each tagged with its weight.
   /// The sketch must not be used afterwards.
   std::vector<ShippedBuffer> FinishAndExport();
 
@@ -187,48 +186,18 @@ class UnknownNSketch : public QuantileEstimator {
  private:
   UnknownNSketch(const UnknownNParams& params, const UnknownNOptions& options);
 
-  /// Applies buffer_allowance_ at the current stream position.
-  void UpdateUsableBuffers();
-
-  /// (rate, level) the next New operation must use, per Section 3.7.
-  std::pair<Weight, int> NextNewRateAndLevel() const;
-
-  void StartNewFill();
-
-  /// Owned snapshot of everything held: full buffers, the in-progress
-  /// (partial) buffer sorted into `partial_sorted`, and the in-flight block
-  /// candidate in `tail`. `runs` points into the framework's buffers and
-  /// into the two local vectors; the heap storage keeps those pointers
-  /// valid across moves of the snapshot.
-  struct RunSnapshot {
-    std::vector<Value> partial_sorted;
-    std::vector<Value> tail;  // zero or one element
-    std::vector<WeightedRun> runs;
-  };
-  RunSnapshot Snapshot() const;
-
-  /// As Snapshot, reusing *snap's capacity. The const query paths hand a
-  /// thread-local snapshot here (not a mutable member: concurrent const
-  /// queries on a quiescent sketch are part of the thread contract).
-  void SnapshotInto(RunSnapshot* snap) const;
+  // NewRule: the §5 buffer allowance at stream position count + 1, and the
+  // §3.7 rate doubling once the tree grows past height h.
+  void BeforeAcquire(CollapseFramework* framework,
+                     std::uint64_t count) const override;
+  NewRound NextRound(const CollapseFramework& framework) const override;
 
   UnknownNParams params_;
-  CollapseFramework framework_;
-  BlockSampler sampler_;
+  SampledTree tree_;
   std::function<int(std::uint64_t)> buffer_allowance_;
   std::uint64_t seed_ = 1;  ///< construction seed, replayed by Reset()
   /// Pick policy of the construction options, replayed by Reset().
   bool ablation_first_of_block_ = false;
-  std::uint64_t count_ = 0;
-
-  bool filling_ = false;
-  std::size_t fill_slot_ = 0;
-  Weight fill_weight_ = 1;  ///< sampling rate of the buffer being filled
-  int fill_level_ = 0;      ///< level it will be committed at
-
-  /// Survivor staging area reused across AddBatch calls (holds at most k
-  /// elements; no allocation in steady state). Not part of sketch state.
-  std::vector<Value> batch_scratch_;
 };
 
 }  // namespace mrl

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,7 +100,7 @@ class BinaryReader {
  public:
   BinaryReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
-  explicit BinaryReader(const std::vector<std::uint8_t>& bytes)
+  explicit BinaryReader(std::span<const std::uint8_t> bytes)
       : BinaryReader(bytes.data(), bytes.size()) {}
 
   bool GetU8(std::uint8_t* out) {
@@ -197,6 +198,47 @@ class BinaryReader {
   std::size_t pos_ = 0;
   Status status_;
 };
+
+/// Kind byte of an "MRLQ" sketch checkpoint (docs/checkpoint_format.md).
+enum class CheckpointKind : std::uint8_t {
+  kUnknownN = 1,
+  kKnownN = 2,
+  kExtremeValue = 3,
+  kSharded = 4,
+  kKll = 5,
+  kDetReservoir = 6,
+};
+
+inline constexpr std::uint32_t kCheckpointMagic = 0x4D524C51;  // "MRLQ"
+// Version 2 added the sampler's pre-drawn pick offset to kinds 1-2; the
+// other kinds' layouts are unchanged from version 1.
+inline constexpr std::uint8_t kCheckpointVersion = 2;
+
+/// Writes the header every sketch checkpoint opens with: the magic, the
+/// format version and `kind`.
+inline void PutCheckpointHeader(BinaryWriter* writer, CheckpointKind kind) {
+  writer->PutU32(kCheckpointMagic);
+  writer->PutU8(kCheckpointVersion);
+  writer->PutU8(static_cast<std::uint8_t>(kind));
+}
+
+/// Reads a checkpoint header, accepting only `kind` at the current version.
+inline Status GetCheckpointHeader(BinaryReader* reader, CheckpointKind kind) {
+  std::uint32_t magic;
+  std::uint8_t version, read_kind;
+  if (!reader->GetU32(&magic) || !reader->GetU8(&version) ||
+      !reader->GetU8(&read_kind)) {
+    return reader->status();
+  }
+  if (magic != kCheckpointMagic) {
+    return Status::InvalidArgument("not an mrlquant checkpoint");
+  }
+  if (version != kCheckpointVersion ||
+      read_kind != static_cast<std::uint8_t>(kind)) {
+    return Status::InvalidArgument("unsupported checkpoint version or kind");
+  }
+  return Status::OK();
+}
 
 }  // namespace mrl
 

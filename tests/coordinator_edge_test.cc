@@ -68,6 +68,23 @@ TEST(CoordinatorEdgeTest, HeavierIncomingShrinksStaging) {
   EXPECT_GE(coordinator.Query(1.0).value(), 1000.0);
 }
 
+TEST(CoordinatorEdgeTest, FinishAndExportShipsKOneCandidateAsFull) {
+  // With k = 1 the worker's in-flight block candidate alone fills a
+  // buffer, so it must ship tagged full; a partial tag aborted Ingest.
+  UnknownNParams params = TinyParams(1);
+  params.b = 2;
+  params.h = 1;
+  UnknownNOptions options;
+  options.params = params;
+  options.seed = 3;
+  UnknownNSketch worker = std::move(UnknownNSketch::Create(options)).value();
+  for (int i = 0; i < 7; ++i) worker.Add(static_cast<Value>(i));
+  ParallelCoordinator coordinator(params, 1);
+  coordinator.Ingest(worker.FinishAndExport());
+  EXPECT_EQ(coordinator.ReceivedWeight(), 7u);
+  EXPECT_TRUE(coordinator.Query(0.5).ok());
+}
+
 TEST(CoordinatorEdgeTest, MixedFullAndPartialInOneShipment) {
   ParallelCoordinator coordinator(TinyParams(2), 3);
   coordinator.Ingest({
