@@ -21,7 +21,6 @@
 #include "bench_reporter.h"
 #include "core/buffer.h"
 #include "core/collapse.h"
-#include "core/sharded.h"
 #include "core/weighted_merge.h"
 #include "util/random.h"
 #include "util/types.h"
@@ -209,33 +208,6 @@ void BM_CollapseSteadyState(benchmark::State& state) {
       static_cast<double>(b * kK + scratch.selected.capacity());
 }
 BENCHMARK(BM_CollapseSteadyState)->Arg(3)->Arg(10)->Arg(16);
-
-void BM_ShardedQueryMany(benchmark::State& state) {
-  ShardedQuantileSketch::Options options;
-  options.eps = 0.01;
-  options.delta = 1e-4;
-  options.num_shards = 4;
-  options.seed = 7;
-  ShardedQuantileSketch sketch =
-      std::move(ShardedQuantileSketch::Create(options)).value();
-  Random rng(11);
-  std::vector<Value> batch(4096);
-  for (int shard = 0; shard < options.num_shards; ++shard) {
-    for (int rep = 0; rep < 8; ++rep) {
-      for (Value& v : batch) v = rng.UniformDouble();
-      sketch.AddBatch(shard, batch);
-    }
-  }
-  const std::vector<double> phis = {0.01, 0.25, 0.5, 0.75, 0.99};
-  for (auto _ : state) {
-    Result<std::vector<Value>> q = sketch.QueryMany(phis);
-    benchmark::DoNotOptimize(q.value().data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(phis.size()));
-  state.counters["mem_elems"] = static_cast<double>(sketch.MemoryElements());
-}
-BENCHMARK(BM_ShardedQueryMany);
 
 }  // namespace
 }  // namespace mrl

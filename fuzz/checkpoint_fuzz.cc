@@ -23,7 +23,6 @@
 #include "core/kll.h"
 #include "core/known_n.h"
 #include "core/partial.h"
-#include "core/sharded.h"
 #include "core/unknown_n.h"
 #include "util/status.h"
 
@@ -96,8 +95,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   ExerciseRestore<mrl::KllSketch, mrl::KllOptions>(bytes);
   ExerciseRestore<mrl::DeterministicReservoirSketch,
                   mrl::DetReservoirOptions>(bytes);
-  ExerciseRestore<mrl::ShardedQuantileSketch,
-                  mrl::ShardedQuantileSketch::Options>(bytes);
   ExercisePartial(bytes);
   return 0;
 }

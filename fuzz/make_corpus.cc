@@ -17,7 +17,6 @@
 #include "core/kll.h"
 #include "core/known_n.h"
 #include "core/partial.h"
-#include "core/sharded.h"
 #include "core/unknown_n.h"
 
 namespace {
@@ -118,18 +117,6 @@ int main(int argc, char** argv) {
     for (std::uint64_t i = 0; i < n; ++i) rsketch.value().Add(Synthetic(i));
     ok = WriteFile(dir, "det_reservoir_" + std::to_string(n),
                    rsketch.value().Serialize()) &&
-         ok;
-
-    mrl::ShardedQuantileSketch::Options sopt;
-    sopt.eps = 0.05;
-    sopt.delta = 1e-3;
-    sopt.num_shards = 2;
-    mrl::Result<mrl::ShardedQuantileSketch> ssketch =
-        mrl::ShardedQuantileSketch::Create(sopt);
-    if (!ssketch.ok()) return 1;
-    for (std::uint64_t i = 0; i < n; ++i) ssketch.value().Add(Synthetic(i));
-    ok = WriteFile(dir, "sharded_" + std::to_string(n),
-                   ssketch.value().Serialize()) &&
          ok;
   }
   return ok ? 0 : 1;

@@ -97,12 +97,15 @@ Result<Value> ExtremeValueSketch::Query(double phi) const {
   std::uint64_t j = EstimateIndex(tail_phi, heap_offered_);
   std::vector<Value> sorted = heap_.SortedFromExtreme();
   if (j > sorted.size()) {
-    if (heap_.full()) {
-      // phi is not extreme enough for this sketch's retained set.
+    // The Bernoulli sample can overshoot its expected size, so even the
+    // configured phi may index past k; the estimate is then the k-th
+    // retained element. Only a less extreme phi is out of range.
+    const double sized_tail_phi = high ? (1.0 - options_.phi) : options_.phi;
+    if (heap_.full() && tail_phi > sized_tail_phi) {
       return Status::OutOfRange(
           "phi * sample_size exceeds the retained k elements");
     }
-    j = sorted.size();  // short stream: degrade to the most interior element
+    j = sorted.size();  // short stream or sample overshoot: most interior
   }
   return sorted[static_cast<std::size_t>(j - 1)];
 }

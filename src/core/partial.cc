@@ -15,8 +15,8 @@ namespace {
 // resumed sketch.
 constexpr std::uint32_t kPartialMagic = 0x4D524C50;  // "MRLP"
 constexpr std::uint8_t kPartialVersion = 1;
-// A producer ships at most b full buffers plus a couple of partials per
-// shard; even a wide sharded sketch stays far below this.
+// A producer ships at most b full buffers plus a couple of partials; even
+// a wide sketch stays far below this.
 constexpr std::uint64_t kMaxPartialBuffers = std::uint64_t{1} << 16;
 }  // namespace
 

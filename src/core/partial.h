@@ -25,7 +25,14 @@ struct ShippedBuffer {
 /// (QuantileEstimator::ExportPartial), ships it over the wire
 /// (Serialize/DeserializePartialSummary below), and a router merges any
 /// number of them with the coordinator's own rules (MergePartialQuantiles)
-/// — no re-ingestion, same (eps, delta) story as the in-process protocol.
+/// — no re-ingestion.
+///
+/// The merged answers keep the producers' (eps, delta) only when every
+/// producer was solved for the protocol with SolveParallelWorker (Eq. 4-6):
+/// its tree constraint h + h' + 1 <= 2*alpha*eps*k reserves the h' levels
+/// the coordinator's collapses add. A producer solved with SolveUnknownN,
+/// as every daemon tenant is, spends that budget on its own tree, so the
+/// merge's extra height pushes the error bound past the producers' eps.
 struct PartialSummary {
   /// Parameters of the producing sketch. Merging requires identical k
   /// across summaries (the collapse tree operates on k-element buffers).

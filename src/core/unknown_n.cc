@@ -109,19 +109,6 @@ Result<double> UnknownNSketch::RankOf(Value v) const {
          static_cast<double>(TotalRunWeight(runs.runs));
 }
 
-QuantileSummary UnknownNSketch::ExportSummary() const {
-  QuantileSummary out;
-  ExportSummaryInto(&out);
-  return out;
-}
-
-void UnknownNSketch::ExportSummaryInto(QuantileSummary* out) const {
-  thread_local OutputRuns runs;
-  thread_local SummaryScratch scratch;
-  tree_.RunsInto(&runs);
-  QuantileSummary::FromRunsInto(runs.runs, &scratch, out);
-}
-
 std::vector<std::uint8_t> UnknownNSketch::Serialize() const {
   std::vector<std::uint8_t> out;
   BinaryWriter writer(&out);

@@ -12,7 +12,6 @@
 #include "core/params.h"
 #include "core/partial.h"
 #include "core/sampled_tree.h"
-#include "core/summary.h"
 #include "util/thread_annotations.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -112,16 +111,6 @@ class UnknownNSketch : public QuantileEstimator, private NewRule {
   /// consumed elements that are <= v, accurate to within eps with the same
   /// probability as Query. Powers selectivity estimation (Section 1.1).
   Result<double> RankOf(Value v) const;
-
-  /// Immutable snapshot of the current distribution estimate (the synopsis
-  /// view, Section 1.5): answers repeated quantile/rank queries in
-  /// O(log b*k) without touching the live sketch.
-  QuantileSummary ExportSummary() const;
-
-  /// As ExportSummary, into *out (reusing its capacity); intermediates come
-  /// from thread-local scratch, so repeated exports allocate nothing once
-  /// warmed. Powers ShardedQuantileSketch's per-call summary reuse.
-  void ExportSummaryInto(QuantileSummary* out) const;
 
   const UnknownNParams& params() const { return params_; }
 

@@ -200,11 +200,11 @@ class BinaryReader {
 };
 
 /// Kind byte of an "MRLQ" sketch checkpoint (docs/checkpoint_format.md).
+/// Byte 4 was the retired sharded sketch; it is never reused.
 enum class CheckpointKind : std::uint8_t {
   kUnknownN = 1,
   kKnownN = 2,
   kExtremeValue = 3,
-  kSharded = 4,
   kKll = 5,
   kDetReservoir = 6,
 };

@@ -25,7 +25,6 @@
 #include "core/estimator.h"
 #include "core/kll.h"
 #include "core/known_n.h"
-#include "core/sharded.h"
 #include "core/unknown_n.h"
 #include "util/random.h"
 
@@ -140,15 +139,6 @@ std::vector<Backend> RegistryBackends() {
     options.seed = seed;
     return std::unique_ptr<QuantileEstimator>(
         new KnownNSketch(std::move(KnownNSketch::Create(options)).value()));
-  }});
-  backends.push_back({"sharded", [](std::uint64_t seed) {
-    ShardedQuantileSketch::Options options;
-    options.eps = kEps;
-    options.delta = kDelta;
-    options.num_shards = 4;
-    options.seed = seed;
-    return std::unique_ptr<QuantileEstimator>(new ShardedQuantileSketch(
-        std::move(ShardedQuantileSketch::Create(options)).value()));
   }});
   backends.push_back({"kll", [](std::uint64_t seed) {
     KllOptions options;

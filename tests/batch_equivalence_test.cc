@@ -24,7 +24,6 @@
 #include "core/extreme.h"
 #include "core/kll.h"
 #include "core/known_n.h"
-#include "core/sharded.h"
 #include "core/unknown_n.h"
 #include "sampling/block_sampler.h"
 #include "stream/generator.h"
@@ -242,47 +241,6 @@ TEST(BatchEquivalenceTest, KnownNSketchBitIdenticalState) {
   EXPECT_EQ(elementwise.Serialize(), batched.Serialize());
 }
 
-// ---------------------------------------------------- ShardedQuantileSketch
-
-TEST(BatchEquivalenceTest, ShardedSketchPerShardBatches) {
-  Random splitter(41);
-  StreamSpec spec;
-  spec.n = 24000;
-  spec.seed = 6;
-  std::vector<Value> stream = GenerateStream(spec).values();
-
-  ShardedQuantileSketch::Options options;
-  options.num_shards = 3;
-  options.seed = 13;
-  ShardedQuantileSketch elementwise =
-      std::move(ShardedQuantileSketch::Create(options)).value();
-  ShardedQuantileSketch batched =
-      std::move(ShardedQuantileSketch::Create(options)).value();
-
-  // Round-robin in runs so the batch path can route whole spans: shard s
-  // receives identical subsequences in both sketches.
-  std::size_t pos = 0;
-  int shard = 0;
-  for (std::size_t chunk : RandomSplits(stream.size(), 300, &splitter)) {
-    for (std::size_t i = 0; i < chunk; ++i) {
-      elementwise.Add(shard, stream[pos + i]);
-    }
-    batched.AddBatch(shard,
-                     std::span<const Value>(stream.data() + pos, chunk));
-    pos += chunk;
-    shard = (shard + 1) % options.num_shards;
-  }
-
-  EXPECT_EQ(elementwise.count(), batched.count());
-  for (int s = 0; s < options.num_shards; ++s) {
-    EXPECT_EQ(elementwise.shard(s).Serialize(), batched.shard(s).Serialize())
-        << "shard " << s;
-  }
-  const std::vector<double> phis = {0.1, 0.5, 0.9};
-  EXPECT_EQ(elementwise.QueryMany(phis).value(),
-            batched.QueryMany(phis).value());
-}
-
 // ------------------------------------------------------------------- Apps
 
 TEST(BatchEquivalenceTest, OnlineAggregatorHistoryMatches) {
@@ -396,15 +354,6 @@ TEST(BatchEquivalenceTest, EveryBackendAddBatchBitIdenticalToAdd) {
     return std::unique_ptr<QuantileEstimator>(
         new KnownNSketch(std::move(KnownNSketch::Create(options)).value()));
   }});
-  backends.push_back({"sharded", [](std::uint64_t seed) {
-    ShardedQuantileSketch::Options options;
-    options.eps = 0.05;
-    options.delta = 1e-3;
-    options.num_shards = 3;
-    options.seed = seed;
-    return std::unique_ptr<QuantileEstimator>(new ShardedQuantileSketch(
-        std::move(ShardedQuantileSketch::Create(options)).value()));
-  }});
   backends.push_back({"extreme_value", [](std::uint64_t seed) {
     ExtremeValueOptions options;
     options.phi = 0.05;
@@ -491,17 +440,6 @@ TEST(BatchEquivalenceDeathTest, BlockSamplerRejectsRateZero) {
   EXPECT_DEATH(BlockSampler(Random(1), /*rate=*/0), "rate");
   BlockSampler sampler(Random(1), 2);
   EXPECT_DEATH(sampler.SetRate(0), "rate");
-}
-
-TEST(BatchEquivalenceTest, ShardedCreateRejectsZeroShards) {
-  ShardedQuantileSketch::Options options;
-  options.num_shards = 0;
-  Result<ShardedQuantileSketch> r = ShardedQuantileSketch::Create(options);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  options.num_shards = -3;
-  EXPECT_EQ(ShardedQuantileSketch::Create(options).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

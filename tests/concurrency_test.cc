@@ -2,8 +2,9 @@
 // -fsanitize=thread (the CI tsan lane). They exercise exactly the thread
 // contracts the headers document:
 //
-//  * ShardedQuantileSketch: shard s is single-writer; writers on distinct
-//    shards need no synchronization; queries happen after a barrier.
+//  * Per-thread UnknownNSketches: each sketch is single-writer; writers on
+//    distinct sketches need no synchronization; after the join barrier the
+//    sketches are combined through ExportPartial + MergePartialQuantiles.
 //  * ParallelQuantiles / ParallelCoordinator: workers run on their own
 //    threads and never communicate until termination; the coordinator is
 //    externally synchronized.
@@ -15,17 +16,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <cstdint>
 #include <mutex>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/parallel.h"
-#include "core/sharded.h"
+#include "core/partial.h"
 #include "core/unknown_n.h"
 #include "util/random.h"
 
@@ -52,70 +53,102 @@ std::vector<Value> ShardValues(int shard, std::uint64_t n) {
   return values;
 }
 
-TEST(ShardedConcurrencyTest, ParallelWritersDistinctShardsThenQuery) {
-  ShardedQuantileSketch::Options options;
-  options.eps = 0.02;
-  options.delta = 1e-3;
-  options.num_shards = kThreads;
-  Result<ShardedQuantileSketch> created =
-      ShardedQuantileSketch::Create(options);
-  ASSERT_TRUE(created.ok());
-  ShardedQuantileSketch& sketch = created.value();
-
-  // All writers finish ingesting before anyone reads: the documented scan
-  // barrier. The std::barrier also gives TSan a clear happens-before edge
-  // to validate the contract against.
-  std::barrier sync(kThreads + 1);
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (int shard = 0; shard < kThreads; ++shard) {
-    writers.emplace_back([&sketch, &sync, shard] {
-      std::vector<Value> values = ShardValues(shard, kPerShard);
-      // Mix batch and per-element ingestion to cover both write paths.
-      std::size_t half = values.size() / 2;
-      sketch.AddBatch(shard,
-                      std::span<const Value>(values.data(), half));
-      for (std::size_t i = half; i < values.size(); ++i) {
-        sketch.Add(shard, values[i]);
-      }
-      sync.arrive_and_wait();
-    });
+// `params` must come from SolveParallelWorker (Eq. 4-6), so the merged
+// answers carry the same (eps, delta) as one sketch over the union.
+std::vector<UnknownNSketch> MakeWorkerSketches(const UnknownNParams& params,
+                                               int count) {
+  std::vector<UnknownNSketch> sketches;
+  for (int w = 0; w < count; ++w) {
+    UnknownNOptions worker_options;
+    worker_options.params = params;
+    worker_options.seed = 100 + static_cast<std::uint64_t>(w);
+    sketches.push_back(
+        std::move(UnknownNSketch::Create(worker_options)).value());
   }
-  sync.arrive_and_wait();
-
-  const std::uint64_t total = kThreads * kPerShard;
-  EXPECT_EQ(sketch.count(), total);
-  Result<Value> median = sketch.Query(0.5);
-  ASSERT_TRUE(median.ok());
-  EXPECT_NEAR(median.value() / static_cast<double>(total), 0.5,
-              2.0 * options.eps);
-
-  for (std::thread& t : writers) t.join();
+  return sketches;
 }
 
-TEST(ShardedConcurrencyTest, ConcurrentConstQueriesOnQuiescentSketch) {
-  ShardedQuantileSketch::Options options;
+std::vector<PartialSummary> ExportAll(
+    const std::vector<UnknownNSketch>& sketches) {
+  std::vector<PartialSummary> parts(sketches.size());
+  for (std::size_t i = 0; i < sketches.size(); ++i) {
+    EXPECT_TRUE(sketches[i].ExportPartial(&parts[i]).ok());
+  }
+  return parts;
+}
+
+TEST(PartialConcurrencyTest, PerThreadWritersThenMergedQuery) {
+  ParallelOptions options;
+  options.eps = 0.02;
+  options.delta = 1e-3;
+  options.num_workers = kThreads;
+  Result<UnknownNParams> params = SolveParallelWorker(options);
+  ASSERT_TRUE(params.ok());
+  std::vector<UnknownNSketch> sketches =
+      MakeWorkerSketches(params.value(), kThreads);
+
+  // Each writer owns one sketch; the join is the barrier after which the
+  // sketches are read.
+  std::vector<std::thread> writers;
+  writers.reserve(kThreads);
+  for (int w = 0; w < kThreads; ++w) {
+    writers.emplace_back([&sketches, w] {
+      std::vector<Value> values = ShardValues(w, kPerShard);
+      // Mix batch and per-element ingestion to cover both write paths.
+      std::size_t half = values.size() / 2;
+      UnknownNSketch& sketch = sketches[static_cast<std::size_t>(w)];
+      sketch.AddBatch(std::span<const Value>(values.data(), half));
+      for (std::size_t i = half; i < values.size(); ++i) {
+        sketch.Add(values[i]);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+
+  std::vector<PartialSummary> parts = ExportAll(sketches);
+  std::uint64_t count = 0;
+  for (const PartialSummary& part : parts) count += part.count;
+  const std::uint64_t total = kThreads * kPerShard;
+  EXPECT_EQ(count, total);
+
+  // The union is a permutation of 0 .. total-1, so value v has rank v + 1.
+  const std::vector<double> phis = {0.01, 0.25, 0.5, 0.75, 0.99};
+  Result<std::vector<Value>> answers =
+      MergePartialQuantiles(parts, /*seed=*/7, phis);
+  ASSERT_TRUE(answers.ok());
+  for (std::size_t i = 0; i < phis.size(); ++i) {
+    EXPECT_NEAR((answers.value()[i] + 1.0) / static_cast<double>(total),
+                phis[i], options.eps)
+        << "phi=" << phis[i];
+  }
+}
+
+TEST(PartialConcurrencyTest, ConcurrentConstReadsOnQuiescentSketches) {
+  ParallelOptions options;
   options.eps = 0.05;
   options.delta = 1e-3;
-  options.num_shards = 2;
-  Result<ShardedQuantileSketch> created =
-      ShardedQuantileSketch::Create(options);
-  ASSERT_TRUE(created.ok());
-  ShardedQuantileSketch& sketch = created.value();
-  for (int shard = 0; shard < 2; ++shard) {
-    std::vector<Value> values = ShardValues(shard, 30000);
-    sketch.AddBatch(shard, values);
+  options.num_workers = 2;
+  Result<UnknownNParams> params = SolveParallelWorker(options);
+  ASSERT_TRUE(params.ok());
+  std::vector<UnknownNSketch> sketches =
+      MakeWorkerSketches(params.value(), options.num_workers);
+  for (int w = 0; w < options.num_workers; ++w) {
+    sketches[static_cast<std::size_t>(w)].AddBatch(ShardValues(w, 30000));
   }
 
   std::atomic<int> failures{0};
   std::vector<std::thread> readers;
   readers.reserve(kThreads);
   for (int r = 0; r < kThreads; ++r) {
-    readers.emplace_back([&sketch, &failures] {
+    readers.emplace_back([&sketches, &failures] {
       for (int iter = 0; iter < 20; ++iter) {
-        Result<std::vector<Value>> q =
-            sketch.QueryMany({0.1, 0.5, 0.9});
-        if (!q.ok() || q.value().size() != 3) failures.fetch_add(1);
+        for (const UnknownNSketch& sketch : sketches) {
+          Result<std::vector<Value>> q = sketch.QueryMany({0.1, 0.5, 0.9});
+          if (!q.ok() || q.value().size() != 3) failures.fetch_add(1);
+        }
+        Result<std::vector<Value>> merged =
+            MergePartialQuantiles(ExportAll(sketches), /*seed=*/3, {0.5});
+        if (!merged.ok()) failures.fetch_add(1);
       }
     });
   }

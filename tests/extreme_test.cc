@@ -112,7 +112,11 @@ TEST(ExtremeValueSketchTest, FailureRateWithinDelta) {
     ExtremeValueSketch sketch =
         std::move(ExtremeValueSketch::Create(options)).value();
     for (Value v : ds.values()) sketch.Add(v);
-    if (ds.QuantileError(sketch.Query(phi).value(), phi) > eps) ++failures;
+    // The sketch was sized for phi, so it must answer it even when the
+    // Bernoulli sample overshoots its expected size.
+    Result<Value> answer = sketch.Query(phi);
+    ASSERT_TRUE(answer.ok()) << "trial " << t << ": " << answer.status();
+    if (ds.QuantileError(answer.value(), phi) > eps) ++failures;
   }
   EXPECT_LE(failures, 8);
 }

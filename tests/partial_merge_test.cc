@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/kll.h"
-#include "core/sharded.h"
 #include "core/unknown_n.h"
 #include "gtest/gtest.h"
 #include "util/random.h"
@@ -237,30 +236,6 @@ TEST(PartialSummaryTest, HostileBlobsAreCleanErrors) {
   std::vector<std::uint8_t> empty_blob;
   SerializePartialSummary(empty, &empty_blob);
   EXPECT_TRUE(DeserializePartialSummary(empty_blob).ok());
-}
-
-TEST(PartialSummaryTest, ShardedBackendExports) {
-  ShardedQuantileSketch::Options options;
-  options.eps = 0.05;
-  options.delta = 1e-3;
-  options.num_shards = 3;
-  options.seed = 8;
-  Result<ShardedQuantileSketch> sharded =
-      ShardedQuantileSketch::Create(options);
-  ASSERT_TRUE(sharded.ok());
-  std::vector<Value> data = UniformStream(30000, 55);
-  sharded.value().AddBatch(data);
-
-  ASSERT_TRUE(sharded.value().SupportsPartialExport());
-  PartialSummary summary;
-  ASSERT_TRUE(sharded.value().ExportPartial(&summary).ok());
-  EXPECT_EQ(summary.count, data.size());
-
-  Result<std::vector<Value>> merged = MergePartialQuantiles({summary}, 2,
-                                                            {0.5});
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  std::sort(data.begin(), data.end());
-  EXPECT_NEAR(RankOf(data, merged.value()[0]), 0.5, 0.1);
 }
 
 TEST(PartialSummaryTest, KllBackendDeclinesExport) {

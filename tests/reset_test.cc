@@ -17,7 +17,6 @@
 #include "core/extreme.h"
 #include "core/kll.h"
 #include "core/known_n.h"
-#include "core/sharded.h"
 #include "core/unknown_n.h"
 #include "util/random.h"
 
@@ -103,52 +102,6 @@ TEST(ResetTest, KnownNResetClearsOverflow) {
   EXPECT_TRUE(sketch.value().Query(0.5).ok());
 }
 
-TEST(ResetTest, ShardedByteIdenticalPerShard) {
-  ShardedQuantileSketch::Options options;
-  options.eps = 0.05;
-  options.delta = 1e-3;
-  options.num_shards = 3;
-  options.seed = 77;
-  Result<ShardedQuantileSketch> fresh =
-      ShardedQuantileSketch::Create(options);
-  ASSERT_TRUE(fresh.ok());
-  Result<ShardedQuantileSketch> used =
-      ShardedQuantileSketch::Create(options);
-  ASSERT_TRUE(used.ok());
-  for (int s = 0; s < options.num_shards; ++s) {
-    used.value().AddBatch(s, TestStream(30000, 100 + s));
-  }
-
-  used.value().Reset();
-  EXPECT_EQ(used.value().count(), 0u);
-  for (int s = 0; s < options.num_shards; ++s) {
-    EXPECT_EQ(used.value().shard(s).Serialize(),
-              fresh.value().shard(s).Serialize())
-        << "shard " << s;
-  }
-}
-
-TEST(ResetTest, ShardedResetWithSeedMatchesCreate) {
-  ShardedQuantileSketch::Options options;
-  options.eps = 0.05;
-  options.delta = 1e-3;
-  options.num_shards = 2;
-  options.seed = 5;
-  Result<ShardedQuantileSketch> a = ShardedQuantileSketch::Create(options);
-  ASSERT_TRUE(a.ok());
-  a.value().AddBatch(0, TestStream(10000, 1));
-
-  options.seed = 6;
-  Result<ShardedQuantileSketch> b = ShardedQuantileSketch::Create(options);
-  ASSERT_TRUE(b.ok());
-
-  a.value().Reset(6);  // re-derive per-shard seeds from the new top seed
-  for (int s = 0; s < options.num_shards; ++s) {
-    EXPECT_EQ(a.value().shard(s).Serialize(), b.value().shard(s).Serialize())
-        << "shard " << s;
-  }
-}
-
 // --------------------------------------------- interface-level backend sweep
 //
 // Every backend the registry can instantiate must honor the same contract
@@ -179,15 +132,6 @@ std::vector<BackendFactory> AllBackends() {
     options.seed = seed;
     return std::unique_ptr<QuantileEstimator>(
         new KnownNSketch(std::move(KnownNSketch::Create(options)).value()));
-  }});
-  backends.push_back({"sharded", [](std::uint64_t seed) {
-    ShardedQuantileSketch::Options options;
-    options.eps = 0.05;
-    options.delta = 1e-3;
-    options.num_shards = 3;
-    options.seed = seed;
-    return std::unique_ptr<QuantileEstimator>(new ShardedQuantileSketch(
-        std::move(ShardedQuantileSketch::Create(options)).value()));
   }});
   backends.push_back({"extreme_value", [](std::uint64_t seed) {
     ExtremeValueOptions options;

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,7 +22,6 @@
 #include "core/framework.h"
 #include "core/known_n.h"
 #include "core/parallel.h"
-#include "core/sharded.h"
 #include "core/unknown_n.h"
 #include "stream/generator.h"
 #include "util/serde.h"
@@ -131,37 +129,6 @@ TEST(StateGoldenTest, KnownN) {
   std::uint64_t hash = Fnv1a(sketch.Serialize());
   hash = HashValues(sketch.QueryMany(Phis()).value(), hash);
   GOLDEN_EQ(hash, kKnownNGolden);
-}
-
-// --------------------------------------------------------------- sharded
-
-constexpr std::uint64_t kShardedGolden = 0xd6b53cc44dad8efcull;
-
-TEST(StateGoldenTest, Sharded) {
-  StreamSpec spec;
-  spec.n = 24000;
-  spec.seed = 6;
-  std::vector<Value> stream = GenerateStream(spec).values();
-
-  ShardedQuantileSketch::Options options;
-  options.num_shards = 3;
-  options.seed = 13;
-  ShardedQuantileSketch sketch =
-      std::move(ShardedQuantileSketch::Create(options)).value();
-  std::size_t pos = 0;
-  int shard = 0;
-  while (pos < stream.size()) {
-    std::size_t chunk = std::min<std::size_t>(1000, stream.size() - pos);
-    sketch.AddBatch(shard, std::span<const Value>(stream.data() + pos, chunk));
-    pos += chunk;
-    shard = (shard + 1) % options.num_shards;
-  }
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (int s = 0; s < options.num_shards; ++s) {
-    hash = Fnv1a(sketch.shard(s).Serialize(), hash);
-  }
-  hash = HashValues(sketch.QueryMany(Phis()).value(), hash);
-  GOLDEN_EQ(hash, kShardedGolden);
 }
 
 // -------------------------------------------------------------- parallel
