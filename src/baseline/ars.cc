@@ -85,6 +85,4 @@ void ArsSketch::AddBatch(std::span<const Value> values) {
 
 Result<Value> ArsSketch::Query(double phi) const { return tree_.Query(phi); }
 
-void ArsSketch::Reset() { tree_.Reset(BlockSampler(Random(0))); }
-
 }  // namespace mrl

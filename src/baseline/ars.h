@@ -53,10 +53,6 @@ class ArsSketch : public QuantileEstimator, private NewRule {
   }
   std::string name() const override { return "ars"; }
 
-  /// Returns the sketch to its freshly constructed state without releasing
-  /// the buffer pool (the algorithm is deterministic; there is no seed).
-  void Reset() override;
-
   const ArsParams& params() const { return params_; }
   const TreeStats& tree_stats() const { return tree_.framework().stats(); }
 

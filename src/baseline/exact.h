@@ -27,12 +27,6 @@ class ExactQuantileEstimator : public QuantileEstimator {
   std::uint64_t MemoryElements() const override { return values_.size(); }
   std::string name() const override { return "exact"; }
 
-  /// Drops the stored stream (capacity retained for reuse).
-  void Reset() override {
-    values_.clear();
-    sorted_ = false;
-  }
-
  private:
   mutable std::vector<Value> values_;
   mutable bool sorted_ = false;

@@ -71,6 +71,4 @@ Result<Value> MunroPatersonSketch::Query(double phi) const {
   return tree_.Query(phi);
 }
 
-void MunroPatersonSketch::Reset() { tree_.Reset(BlockSampler(Random(0))); }
-
 }  // namespace mrl

@@ -56,10 +56,6 @@ class MunroPatersonSketch : public QuantileEstimator, private NewRule {
   }
   std::string name() const override { return "munro_paterson"; }
 
-  /// Returns the sketch to its freshly constructed state without releasing
-  /// the buffer pool (the algorithm is deterministic; there is no seed).
-  void Reset() override;
-
   const MunroPatersonParams& params() const { return params_; }
   const TreeStats& tree_stats() const { return tree_.framework().stats(); }
 

@@ -17,8 +17,7 @@ Result<ReservoirQuantileSketch> ReservoirQuantileSketch::Create(
   const std::size_t capacity = static_cast<std::size_t>(
       HoeffdingSampleSize(options.eps, options.delta));
   return ReservoirQuantileSketch(
-      ReservoirSampler(capacity, Random(options.seed), options.method),
-      options.seed);
+      ReservoirSampler(capacity, Random(options.seed), options.method));
 }
 
 Result<Value> ReservoirQuantileSketch::Query(double phi) const {

@@ -37,20 +37,11 @@ class ReservoirQuantileSketch : public QuantileEstimator {
   }
   std::string name() const override { return "reservoir"; }
 
-  /// Returns the sketch to its freshly constructed state, reusing sample
-  /// storage. Reset() replays the construction seed; Reset(seed) re-seeds.
-  void Reset() override { sampler_.Reset(Random(seed_)); }
-  void Reset(std::uint64_t seed) override {
-    seed_ = seed;
-    sampler_.Reset(Random(seed));
-  }
-
  private:
-  ReservoirQuantileSketch(ReservoirSampler sampler, std::uint64_t seed)
-      : sampler_(std::move(sampler)), seed_(seed) {}
+  explicit ReservoirQuantileSketch(ReservoirSampler sampler)
+      : sampler_(std::move(sampler)) {}
 
   ReservoirSampler sampler_;
-  std::uint64_t seed_ = 1;  ///< construction seed, replayed by Reset()
 };
 
 }  // namespace mrl

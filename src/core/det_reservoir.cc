@@ -106,14 +106,6 @@ Result<Value> DeterministicReservoirSketch::Query(double phi) const {
   return sorted[pos - 1];
 }
 
-void DeterministicReservoirSketch::Reset(std::uint64_t seed) {
-  options_.seed = seed;
-  skip_degree_ = 0;
-  count_ = 0;
-  values_.clear();
-  hashes_.clear();
-}
-
 Status DeterministicReservoirSketch::Merge(const QuantileEstimator& other) {
   const DeterministicReservoirSketch* peer =
       dynamic_cast<const DeterministicReservoirSketch*>(&other);

@@ -54,16 +54,12 @@ class DeterministicReservoirSketch : public QuantileEstimator {
   }
   std::string name() const override { return "det_reservoir"; }
 
-  void Reset() override { Reset(options_.seed); }
-  void Reset(std::uint64_t seed) override;
-
   /// Deterministic merge: requires equal hash seeds (the survival
   /// predicates must agree), adopts max(skip_degree), re-filters, and
   /// concatenates. Capacities may differ; the smaller of the two bounds the
   /// merged sample.
   Status Merge(const QuantileEstimator& other) override;
 
-  bool SupportsCheckpoint() const override { return true; }
   std::vector<std::uint8_t> Serialize() const override;
   Status Restore(std::span<const std::uint8_t> bytes) override;
   static Result<DeterministicReservoirSketch> Deserialize(

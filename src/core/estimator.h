@@ -82,23 +82,7 @@ class QuantileEstimator {
   virtual std::string name() const = 0;
 
   // -------------------------------------------------------------------------
-  // Lifecycle (registry/checkpoint surface)
-
-  /// Returns the sketch to its freshly constructed state without releasing
-  /// buffer pools or warmed scratch storage, so a serving layer can recycle
-  /// tenant slots allocation-free. For checkpoint-capable backends the
-  /// serialized state after Reset() is byte-identical to a newly
-  /// constructed sketch with the same options (tests/reset_test.cc).
-  virtual void Reset() = 0;
-
-  /// As Reset(), but re-seeds the backend's randomness with `seed` (the
-  /// state a fresh sketch constructed with that seed would have).
-  /// Deterministic backends without internal randomness ignore the seed;
-  /// the default delegates to Reset().
-  virtual void Reset(std::uint64_t seed) {
-    (void)seed;
-    Reset();
-  }
+  // Merge and checkpoint surface (registry, router, §6 hand-off)
 
   /// Folds `other` into this sketch so that subsequent queries answer over
   /// the union of both streams. Backends that cannot merge return
@@ -110,14 +94,9 @@ class QuantileEstimator {
     return Status::Unimplemented("this backend does not support Merge");
   }
 
-  /// True when Serialize()/Restore() round-trip the complete sketch state
-  /// (docs/checkpoint_format.md). The registry only instantiates
-  /// checkpoint-capable backends.
-  virtual bool SupportsCheckpoint() const { return false; }
-
   /// Encodes the complete sketch state in the backend's versioned
-  /// checkpoint format. Returns an empty blob for backends without
-  /// checkpoint support (SupportsCheckpoint() == false).
+  /// checkpoint format (docs/checkpoint_format.md). Returns an empty blob
+  /// for backends without checkpoint support.
   virtual std::vector<std::uint8_t> Serialize() const { return {}; }
 
   /// Restores this instance from Serialize() output of a structurally

@@ -249,29 +249,12 @@ Result<Value> AdaptiveExtremeValueSketch::Query(double phi) const {
   return sorted[static_cast<std::size_t>(j - 1)];
 }
 
-void ExtremeValueSketch::Reset(std::uint64_t seed) {
-  options_.seed = seed;
-  sampler_ = BernoulliSampler(Random(seed), sizing_.sample_probability);
-  heap_.Clear();
-  count_ = 0;
-  heap_offered_ = 0;
-}
-
 Status ExtremeValueSketch::Restore(std::span<const std::uint8_t> bytes) {
   Result<ExtremeValueSketch> restored =
       Deserialize(bytes);
   if (!restored.ok()) return restored.status();
   *this = std::move(restored).value();
   return Status::OK();
-}
-
-void AdaptiveExtremeValueSketch::Reset(std::uint64_t seed) {
-  options_.seed = seed;
-  probability_ = 1.0;
-  rng_ = Random(seed);
-  heap_.Clear();
-  count_ = 0;
-  sampled_ = 0;
 }
 
 }  // namespace mrl

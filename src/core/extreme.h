@@ -68,13 +68,7 @@ class ExtremeValueSketch : public QuantileEstimator {
   const ExtremeValueSizing& sizing() const { return sizing_; }
   std::uint64_t sampled_count() const { return heap_offered_; }
 
-  /// Returns the sketch to its freshly constructed state, reusing the heap
-  /// storage. Reset() replays the construction seed; Reset(seed) re-seeds.
-  void Reset() override { Reset(options_.seed); }
-  void Reset(std::uint64_t seed) override;
-
   /// Checkpointing, mirroring UnknownNSketch::Serialize/Deserialize.
-  bool SupportsCheckpoint() const override { return true; }
   std::vector<std::uint8_t> Serialize() const override;
   static Result<ExtremeValueSketch> Deserialize(
       std::span<const std::uint8_t> bytes);
@@ -120,11 +114,6 @@ class AdaptiveExtremeValueSketch : public QuantileEstimator {
   Result<Value> Query(double phi) const override;
   std::uint64_t MemoryElements() const override { return heap_.capacity(); }
   std::string name() const override { return "extreme_value_adaptive"; }
-
-  /// Returns the sketch to its freshly constructed state, reusing the heap
-  /// storage. Reset() replays the construction seed; Reset(seed) re-seeds.
-  void Reset() override { Reset(options_.seed); }
-  void Reset(std::uint64_t seed) override;
 
   double sample_probability() const { return probability_; }
 

@@ -24,13 +24,6 @@ CollapseFramework::CollapseFramework(int num_buffers,
   usable_buffers_ = num_buffers;
 }
 
-void CollapseFramework::Reset() {
-  for (Buffer& b : buffers_) b.Clear();
-  even_low_offset_ = true;
-  usable_buffers_ = num_buffers();
-  stats_ = TreeStats{};
-}
-
 void CollapseFramework::SetUsableBuffers(int m) {
   MRL_CHECK_GE(m, 1);
   MRL_CHECK_LE(m, num_buffers());

@@ -116,14 +116,6 @@ class CollapseFramework {
     alternation_enabled_ = enabled;
   }
 
-  /// Returns the framework to its freshly constructed state — all buffers
-  /// empty, statistics zeroed, alternation phase reset, every slot usable —
-  /// without releasing any buffer storage. The ablation-only alternation
-  /// switch is preserved (it is construction-time configuration, not
-  /// stream state). Serialized state after Reset is byte-identical to a
-  /// newly constructed framework's.
-  void Reset();
-
   /// Checkpointing (util/serde.h): writes the buffer pool, the collapse
   /// alternation phase, the usable-buffer count, and the tree statistics.
   void SerializeTo(BinaryWriter* writer) const;

@@ -165,16 +165,6 @@ Result<std::vector<Value>> KllSketch::QueryMany(
   return answers;
 }
 
-void KllSketch::Reset(std::uint64_t seed) {
-  options_.seed = seed;
-  rng_ = Random(seed);
-  levels_.resize(1);
-  levels_[0].clear();
-  size_ = 0;
-  count_ = 0;
-  RecomputeCapacity();
-}
-
 Status KllSketch::Merge(const QuantileEstimator& other) {
   const KllSketch* peer = dynamic_cast<const KllSketch*>(&other);
   if (peer == nullptr) {

@@ -56,15 +56,11 @@ class KllSketch : public QuantileEstimator {
   std::uint64_t MemoryElements() const override { return total_capacity_; }
   std::string name() const override { return "kll"; }
 
-  void Reset() override { Reset(options_.seed); }
-  void Reset(std::uint64_t seed) override;
-
   /// Merges another KLL sketch with the same k. Appends the other sketch's
   /// compactors level-wise and re-runs lazy compaction; seeds need not
   /// match (randomness only enters at compaction time).
   Status Merge(const QuantileEstimator& other) override;
 
-  bool SupportsCheckpoint() const override { return true; }
   std::vector<std::uint8_t> Serialize() const override;
   Status Restore(std::span<const std::uint8_t> bytes) override;
   static Result<KllSketch> Deserialize(std::span<const std::uint8_t> bytes);

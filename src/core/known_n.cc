@@ -34,15 +34,7 @@ Result<KnownNSketch> KnownNSketch::Create(const KnownNOptions& options) {
 KnownNSketch::KnownNSketch(const KnownNParams& params, std::uint64_t seed)
     : params_(params),
       tree_(params.b, params.k, MakeCollapsePolicy(CollapsePolicyKind::kMrl),
-            BlockSampler(Random(seed), params.rate)),
-      seed_(seed) {}
-
-void KnownNSketch::Reset() { Reset(seed_); }
-
-void KnownNSketch::Reset(std::uint64_t seed) {
-  seed_ = seed;
-  tree_.Reset(BlockSampler(Random(seed), params_.rate));
-}
+            BlockSampler(Random(seed), params.rate)) {}
 
 NewRound KnownNSketch::NextRound(
     const CollapseFramework& /*framework*/) const {

@@ -59,13 +59,6 @@ class KnownNSketch : public QuantileEstimator, private NewRule {
   Result<std::vector<Value>> QueryMany(
       const std::vector<double>& phis) const override;
 
-  /// Returns the sketch to its freshly constructed state (clearing any
-  /// overflow) without releasing the buffer pool; serialized state after
-  /// Reset() is byte-identical to a new sketch with the same options. See
-  /// UnknownNSketch::Reset for the seed semantics.
-  void Reset() override;
-  void Reset(std::uint64_t seed) override;
-
   const KnownNParams& params() const { return params_; }
   bool overflowed() const { return count() > params_.n; }
   const TreeStats& tree_stats() const { return framework().stats(); }
@@ -76,7 +69,6 @@ class KnownNSketch : public QuantileEstimator, private NewRule {
   const CollapseFramework& framework() const { return tree_.framework(); }
 
   /// Checkpointing, mirroring UnknownNSketch::Serialize/Deserialize.
-  bool SupportsCheckpoint() const override { return true; }
   std::vector<std::uint8_t> Serialize() const override;
   static Result<KnownNSketch> Deserialize(
       std::span<const std::uint8_t> bytes);
@@ -95,7 +87,6 @@ class KnownNSketch : public QuantileEstimator, private NewRule {
 
   KnownNParams params_;
   SampledTree tree_;
-  std::uint64_t seed_ = 1;  ///< construction seed, replayed by Reset()
 
   /// True when params_ came from SolveKnownN, whose Eq. 2 sizing is what
   /// justifies the MRLQUANT_AUDIT tree-height check; explicit parameters

@@ -45,9 +45,6 @@ class MultiQuantileSketch : public QuantileEstimator {
   Result<std::vector<Value>> QueryMany(
       const std::vector<double>& phis) const override;
 
-  void Reset() override { inner_.Reset(); }
-  void Reset(std::uint64_t seed) override { inner_.Reset(seed); }
-
   std::uint64_t num_quantiles() const { return p_; }
   const UnknownNParams& params() const { return inner_.params(); }
 
@@ -90,9 +87,6 @@ class PrecomputedQuantiles : public QuantileEstimator {
     return inner_.MemoryElements();
   }
   std::string name() const override { return "mrl99_precomputed_grid"; }
-
-  void Reset() override { inner_.Reset(); }
-  void Reset(std::uint64_t seed) override { inner_.Reset(seed); }
 
   /// The grid of quantile fractions this sketch maintains.
   const std::vector<double>& grid() const { return grid_; }

@@ -82,7 +82,10 @@ Result<UnknownNParams> SolveUnknownN(double eps, double delta,
       const double disc = bq * bq - 4.0 * c2 * c2;
       MRL_DCHECK_GE(disc, 0.0);
       const double alpha = 2.0 * c2 / (bq + std::sqrt(disc));
-      MRL_DCHECK(alpha > 0.0 && alpha < 1.0);
+      // For large (b, h) the leaf count makes c1 smaller than one ulp of
+      // c2, the root rounds to exactly 1 and k would be infinite: skip.
+      if (!(alpha < 1.0)) continue;
+      MRL_DCHECK(alpha > 0.0);
       const double k_real = std::max(c1 / ((1.0 - alpha) * (1.0 - alpha)),
                                      c2 / alpha);
       if (!(k_real < static_cast<double>(kMaxK))) continue;

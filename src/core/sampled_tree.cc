@@ -42,16 +42,6 @@ SampledTree::SampledTree(int num_buffers, std::size_t buffer_capacity,
     : framework_(num_buffers, buffer_capacity, std::move(policy)),
       sampler_(sampler) {}
 
-void SampledTree::Reset(BlockSampler sampler) {
-  framework_.Reset();
-  sampler_ = sampler;
-  count_ = 0;
-  filling_ = false;
-  fill_slot_ = 0;
-  fill_weight_ = 1;
-  fill_level_ = 0;
-}
-
 void SampledTree::Open(const NewRule& rule) {
   MRL_CHECK(!filling_);
   rule.BeforeAcquire(&framework_, count_);

@@ -125,10 +125,6 @@ class SampledTree {
   const CollapseFramework& framework() const { return framework_; }
   CollapseFramework* mutable_framework() { return &framework_; }
 
-  /// Back to the freshly constructed state with `sampler`, keeping the
-  /// buffer storage.
-  void Reset(BlockSampler sampler);
-
   /// Checkpoint body: the stream count, the open-buffer fields, the
   /// sampler and the framework, in that order. `with_round` adds the open
   /// buffer's weight and level; the known-N format leaves them out because

@@ -25,35 +25,18 @@ Result<UnknownNSketch> UnknownNSketch::Create(const UnknownNOptions& options) {
   return UnknownNSketch(params, options);
 }
 
-namespace {
-BlockSampler MakeSampler(std::uint64_t seed, bool first_of_block) {
-  return BlockSampler(Random(seed), /*rate=*/1,
-                      first_of_block
-                          ? BlockSampler::PickPolicy::kFirstOfBlock
-                          : BlockSampler::PickPolicy::kUniformWithinBlock);
-}
-}  // namespace
-
 UnknownNSketch::UnknownNSketch(const UnknownNParams& params,
                                const UnknownNOptions& options)
     : params_(params),
       tree_(params.b, params.k, MakeCollapsePolicy(CollapsePolicyKind::kMrl),
-            MakeSampler(options.seed,
-                        options.ablation_first_of_block_sampling)),
-      buffer_allowance_(options.buffer_allowance),
-      seed_(options.seed),
-      ablation_first_of_block_(options.ablation_first_of_block_sampling) {
+            BlockSampler(Random(options.seed), /*rate=*/1,
+                         options.ablation_first_of_block_sampling
+                             ? BlockSampler::PickPolicy::kFirstOfBlock
+                             : BlockSampler::PickPolicy::kUniformWithinBlock)),
+      buffer_allowance_(options.buffer_allowance) {
   if (options.ablation_disable_collapse_alternation) {
     tree_.mutable_framework()->SetOffsetAlternationEnabled(false);
   }
-  BeforeAcquire(tree_.mutable_framework(), 0);
-}
-
-void UnknownNSketch::Reset() { Reset(seed_); }
-
-void UnknownNSketch::Reset(std::uint64_t seed) {
-  seed_ = seed;
-  tree_.Reset(MakeSampler(seed, ablation_first_of_block_));
   BeforeAcquire(tree_.mutable_framework(), 0);
 }
 

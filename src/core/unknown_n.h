@@ -89,20 +89,6 @@ class UnknownNSketch : public QuantileEstimator, private NewRule {
   }
   std::string name() const override { return "mrl99_unknown_n"; }
 
-  /// Returns the sketch to its freshly constructed state without releasing
-  /// the buffer pool or any warmed scratch storage, so a serving layer can
-  /// recycle tenant slots allocation-free. Serialized state after Reset()
-  /// is byte-identical to a newly constructed sketch with the same options
-  /// (tests/reset_test.cc pins this). A sketch restored via Deserialize
-  /// resets to the restore-time default seed; use Reset(seed) to pick the
-  /// seed explicitly.
-  void Reset() override;
-
-  /// As Reset(), but re-seeds the sampler's generator with `seed` (the
-  /// state a fresh sketch constructed with options.seed == seed would
-  /// have). Subsequent Reset() calls reuse this seed.
-  void Reset(std::uint64_t seed) override;
-
   /// Batch query: one merge pass for all of `phis` (any order).
   Result<std::vector<Value>> QueryMany(
       const std::vector<double>& phis) const override;
@@ -140,7 +126,6 @@ class UnknownNSketch : public QuantileEstimator, private NewRule {
   /// can suspend and resume a scan. The byte format is versioned;
   /// Deserialize rejects truncated or inconsistent input with a Status
   /// rather than crashing.
-  bool SupportsCheckpoint() const override { return true; }
   std::vector<std::uint8_t> Serialize() const override;
 
   /// In-place restore from Serialize() output (the interface-driven
@@ -184,9 +169,6 @@ class UnknownNSketch : public QuantileEstimator, private NewRule {
   UnknownNParams params_;
   SampledTree tree_;
   std::function<int(std::uint64_t)> buffer_allowance_;
-  std::uint64_t seed_ = 1;  ///< construction seed, replayed by Reset()
-  /// Pick policy of the construction options, replayed by Reset().
-  bool ablation_first_of_block_ = false;
 };
 
 }  // namespace mrl

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 
+#include "server/protocol.h"
+
 namespace mrl {
 namespace router {
 
 std::uint64_t HashRing::Hash(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
+  std::uint64_t h = server::TenantNameHash(s);
   // Finalizer (murmur3 fmix64): raw FNV-1a clusters for keys that differ
   // only in a trailing counter — exactly what vnode labels look like — and
   // clustered points hand one backend a huge arc of the ring.

@@ -37,7 +37,8 @@ class HashRing {
     return backends_[static_cast<std::size_t>(index)];
   }
 
-  /// Stable FNV-1a, shared with tests asserting placement determinism.
+  /// Stable placement hash: server::TenantNameHash (FNV-1a) followed by
+  /// the murmur3 fmix64 finalizer.
   static std::uint64_t Hash(std::string_view s);
 
  private:

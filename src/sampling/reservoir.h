@@ -39,15 +39,6 @@ class ReservoirSampler {
   /// min(count, capacity).
   const std::vector<Value>& sample() const { return sample_; }
 
-  /// Returns the sampler to its freshly constructed state with a new
-  /// generator, reusing the sample storage.
-  void Reset(Random rng) {
-    rng_ = rng;
-    sample_.clear();
-    count_ = 0;
-    skip_ = 0;
-  }
-
  private:
   void AddAlgorithmR(Value v);
   void AddAlgorithmX(Value v);

@@ -95,12 +95,6 @@ Status ReadFileBytes(const std::string& path, std::vector<std::uint8_t>* out,
   return Status::OK();
 }
 
-/// Structural equality for recycling: a pooled sketch can serve any config
-/// that solves to the same shape; the seed is replayed by Reset(seed).
-bool StructurallyEqual(const TenantConfig& a, const TenantConfig& b) {
-  return a.kind == b.kind && a.eps == b.eps && a.delta == b.delta;
-}
-
 }  // namespace
 
 SketchRegistry::SketchRegistry(RegistryOptions options)
@@ -152,34 +146,6 @@ Result<std::unique_ptr<QuantileEstimator>> SketchRegistry::MakeSketch(
   return Status::InvalidArgument("unknown sketch kind");
 }
 
-Result<std::unique_ptr<QuantileEstimator>> SketchRegistry::ObtainSketch(
-    Partition& p, const TenantConfig& config) {
-  for (std::size_t i = 0; i < p.free_pool.size(); ++i) {
-    if (!StructurallyEqual(p.free_pool[i].config, config)) continue;
-    std::unique_ptr<QuantileEstimator> sketch =
-        std::move(p.free_pool[i].sketch);
-    p.free_pool.erase(p.free_pool.begin() + static_cast<std::ptrdiff_t>(i));
-    // Reset(seed) makes the recycled sketch byte-identical to a fresh one
-    // with this config (tests/reset_test.cc), so recycling is invisible.
-    sketch->Reset(config.seed);
-    recycled_creates_.fetch_add(1, std::memory_order_relaxed);
-    return sketch;
-  }
-  return MakeSketch(config);
-}
-
-void SketchRegistry::RecycleLocked(Partition& p,
-                                   std::shared_ptr<Tenant> tenant) {
-  if (p.free_pool.size() >= options_.max_free_pool) return;
-  Tenant& t = *tenant;
-  // Partition::mu → Tenant::mu, the one annotated nesting (see
-  // registry.h). The caller holds the last reference, so the lock cannot
-  // contend; it exists to move the sketch out under its declared
-  // capability.
-  WriterLock lock(t.mu);
-  p.free_pool.push_back({t.config, std::move(t.sketch)});
-}
-
 bool SketchRegistry::EvictGlobalLru() {
   // Phase 1: find the globally oldest tenant, visiting partitions one at a
   // time under their reader locks (two partition locks are never held at
@@ -209,14 +175,9 @@ bool SketchRegistry::EvictGlobalLru() {
   WriterLock lock(p.mu);
   TenantMap::iterator it = p.tenants.find(victim_name);
   if (it == p.tenants.end()) return true;
-  std::shared_ptr<Tenant> tenant = std::move(it->second);
   p.tenants.erase(it);
   live_tenants_.fetch_sub(1, std::memory_order_relaxed);
   evictions_.fetch_add(1, std::memory_order_relaxed);
-  // Recycle only when we hold the sole reference: in-flight operations on
-  // the evicted tenant keep their own shared_ptr and must never observe
-  // the sketch being moved out from under them.
-  if (tenant.use_count() == 1) RecycleLocked(p, std::move(tenant));
   return true;
 }
 
@@ -238,13 +199,15 @@ Status SketchRegistry::Create(std::string_view name,
     return Status::InvalidArgument("invalid tenant name");
   }
   MRL_RETURN_IF_ERROR(ValidateTenantConfig(config));
-  return AddTenant(name, config, nullptr);
+  Result<std::unique_ptr<QuantileEstimator>> sketch = MakeSketch(config);
+  if (!sketch.ok()) return sketch.status();
+  return AddTenant(name, config, std::move(sketch).value(), /*replace=*/false);
 }
 
 Status SketchRegistry::AddTenant(std::string_view name,
                                  const TenantConfig& config,
-                                 std::unique_ptr<QuantileEstimator> sketch) {
-  const bool replace = sketch != nullptr;
+                                 std::unique_ptr<QuantileEstimator> sketch,
+                                 bool replace) {
   Partition& home = PartitionFor(name);
 
   const auto exists_error = [&](const Tenant& existing) {
@@ -268,9 +231,6 @@ Status SketchRegistry::AddTenant(std::string_view name,
     if (exists && !replace) return exists_error(*it->second);
   }
 
-  // Free a slot before building the sketch: the evicted tenant's sketch
-  // lands in a free pool and — when it was in this partition and is
-  // structurally compatible — serves this very create allocation-free.
   if (!exists &&
       live_tenants_.load(std::memory_order_relaxed) >= options_.max_tenants) {
     WriterLock cross(cross_mu_);
@@ -280,18 +240,12 @@ Status SketchRegistry::AddTenant(std::string_view name,
     }
   }
 
+  std::shared_ptr<Tenant> tenant =
+      std::make_shared<Tenant>(config, std::move(sketch));
   {
     WriterLock lock(home.mu);
     TenantMap::iterator it = home.tenants.find(name);
     if (it != home.tenants.end() && !replace) return exists_error(*it->second);
-    if (!replace) {
-      Result<std::unique_ptr<QuantileEstimator>> obtained =
-          ObtainSketch(home, config);
-      if (!obtained.ok()) return obtained.status();
-      sketch = std::move(obtained).value();
-    }
-    std::shared_ptr<Tenant> tenant =
-        std::make_shared<Tenant>(config, std::move(sketch));
     tenant->last_used.store(
         use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
         std::memory_order_relaxed);
@@ -299,9 +253,7 @@ Status SketchRegistry::AddTenant(std::string_view name,
       home.tenants.emplace(std::string(name), std::move(tenant));
       live_tenants_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      std::shared_ptr<Tenant> old =
-          std::exchange(it->second, std::move(tenant));
-      if (old.use_count() == 1) RecycleLocked(home, std::move(old));
+      it->second = std::move(tenant);
     }
   }
 
@@ -374,10 +326,8 @@ Status SketchRegistry::Delete(std::string_view name) {
   WriterLock lock(p.mu);
   TenantMap::iterator it = p.tenants.find(name);
   if (it == p.tenants.end()) return Status::NotFound("unknown tenant");
-  std::shared_ptr<Tenant> tenant = std::move(it->second);
   p.tenants.erase(it);
   live_tenants_.fetch_sub(1, std::memory_order_relaxed);
-  if (tenant.use_count() == 1) RecycleLocked(p, std::move(tenant));
   return Status::OK();
 }
 
@@ -416,7 +366,7 @@ Status SketchRegistry::Install(std::string_view name,
   if (reader.Remaining() != 0) {
     return Status::InvalidArgument("install: trailing bytes after sketch");
   }
-  return AddTenant(name, config, std::move(sketch).value());
+  return AddTenant(name, config, std::move(sketch).value(), /*replace=*/true);
 }
 
 TenantStats SketchRegistry::Stats(std::string_view name) const {
@@ -452,7 +402,6 @@ RegistryStats SketchRegistry::GlobalStats() const {
     stats.total_count += t.sketch->count();
   }
   stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.recycled_creates = recycled_creates_.load(std::memory_order_relaxed);
   stats.checkpoints = checkpoints_.load(std::memory_order_relaxed);
   return stats;
 }

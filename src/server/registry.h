@@ -22,18 +22,14 @@ namespace server {
 
 struct RegistryOptions {
   /// Hard cap on live tenants across all partitions; creating past it
-  /// evicts the globally least recently used tenant (its sketch is
-  /// recycled through the evicting partition's free pool).
+  /// evicts the globally least recently used tenant.
   std::size_t max_tenants = 64;
   /// Checkpoint file for crash recovery (docs/checkpoint_format.md,
   /// "Registry checkpoint"). Empty disables persistence.
   std::string checkpoint_path;
-  /// Deleted/evicted sketches kept around for allocation-free recycling of
-  /// tenant slots (QuantileEstimator::Reset(seed)), per partition.
-  std::size_t max_free_pool = 8;
   /// Number of directory partitions, in [1, 256]. Tenants are assigned to
   /// partitions by a stable hash of their name (PartitionOf); each
-  /// partition has its own directory lock and free pool, so operations on
+  /// partition has its own directory lock, so operations on
   /// tenants in different partitions never contend on a shared mutex.
   /// QuantileServer sets this to its frame server's shard count, which
   /// routes each connection to the shard owning its tenant's partition,
@@ -51,16 +47,15 @@ struct TenantStats {
 struct RegistryStats {
   std::uint64_t num_tenants = 0;
   std::uint64_t total_count = 0;
-  std::uint64_t evictions = 0;         ///< LRU evictions since start
-  std::uint64_t recycled_creates = 0;  ///< creates served from a free pool
-  std::uint64_t checkpoints = 0;       ///< successful CheckpointNow calls
+  std::uint64_t evictions = 0;    ///< LRU evictions since start
+  std::uint64_t checkpoints = 0;  ///< successful CheckpointNow calls
 };
 
 /// Multi-tenant sketch registry, partitioned for shared-nothing serving:
 /// tenant names hash to one of `num_partitions` directory partitions
-/// (PartitionOf), each with its own shared mutex, tenant map, and free
-/// pool. Reads of a partition's directory are concurrent;
-/// create/delete/evict are exclusive per partition. Each tenant
+/// (PartitionOf), each with its own shared mutex and tenant map. Reads of
+/// a partition's directory are concurrent; create/delete/evict are
+/// exclusive per partition. Each tenant
 /// additionally holds its own shared mutex so ingestion into tenant A
 /// never blocks queries on tenant B. Within a tenant, AddBatch takes the
 /// exclusive lock and queries take the shared lock — exactly the
@@ -68,15 +63,18 @@ struct RegistryStats {
 ///
 /// Lock order (statically annotated, checked by -Wthread-safety on Clang):
 ///
-///   cross_mu_  →  Partition::mu  →  Tenant::mu
+///   cross_mu_  →  Partition::mu
 ///
-/// * `Partition::mu` guards one partition's directory and free pool.
-///   Steady-state per-tenant operations (AddBatch/Query/Stats/...) touch
-///   exactly one partition lock — shared, only long enough to copy out a
-///   shared_ptr<Tenant> handle — and then the tenant's own lock. When the
-///   server routes each connection to the shard owning its tenant's
-///   partition, that partition lock is only ever taken by one thread and
-///   is therefore uncontended: the ingest path crosses no shared lock.
+/// `Tenant::mu` is never taken while a partition lock is held.
+///
+/// * `Partition::mu` guards one partition's directory. Steady-state
+///   per-tenant operations (AddBatch/Query/Stats/...) take exactly one
+///   partition lock — shared, only long enough to copy out a
+///   shared_ptr<Tenant> handle — release it, and then take the tenant's
+///   own lock. When the server routes each connection to the shard owning
+///   its tenant's partition, that partition lock is only ever taken by one
+///   thread and is therefore uncontended: the ingest path crosses no
+///   shared lock.
 /// * `cross_mu_` survives only for cross-partition operations that must
 ///   not interleave with each other: CheckpointNow (file write),
 ///   RecoverFromDisk (directory swap), and global LRU eviction
@@ -84,16 +82,13 @@ struct RegistryStats {
 /// * Two partition locks are never held at once: the global LRU scan
 ///   visits partitions one at a time, and eviction re-locks only the
 ///   victim's partition.
+/// * Sketches are built (Create) or decoded (Install, RecoverFromDisk)
+///   before any partition lock is taken.
 ///
-/// The one deliberate nesting below a partition lock is recycling
-/// (RecycleLocked), which takes Tenant::mu while holding the partition
-/// lock exclusively — in the documented direction, and only when the
-/// registry holds the last reference, so the lock is uncontended.
-///
-/// An operation that races a Delete of the same tenant may still apply to
-/// the outgoing instance (it holds a shared_ptr); it never crashes and
-/// never touches a recycled sketch — recycling only happens once the
-/// registry holds the last reference. Under concurrent creates the
+/// Every create builds a fresh sketch. A deleted, evicted or replaced
+/// tenant is freed when its last shared_ptr goes: an operation that races
+/// a Delete of the same tenant may still apply to the outgoing instance
+/// (it holds a shared_ptr) and never crashes. Under concurrent creates the
 /// max_tenants cap may be overshot transiently; Create self-heals by
 /// evicting until the registry is back under the cap before returning.
 class SketchRegistry {
@@ -168,10 +163,10 @@ class SketchRegistry {
   std::size_t num_partitions() const { return partitions_.size(); }
 
  private:
-  /// Tenants hold their backend through the full QuantileEstimator
-  /// lifecycle interface — ingestion, queries, Reset-based recycling and
-  /// Serialize/Restore checkpointing are all virtual calls, so adding a
-  /// backend touches MakeSketch and nothing else here.
+  /// Tenants hold their backend through the QuantileEstimator interface —
+  /// ingestion, queries and Serialize/Restore checkpointing are all
+  /// virtual calls, so adding a backend touches MakeSketch and nothing
+  /// else here.
   struct Tenant {
     Tenant(TenantConfig c, std::unique_ptr<QuantileEstimator> s)
         : config(c), sketch(std::move(s)) {}
@@ -192,17 +187,11 @@ class SketchRegistry {
   using TenantMap = std::unordered_map<std::string, std::shared_ptr<Tenant>,
                                        StringHash, std::equal_to<>>;
 
-  struct FreeEntry {
-    TenantConfig config;
-    std::unique_ptr<QuantileEstimator> sketch;
-  };
-
-  /// One directory partition: its own lock, tenant map, and free pool.
-  /// Heap-allocated so the SharedMutex never moves.
+  /// One directory partition: its own lock and tenant map. Heap-allocated
+  /// so the SharedMutex never moves.
   struct Partition {
     mutable SharedMutex mu;
     TenantMap tenants MRLQUANT_GUARDED_BY(mu);
-    std::vector<FreeEntry> free_pool MRLQUANT_GUARDED_BY(mu);
   };
 
   static Result<std::unique_ptr<QuantileEstimator>> MakeSketch(
@@ -212,25 +201,11 @@ class SketchRegistry {
     return *partitions_[PartitionOf(name)];
   }
 
-  /// Adds tenant `name` (validated by the caller) under the eviction cap.
-  /// With a null `sketch` this is Create: an existing tenant is an error
-  /// and the sketch comes from ObtainSketch. Otherwise it is Install:
-  /// `sketch` replaces any existing tenant in place.
+  /// Adds tenant `name` (validated by the caller) with the built `sketch`
+  /// under the eviction cap. Without `replace` (Create) an existing tenant
+  /// is an error; with it (Install) `sketch` replaces any existing tenant.
   Status AddTenant(std::string_view name, const TenantConfig& config,
-                   std::unique_ptr<QuantileEstimator> sketch);
-
-  /// Builds a tenant sketch for `config`, preferring a structurally
-  /// matching free-pool entry of `p` (Reset(config.seed) makes it
-  /// byte-identical to a fresh build). Caller holds p.mu exclusively.
-  Result<std::unique_ptr<QuantileEstimator>> ObtainSketch(
-      Partition& p, const TenantConfig& config) MRLQUANT_REQUIRES(p.mu);
-
-  /// Returns a sketch to `p`'s free pool. Caller holds p.mu exclusively
-  /// and the last reference to the tenant; takes Tenant::mu (Partition::mu
-  /// → Tenant::mu, uncontended by the last-reference precondition) to move
-  /// the sketch out under its capability.
-  void RecycleLocked(Partition& p, std::shared_ptr<Tenant> tenant)
-      MRLQUANT_REQUIRES(p.mu);
+                   std::unique_ptr<QuantileEstimator> sketch, bool replace);
 
   /// Evicts the globally least-recently-used tenant, scanning partitions
   /// one at a time (never holding two partition locks). Returns false when
@@ -261,7 +236,6 @@ class SketchRegistry {
   std::atomic<std::uint64_t> live_tenants_{0};
   mutable std::atomic<std::uint64_t> use_clock_{0};
   std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> recycled_creates_{0};
   std::atomic<std::uint64_t> checkpoints_{0};
 };
 

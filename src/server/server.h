@@ -25,7 +25,7 @@ struct ServerOptions {
   /// any number of connections, so this is not a concurrent-connection
   /// cap.
   int num_shards = 0;
-  /// Registry configuration (tenant cap, checkpoint path, free pool).
+  /// Registry configuration (tenant cap, checkpoint path).
   /// `num_partitions` is overridden to the resolved shard count so
   /// "partition i" and "shard i" coincide.
   RegistryOptions registry;

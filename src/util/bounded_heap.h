@@ -43,10 +43,6 @@ class KBest {
     return false;
   }
 
-  /// Drops every retained value (capacity and tail choice unchanged),
-  /// reusing the heap storage.
-  void Clear() { values_.clear(); }
-
   std::size_t size() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
   std::size_t capacity() const { return capacity_; }

@@ -45,12 +45,15 @@ TEST(CheckBufferTest, AcceptsLegalStates) {
 
 TEST(CheckBufferTest, RejectsUnsortedFullBuffer) {
   Buffer b(4);
-  // AssignSorted trusts its caller in release builds; feed it a descending
-  // run to model a corrupted pool.
-  b.AssignSorted({4.0, 3.0, 2.0, 1.0}, 1, 0);
+  // AssignSorted DCHECKs that its input is sorted, so a debug build dies
+  // here. Release builds trust the caller: there the descending run models
+  // a corrupted pool, and the auditor must reject it.
+  EXPECT_DEBUG_DEATH(b.AssignSorted({4.0, 3.0, 2.0, 1.0}, 1, 0), "is_sorted");
+#ifdef NDEBUG
   Status s = audit::CheckBuffer(b, 0);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("sorted"), std::string::npos) << s;
+#endif
 }
 
 TEST(CheckFrameworkTest, AcceptsFreshAndWorkedPools) {

@@ -32,6 +32,30 @@ TEST(HashRingTest, DeterministicPlacement) {
   }
 }
 
+// Placement pinned to fixed values: a change to the hash or the ring walk
+// would silently move tenants between backends, so it must show up here.
+TEST(HashRingTest, PinnedPlacement) {
+  const HashRing ring(Fleet(4), 64);
+  const auto expect = [&ring](const char* name, int owner, int replica) {
+    EXPECT_EQ(ring.OwnerOf(name), owner) << name;
+    EXPECT_EQ(ring.ReplicaOf(name), replica) << name;
+  };
+  expect("tenant-0", 3, 1);
+  expect("tenant-2", 3, 0);
+  expect("tenant-4", 1, 0);
+  expect("tenant-5", 0, 1);
+  expect("tenant-8", 0, 2);
+  expect("tenant-9", 0, 3);
+  expect("tenant-11", 2, 3);
+  expect("tenant-13", 2, 1);
+  expect("tenant-15", 1, 2);
+  expect("a", 3, 2);
+  expect("cpu.p99", 0, 1);
+  expect("orders-eu-west", 1, 2);
+  EXPECT_EQ(HashRing::Hash(""), 0xefd01f60ba992926ULL);
+  EXPECT_EQ(HashRing::Hash("tenant-0"), 0x272134b843c176a7ULL);
+}
+
 TEST(HashRingTest, OwnersCoverTheFleetRoughlyEvenly) {
   constexpr int kBackends = 4;
   constexpr int kTenants = 10000;

@@ -1,17 +1,17 @@
 // TSan-targeted stress test for the registry's locking scheme
-// (src/server/registry.h): global LRU eviction + free-pool recycling
-// racing concurrent STATS / QUERY / ADD_BATCH / DELETE on the *same*
-// tenant names, across both a single partition and the sharded-server
-// layout (one partition per shard). The dangerous interleaving is a
-// reader holding a shared_ptr<Tenant> across an eviction of that tenant:
-// eviction must recycle the sketch only once the registry holds the last
-// reference, and every sketch access must go through the tenant's own
-// lock. With multiple partitions, EvictGlobalLru additionally scans and
-// then locks partitions it does not own the names of — racing creates in
-// *other* partitions. Run under -fsanitize=thread (the CI tsan lane) this
-// test turns any violation of the documented cross_mu_ -> Partition::mu ->
-// Tenant::mu contract into a hard failure; under plain builds it still
-// exercises the shared_ptr lifetime rules.
+// (src/server/registry.h): global LRU eviction racing concurrent
+// STATS / QUERY / ADD_BATCH / DELETE on the *same* tenant names, across
+// both a single partition and the sharded-server layout (one partition per
+// shard). The dangerous interleaving is a reader holding a
+// shared_ptr<Tenant> across an eviction of that tenant: the sketch must
+// live until the last reference goes, and every sketch access must go
+// through the tenant's own lock. With multiple partitions, EvictGlobalLru
+// additionally scans and then locks partitions it does not own the names
+// of — racing creates in *other* partitions. Run under -fsanitize=thread
+// (the CI tsan lane) this test turns any violation of the documented
+// cross_mu_ -> Partition::mu order (Tenant::mu never under a partition
+// lock) into a hard failure; under plain builds it still exercises the
+// shared_ptr lifetime rules.
 //
 // Assertions here are deliberately weak (no answer-value checks): racing a
 // DELETE or eviction legitimately yields NotFound, and an operation that
@@ -54,7 +54,6 @@ std::string TenantName(std::uint64_t i) {
 void RunEvictionRace(std::size_t num_partitions) {
   RegistryOptions options;
   options.max_tenants = 3;  // far fewer than the name pool: constant churn
-  options.max_free_pool = 2;
   options.num_partitions = num_partitions;
   SketchRegistry registry(options);
 

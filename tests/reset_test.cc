@@ -1,8 +1,7 @@
-// Reset() contract: a reset sketch is indistinguishable — byte-for-byte in
-// serialized state, and therefore in every future answer and every future
-// random draw — from a freshly constructed one, while reusing the existing
-// buffer pool. This is what lets a serving layer (src/server/registry)
-// recycle tenant slots without reallocating.
+// Restore contract through the QuantileEstimator interface alone: for every
+// checkpointing backend, Restore() overwrites whatever state the target
+// held — seed included — so the restored sketch serializes to the source's
+// bytes and continues the stream exactly like the original.
 
 #include <cstdint>
 #include <functional>
@@ -30,84 +29,9 @@ std::vector<Value> TestStream(std::size_t n, std::uint64_t seed) {
   return values;
 }
 
-TEST(ResetTest, UnknownNByteIdenticalToFresh) {
-  UnknownNOptions options;
-  options.eps = 0.05;
-  options.delta = 1e-3;
-  options.seed = 42;
-  Result<UnknownNSketch> fresh = UnknownNSketch::Create(options);
-  ASSERT_TRUE(fresh.ok());
-  Result<UnknownNSketch> used = UnknownNSketch::Create(options);
-  ASSERT_TRUE(used.ok());
-  UnknownNSketch& sketch = used.value();
-  sketch.AddAll(TestStream(100000, 7));
-  ASSERT_GT(sketch.count(), 0u);
-
-  sketch.Reset();
-  EXPECT_EQ(sketch.count(), 0u);
-  EXPECT_EQ(sketch.Serialize(), fresh.value().Serialize());
-
-  // Indistinguishable going forward too: same stream => same bytes again.
-  const std::vector<Value> stream = TestStream(50000, 9);
-  sketch.AddAll(stream);
-  fresh.value().AddAll(stream);
-  EXPECT_EQ(sketch.Serialize(), fresh.value().Serialize());
-}
-
-TEST(ResetTest, UnknownNResetWithExplicitSeed) {
-  UnknownNOptions options;
-  options.eps = 0.05;
-  options.delta = 1e-3;
-  options.seed = 1234;
-  Result<UnknownNSketch> fresh = UnknownNSketch::Create(options);
-  ASSERT_TRUE(fresh.ok());
-
-  options.seed = 999;  // construct under a different seed, then re-seed
-  Result<UnknownNSketch> used = UnknownNSketch::Create(options);
-  ASSERT_TRUE(used.ok());
-  used.value().AddAll(TestStream(20000, 3));
-  used.value().Reset(1234);
-  EXPECT_EQ(used.value().Serialize(), fresh.value().Serialize());
-}
-
-TEST(ResetTest, KnownNByteIdenticalToFresh) {
-  KnownNOptions options;
-  options.eps = 0.02;
-  options.delta = 1e-3;
-  options.n = 200000;
-  options.seed = 11;
-  Result<KnownNSketch> fresh = KnownNSketch::Create(options);
-  ASSERT_TRUE(fresh.ok());
-  Result<KnownNSketch> used = KnownNSketch::Create(options);
-  ASSERT_TRUE(used.ok());
-  used.value().AddAll(TestStream(150000, 5));
-
-  used.value().Reset();
-  EXPECT_EQ(used.value().count(), 0u);
-  EXPECT_EQ(used.value().Serialize(), fresh.value().Serialize());
-}
-
-TEST(ResetTest, KnownNResetClearsOverflow) {
-  KnownNOptions options;
-  options.eps = 0.1;
-  options.delta = 1e-2;
-  options.n = 1000;
-  Result<KnownNSketch> sketch = KnownNSketch::Create(options);
-  ASSERT_TRUE(sketch.ok());
-  sketch.value().AddAll(TestStream(1500, 2));  // overflow the declared n
-  ASSERT_TRUE(sketch.value().overflowed());
-  sketch.value().Reset();
-  EXPECT_FALSE(sketch.value().overflowed());
-  sketch.value().AddAll(TestStream(500, 2));
-  EXPECT_TRUE(sketch.value().Query(0.5).ok());
-}
-
 // --------------------------------------------- interface-level backend sweep
 //
-// Every backend the registry can instantiate must honor the same contract
-// through the QuantileEstimator interface alone: Reset() is byte-identical
-// to fresh construction, Reset(seed) is byte-identical to constructing
-// under that seed, and the equivalence extends to all future bytes.
+// Every checkpointing backend, constructed under a given seed.
 
 struct BackendFactory {
   const char* name;
@@ -160,39 +84,6 @@ std::vector<BackendFactory> AllBackends() {
         std::move(DeterministicReservoirSketch::Create(options)).value()));
   }});
   return backends;
-}
-
-TEST(ResetTest, EveryBackendResetIsByteIdenticalToFresh) {
-  for (const BackendFactory& backend : AllBackends()) {
-    SCOPED_TRACE(backend.name);
-    std::unique_ptr<QuantileEstimator> fresh = backend.make(42);
-    std::unique_ptr<QuantileEstimator> used = backend.make(42);
-    ASSERT_TRUE(used->SupportsCheckpoint());
-    used->AddAll(TestStream(60000, 7));
-    ASSERT_GT(used->count(), 0u);
-
-    used->Reset();
-    EXPECT_EQ(used->count(), 0u);
-    EXPECT_EQ(used->Serialize(), fresh->Serialize());
-
-    // Indistinguishable going forward: same post-reset stream, same bytes.
-    const std::vector<Value> stream = TestStream(40000, 9);
-    used->AddAll(stream);
-    fresh->AddAll(stream);
-    EXPECT_EQ(used->count(), fresh->count());
-    EXPECT_EQ(used->Serialize(), fresh->Serialize());
-  }
-}
-
-TEST(ResetTest, EveryBackendResetWithSeedMatchesConstruction) {
-  for (const BackendFactory& backend : AllBackends()) {
-    SCOPED_TRACE(backend.name);
-    std::unique_ptr<QuantileEstimator> fresh = backend.make(1234);
-    std::unique_ptr<QuantileEstimator> used = backend.make(999);
-    used->AddAll(TestStream(20000, 3));
-    used->Reset(1234);
-    EXPECT_EQ(used->Serialize(), fresh->Serialize());
-  }
 }
 
 TEST(ResetTest, EveryBackendRestoreRoundTripsThroughInterface) {

@@ -605,6 +605,33 @@ TEST_F(ServerE2eTest, TenThousandConnectionsOpenIdleBurst) {
   ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
 }
 
+// An out-of-range --max-tenants is a usage error like every other daemon
+// flag: exit code 2 with a message, not an abort in the registry.
+TEST_F(ServerE2eTest, DaemonRejectsZeroMaxTenants) {
+  const std::string uds_flag = "--uds=" + uds_path_;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::execl(MRLQUANT_DAEMON_PATH, "mrlquantd", uds_flag.c_str(),
+            "--max-tenants=0", static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ASSERT_GT(pid, 0);
+  int wstatus = 0;
+  pid_t waited = 0;
+  for (int attempt = 0; attempt < 400 && waited == 0; ++attempt) {
+    waited = ::waitpid(pid, &wstatus, WNOHANG);
+    if (waited == 0) std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  if (waited == 0) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &wstatus, 0);
+    FAIL() << "daemon kept running with --max-tenants=0";
+  }
+  ASSERT_EQ(waited, pid);
+  ASSERT_TRUE(WIFEXITED(wstatus)) << "daemon died by a signal";
+  EXPECT_EQ(WEXITSTATUS(wstatus), 2);
+}
+
 TEST_F(ServerE2eTest, ConnectionSurvivesMalformedFrame) {
   std::unique_ptr<QuantileServer> server = StartServer(ServerOptions{});
   ASSERT_NE(server, nullptr);

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       options.num_shards = static_cast<int>(value);
       continue;
     }
-    if (ParseIntFlag(argv[i], "--max-tenants", 0, LONG_MAX, &value)) {
+    if (ParseIntFlag(argv[i], "--max-tenants", 1, LONG_MAX, &value)) {
       options.registry.max_tenants = static_cast<std::size_t>(value);
       continue;
     }
