@@ -95,7 +95,6 @@ namespace {
 using server::Client;
 using server::QuantileServer;
 using server::ServerOptions;
-using server::SketchKind;
 using server::TenantConfig;
 
 constexpr std::size_t kBatch = 65536;

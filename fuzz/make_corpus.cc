@@ -12,9 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "core/det_reservoir.h"
 #include "core/extreme.h"
-#include "core/kll.h"
 #include "core/known_n.h"
 #include "core/partial.h"
 #include "core/unknown_n.h"
@@ -95,28 +93,6 @@ int main(int argc, char** argv) {
     for (std::uint64_t i = 0; i < n; ++i) esketch.value().Add(Synthetic(i));
     ok = WriteFile(dir, "extreme_" + std::to_string(n),
                    esketch.value().Serialize()) &&
-         ok;
-
-    // The kinds a RESTORE frame reaches besides unknown-N.
-    mrl::KllOptions lopt;
-    lopt.eps = 0.05;
-    lopt.delta = 1e-3;
-    mrl::Result<mrl::KllSketch> lsketch = mrl::KllSketch::Create(lopt);
-    if (!lsketch.ok()) return 1;
-    for (std::uint64_t i = 0; i < n; ++i) lsketch.value().Add(Synthetic(i));
-    ok = WriteFile(dir, "kll_" + std::to_string(n),
-                   lsketch.value().Serialize()) &&
-         ok;
-
-    mrl::DetReservoirOptions ropt;
-    ropt.eps = 0.05;
-    ropt.delta = 1e-3;
-    mrl::Result<mrl::DeterministicReservoirSketch> rsketch =
-        mrl::DeterministicReservoirSketch::Create(ropt);
-    if (!rsketch.ok()) return 1;
-    for (std::uint64_t i = 0; i < n; ++i) rsketch.value().Add(Synthetic(i));
-    ok = WriteFile(dir, "det_reservoir_" + std::to_string(n),
-                   rsketch.value().Serialize()) &&
          ok;
   }
   return ok ? 0 : 1;

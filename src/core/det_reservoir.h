@@ -14,8 +14,7 @@ namespace mrl {
 struct DetReservoirOptions {
   double eps = 0.01;
   double delta = 1e-4;
-  /// Hash seed. Sketches can only merge when their seeds are equal (the
-  /// seed defines the survival predicate, not a PRNG stream).
+  /// Hash seed: it defines the survival predicate, not a PRNG stream.
   std::uint64_t seed = 1;
   /// Sample capacity; 0 derives it from (eps, delta) via the Hoeffding
   /// bound, matching the classic reservoir baseline.
@@ -28,11 +27,11 @@ struct DetReservoirOptions {
 /// (`good(hash)`), and when the sample overflows its capacity the skip
 /// degree is raised and the retained set re-filtered. There is no PRNG
 /// state at all — survival is a pure function of (seed, position) — so two
-/// sketches built from the same inputs are bitwise identical, and Merge is
-/// deterministic and collision-exact: it adopts the larger skip degree,
-/// re-filters both sides under it, and concatenates. Each retained element
-/// represents 2^skip_degree stream elements, so the plain order statistic
-/// of the sample estimates the quantile.
+/// sketches built from the same inputs are bitwise identical. Each retained
+/// element represents 2^skip_degree stream elements, so the plain order
+/// statistic of the sample estimates the quantile. A library comparator
+/// (backend shootout and accuracy sweeps); it is not served and has no
+/// checkpoint format.
 class DeterministicReservoirSketch : public QuantileEstimator {
  public:
   static Result<DeterministicReservoirSketch> Create(
@@ -53,17 +52,6 @@ class DeterministicReservoirSketch : public QuantileEstimator {
     return capacity_ * (sizeof(Value) + sizeof(std::uint32_t));
   }
   std::string name() const override { return "det_reservoir"; }
-
-  /// Deterministic merge: requires equal hash seeds (the survival
-  /// predicates must agree), adopts max(skip_degree), re-filters, and
-  /// concatenates. Capacities may differ; the smaller of the two bounds the
-  /// merged sample.
-  Status Merge(const QuantileEstimator& other) override;
-
-  std::vector<std::uint8_t> Serialize() const override;
-  Status Restore(std::span<const std::uint8_t> bytes) override;
-  static Result<DeterministicReservoirSketch> Deserialize(
-      std::span<const std::uint8_t> bytes);
 
   std::uint8_t skip_degree() const { return skip_degree_; }
   std::uint64_t sample_size() const { return values_.size(); }

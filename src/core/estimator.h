@@ -6,19 +6,19 @@
 #include <string>
 #include <vector>
 
-#include "core/partial.h"
 #include "util/status.h"
 #include "util/types.h"
 
 namespace mrl {
 
-/// Common interface of every single-pass quantile estimator in the library
-/// (the MRL99 sketches, the KLL and deterministic-reservoir backends, and
-/// the baselines). Since PR 6 this is the full backend lifecycle contract —
-/// the serving registry, the checkpoint paths and the differential/bench
-/// harnesses all drive sketches through it — not just a query-side test
-/// convenience. Hot paths are still free to use the concrete classes
-/// directly and skip the virtual dispatch.
+/// Common measuring interface of every single-pass quantile estimator in
+/// the library (the MRL99 sketches, the KLL and deterministic-reservoir
+/// comparators, and the baselines): ingest, query, footprint, and the
+/// checkpoint round trip. The differential, accuracy and bench harnesses
+/// drive backends through it to compare them on one stream. The serving
+/// registry does not: it holds the one served sketch, UnknownNSketch,
+/// concretely, and combines partitions only through its Section 6 partial
+/// export (core/partial.h).
 class QuantileEstimator {
  public:
   virtual ~QuantileEstimator() = default;
@@ -82,17 +82,7 @@ class QuantileEstimator {
   virtual std::string name() const = 0;
 
   // -------------------------------------------------------------------------
-  // Merge and checkpoint surface (registry, router, §6 hand-off)
-
-  /// Folds `other` into this sketch so that subsequent queries answer over
-  /// the union of both streams. Backends that cannot merge return
-  /// Unimplemented (the default); mergeable backends document their
-  /// compatibility requirements (same structural parameters, and for the
-  /// deterministic reservoir the same hash seed).
-  virtual Status Merge(const QuantileEstimator& other) {
-    (void)other;
-    return Status::Unimplemented("this backend does not support Merge");
-  }
+  // Checkpoint surface
 
   /// Encodes the complete sketch state in the backend's versioned
   /// checkpoint format (docs/checkpoint_format.md). Returns an empty blob
@@ -106,22 +96,6 @@ class QuantileEstimator {
   virtual Status Restore(std::span<const std::uint8_t> bytes) {
     (void)bytes;
     return Status::Unimplemented("this backend does not support Restore");
-  }
-
-  /// True when ExportPartial produces a Section 6 partial summary. Only the
-  /// MRL99 backends (collapse-tree buffers are the paper's hand-off unit)
-  /// support it; the router's fan-out merge requires it on every backend of
-  /// a range-partitioned tenant.
-  virtual bool SupportsPartialExport() const { return false; }
-
-  /// Exports the sketch's current content as weighted Section 6 buffers
-  /// without disturbing the live sketch (contrast with
-  /// UnknownNSketch::FinishAndExport, which terminates the worker). The
-  /// default (backends without a buffer structure) is Unimplemented.
-  virtual Status ExportPartial(PartialSummary* out) const {
-    (void)out;
-    return Status::Unimplemented(
-        "this backend does not support partial export");
   }
 
   /// Convenience: consume a whole vector (via the batch path).

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "util/logging.h"
-#include "util/serde.h"
 
 namespace mrl {
 
@@ -17,7 +15,6 @@ constexpr double kDecay = 2.0 / 3.0;
 
 constexpr std::uint32_t kMinK = 8;
 constexpr std::uint32_t kMaxK = 1u << 16;
-constexpr std::size_t kMaxLevels = 64;
 
 Status ValidateEpsDelta(double eps, double delta) {
   if (!(eps > 0.0) || eps >= 1.0) {
@@ -163,122 +160,6 @@ Result<std::vector<Value>> KllSketch::QueryMany(
     answers.push_back(answer);
   }
   return answers;
-}
-
-Status KllSketch::Merge(const QuantileEstimator& other) {
-  const KllSketch* peer = dynamic_cast<const KllSketch*>(&other);
-  if (peer == nullptr) {
-    return Status::InvalidArgument(
-        "KLL can only merge with another KLL sketch (got " + other.name() +
-        ")");
-  }
-  if (peer == this) {
-    return Status::InvalidArgument("cannot merge a sketch into itself");
-  }
-  if (peer->k_ != k_) {
-    return Status::FailedPrecondition(
-        "KLL merge requires equal k: " + std::to_string(k_) + " vs " +
-        std::to_string(peer->k_));
-  }
-  while (levels_.size() < peer->levels_.size()) levels_.emplace_back();
-  RecomputeCapacity();
-  for (std::size_t l = 0; l < peer->levels_.size(); ++l) {
-    levels_[l].insert(levels_[l].end(), peer->levels_[l].begin(),
-                      peer->levels_[l].end());
-  }
-  size_ += peer->size_;
-  count_ += peer->count_;
-  Compress();
-  return Status::OK();
-}
-
-std::vector<std::uint8_t> KllSketch::Serialize() const {
-  std::vector<std::uint8_t> out;
-  BinaryWriter writer(&out);
-  PutCheckpointHeader(&writer, CheckpointKind::kKll);
-  writer.PutDouble(options_.eps);
-  writer.PutDouble(options_.delta);
-  writer.PutU64(options_.seed);
-  writer.PutU32(k_);
-  writer.PutU64(count_);
-  Random::State rng = rng_.SaveState();
-  writer.PutU64(rng.state);
-  writer.PutU64(rng.inc);
-  writer.PutU32(static_cast<std::uint32_t>(levels_.size()));
-  for (const std::vector<Value>& level : levels_) {
-    writer.PutValues(level);
-  }
-  return out;
-}
-
-Result<KllSketch> KllSketch::Deserialize(
-    std::span<const std::uint8_t> bytes) {
-  BinaryReader reader(bytes);
-  MRL_RETURN_IF_ERROR(
-      GetCheckpointHeader(&reader, CheckpointKind::kKll));
-  KllOptions options;
-  std::uint32_t k;
-  std::uint64_t count;
-  Random::State rng_state;
-  std::uint32_t num_levels;
-  if (!reader.GetDouble(&options.eps) || !reader.GetDouble(&options.delta) ||
-      !reader.GetU64(&options.seed) || !reader.GetU32(&k) ||
-      !reader.GetU64(&count) || !reader.GetU64(&rng_state.state) ||
-      !reader.GetU64(&rng_state.inc) || !reader.GetU32(&num_levels)) {
-    return reader.status();
-  }
-  Status valid = ValidateEpsDelta(options.eps, options.delta);
-  if (!valid.ok()) {
-    return Status::InvalidArgument("checkpoint options invalid: " +
-                                   valid.message());
-  }
-  if (k < kMinK || k > kMaxK) {
-    return Status::InvalidArgument("checkpoint k out of range");
-  }
-  if (num_levels < 1 || num_levels > kMaxLevels) {
-    return Status::InvalidArgument("checkpoint level count out of range");
-  }
-  options.k = k;
-  KllSketch sketch(options, k);
-  sketch.levels_.resize(num_levels);
-  std::uint64_t held = 0;
-  std::uint64_t weight = 0;
-  for (std::uint32_t l = 0; l < num_levels; ++l) {
-    if (!reader.GetValues(&sketch.levels_[l])) return reader.status();
-    for (Value v : sketch.levels_[l]) {
-      if (std::isnan(v)) {
-        return Status::InvalidArgument("checkpoint contains NaN");
-      }
-    }
-    held += sketch.levels_[l].size();
-    weight += sketch.levels_[l].size() * (std::uint64_t{1} << l);
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after checkpoint");
-  }
-  if (held > (std::uint64_t{1} << 28)) {
-    return Status::InvalidArgument("checkpoint holds too many items");
-  }
-  if (weight != count) {
-    // Pair promotion conserves weight exactly; a mismatch means the blob
-    // was corrupted or hand-edited.
-    return Status::InvalidArgument(
-        "checkpoint weight audit failed: held weight " +
-        std::to_string(weight) + " != count " + std::to_string(count));
-  }
-  sketch.size_ = held;
-  sketch.count_ = count;
-  sketch.rng_ = Random::FromState(rng_state);
-  sketch.RecomputeCapacity();
-  return sketch;
-}
-
-Status KllSketch::Restore(std::span<const std::uint8_t> bytes) {
-  Result<KllSketch> restored =
-      Deserialize(bytes);
-  if (!restored.ok()) return restored.status();
-  *this = std::move(restored).value();
-  return Status::OK();
 }
 
 }  // namespace mrl

@@ -31,11 +31,12 @@ struct KllOptions {
 /// other element (random offset) is promoted to the next level at doubled
 /// weight. Pair promotion conserves total held weight exactly — an odd
 /// element is held back at its level — so sum(size_l * 2^l) == count() is a
-/// hard invariant (checked on Restore).
+/// hard invariant.
 ///
-/// This is the contrast backend to the MRL99 collapse tree: mergeable
-/// without structural coupling beyond k, and with memory O((1/eps)^1.06)
-/// independent of the stream length. Compaction sorts run through the
+/// This is a library comparator to the MRL99 collapse tree (backend
+/// shootout and accuracy sweeps), with memory O((1/eps)^1.06) independent
+/// of the stream length. It is not served and has no checkpoint format.
+/// Compaction sorts run through the
 /// radix-sort engine (util/sort.h) against a member SortScratch and the
 /// per-level buffers retain their storage across compactions, so
 /// steady-state ingestion performs no heap allocation.
@@ -55,15 +56,6 @@ class KllSketch : public QuantileEstimator {
 
   std::uint64_t MemoryElements() const override { return total_capacity_; }
   std::string name() const override { return "kll"; }
-
-  /// Merges another KLL sketch with the same k. Appends the other sketch's
-  /// compactors level-wise and re-runs lazy compaction; seeds need not
-  /// match (randomness only enters at compaction time).
-  Status Merge(const QuantileEstimator& other) override;
-
-  std::vector<std::uint8_t> Serialize() const override;
-  Status Restore(std::span<const std::uint8_t> bytes) override;
-  static Result<KllSketch> Deserialize(std::span<const std::uint8_t> bytes);
 
   std::uint32_t k() const { return k_; }
   std::size_t num_levels() const { return levels_.size(); }

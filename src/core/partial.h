@@ -22,7 +22,7 @@ struct ShippedBuffer {
 
 /// A self-describing bundle of shipped buffers: the distributed hand-off
 /// format of the Section 6 protocol. A backend exports one non-destructively
-/// (QuantileEstimator::ExportPartial), ships it over the wire
+/// (UnknownNSketch::ExportPartial), ships it over the wire
 /// (Serialize/DeserializePartialSummary below), and a router merges any
 /// number of them with the coordinator's own rules (MergePartialQuantiles)
 /// — no re-ingestion.

@@ -154,8 +154,8 @@ class UnknownNSketch : public QuantileEstimator, private NewRule {
   /// in-flight block candidate into a PartialSummary without the final
   /// collapse, so the sketch keeps serving afterwards. Safe under the
   /// concurrent const-reader contract (a query-side snapshot, copied out).
-  bool SupportsPartialExport() const override { return true; }
-  Status ExportPartial(PartialSummary* out) const override;
+  /// The registry's FETCH_SUMMARY path calls it; it always succeeds.
+  Status ExportPartial(PartialSummary* out) const;
 
  private:
   UnknownNSketch(const UnknownNParams& params, const UnknownNOptions& options);

@@ -506,7 +506,6 @@ Status Router::AggregateStats(std::string_view name,
     total.total_count += reply.total_count;
     if (reply.tenant_present) {
       total.tenant_present = true;
-      total.tenant_kind = reply.tenant_kind;
       total.tenant_count += reply.tenant_count;
       total.tenant_memory_elements += reply.tenant_memory_elements;
     }

@@ -57,6 +57,18 @@ Status RequireAtEnd(const BinaryReader& reader) {
   return Status::OK();
 }
 
+/// The config block's and the STATS reply's kind byte: unknown-N, the only
+/// served kind.
+constexpr std::uint8_t kUnknownNKind = 0;
+
+Status CheckKindByte(std::uint8_t kind) {
+  if (kind != kUnknownNKind) {
+    return Status::InvalidArgument("unknown sketch kind " +
+                                   std::to_string(kind));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 bool IsKnownMsgType(std::uint8_t type) {
@@ -64,26 +76,8 @@ bool IsKnownMsgType(std::uint8_t type) {
          type <= static_cast<std::uint8_t>(MsgType::kRestore);
 }
 
-bool IsKnownSketchKind(std::uint8_t kind) {
-  return kind == static_cast<std::uint8_t>(SketchKind::kUnknownN) ||
-         kind == static_cast<std::uint8_t>(SketchKind::kKll) ||
-         kind == static_cast<std::uint8_t>(SketchKind::kDetReservoir);
-}
-
-std::string_view SketchKindName(SketchKind kind) {
-  switch (kind) {
-    case SketchKind::kUnknownN:
-      return "unknown_n";
-    case SketchKind::kKll:
-      return "kll";
-    case SketchKind::kDetReservoir:
-      return "det_reservoir";
-  }
-  return "invalid";
-}
-
 void PutTenantConfig(const TenantConfig& config, BinaryWriter* writer) {
-  writer->PutU8(static_cast<std::uint8_t>(config.kind));
+  writer->PutU8(kUnknownNKind);
   writer->PutDouble(config.eps);
   writer->PutDouble(config.delta);
   writer->PutU64(config.seed);
@@ -95,16 +89,11 @@ Status GetTenantConfig(BinaryReader* reader, TenantConfig* config) {
       !reader->GetDouble(&config->delta) || !reader->GetU64(&config->seed)) {
     return reader->status();
   }
-  config->kind = static_cast<SketchKind>(kind);
+  MRL_RETURN_IF_ERROR(CheckKindByte(kind));
   return ValidateTenantConfig(*config);
 }
 
 Status ValidateTenantConfig(const TenantConfig& config) {
-  const auto kind = static_cast<std::uint8_t>(config.kind);
-  if (!IsKnownSketchKind(kind)) {
-    return Status::InvalidArgument("unknown sketch kind " +
-                                   std::to_string(kind));
-  }
   if (!std::isfinite(config.eps) || config.eps <= 0 || config.eps > 0.5) {
     return Status::InvalidArgument("eps must be in (0, 0.5]");
   }
@@ -499,7 +488,7 @@ void EncodeStatsOk(const StatsReply& stats, std::vector<std::uint8_t>* out) {
   frame.PutU64(stats.num_tenants);
   frame.PutU64(stats.total_count);
   frame.PutU8(stats.tenant_present ? 1 : 0);
-  frame.PutU8(static_cast<std::uint8_t>(stats.tenant_kind));
+  frame.PutU8(kUnknownNKind);
   frame.PutU64(stats.tenant_count);
   frame.PutU64(stats.tenant_memory_elements);
   frame.Finish();
@@ -621,11 +610,11 @@ Result<StatsReply> DecodeStatsOk(const ResponseView& response) {
     return reader.status();
   }
   MRL_RETURN_IF_ERROR(RequireAtEnd(reader));
-  if (present > 1 || !IsKnownSketchKind(kind)) {
+  MRL_RETURN_IF_ERROR(CheckKindByte(kind));
+  if (present > 1) {
     return Status::InvalidArgument("STATS reply fields out of range");
   }
   stats.tenant_present = present != 0;
-  stats.tenant_kind = static_cast<SketchKind>(kind);
   return stats;
 }
 

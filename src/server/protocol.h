@@ -32,8 +32,9 @@ namespace server {
 /// det_reservoir kinds); 3 = distributed tier (PING health probe,
 /// FETCH_SUMMARY partial-summary export, RESTORE tenant install — the
 /// router/backend ops); 4 = kind 1 (sharded) retired, and the tenant
-/// config block lost its num_shards field. Frames carrying any other
-/// version are rejected.
+/// config block lost its num_shards field. Kinds 2 and 3 were later
+/// retired within v4: their bytes are rejected, and frames of kind 0 are
+/// unchanged. Frames carrying any other version are rejected.
 inline constexpr std::uint8_t kProtocolVersion = 4;
 
 /// Bytes before the payload: length prefix + version + type + reserved + crc.
@@ -70,51 +71,34 @@ std::uint32_t Crc32(const std::uint8_t* data, std::size_t n);
 
 bool IsValidTenantName(std::string_view name);
 
-/// Which sketch backs a tenant (CREATE_SKETCH `kind` field).
-/// Byte 1 was the retired `sharded` kind (protocol v1–v3); it is never
-/// reused.
-enum class SketchKind : std::uint8_t {
-  kUnknownN = 0,      ///< UnknownNSketch
-  kKll = 2,           ///< KllSketch (protocol v2)
-  kDetReservoir = 3,  ///< DeterministicReservoirSketch (protocol v2)
-};
-
-/// The single validator for kind bytes arriving from the outside — the
-/// CREATE_SKETCH decoder, the STATS reply decoder and the registry
-/// checkpoint decoder all call it, so adding a backend extends exactly one
-/// check. Unknown bytes must produce a clean Status, never a crash.
-bool IsKnownSketchKind(std::uint8_t kind);
-
-/// Display name of a kind ("unknown_n", "kll", "det_reservoir";
-/// "invalid" for out-of-range values). Used in server error text and the
-/// CLI stats output.
-std::string_view SketchKindName(SketchKind kind);
-
 /// Tenant configuration carried by CREATE_SKETCH and RESTORE and persisted
-/// in registry checkpoints.
+/// in registry checkpoints. Every tenant is an UnknownNSketch.
 struct TenantConfig {
-  SketchKind kind = SketchKind::kUnknownN;
   double eps = 0.01;
   double delta = 1e-4;
   std::uint64_t seed = 1;
 };
 
 inline bool operator==(const TenantConfig& a, const TenantConfig& b) {
-  return a.kind == b.kind && a.eps == b.eps && a.delta == b.delta &&
-         a.seed == b.seed;
+  return a.eps == b.eps && a.delta == b.delta && a.seed == b.seed;
 }
 
 /// The one TenantConfig codec, shared by CREATE_SKETCH, RESTORE and the
 /// registry checkpoint's tenant records. Layout:
 ///
 ///   | u8 kind | double eps | double delta | u64 seed |
+///
+/// The kind byte is a format constant: 0 (unknown-N) is the only legal
+/// value. Bytes 1 (sharded), 2 (KLL) and 3 (deterministic reservoir) named
+/// retired tenant kinds and are never reused. PutTenantConfig writes 0.
 void PutTenantConfig(const TenantConfig& config, BinaryWriter* writer);
 
-/// Reads the block above and validates it (ValidateTenantConfig).
+/// Reads the block above and validates it (ValidateTenantConfig). Any kind
+/// byte but 0 is InvalidArgument("unknown sketch kind N").
 Status GetTenantConfig(BinaryReader* reader, TenantConfig* config);
 
-/// The range checks every config passes before a sketch is built: a known
-/// kind, eps in (0, 0.5], delta in (0, 1). InvalidArgument otherwise.
+/// The range checks every config passes before a sketch is built: eps in
+/// (0, 0.5], delta in (0, 1). InvalidArgument otherwise.
 Status ValidateTenantConfig(const TenantConfig& config);
 
 // ---------------------------------------------------------------------------
@@ -278,11 +262,14 @@ Status DecodeDoublesInto(const std::uint8_t* le, std::uint64_t count,
 // human-readable message and `body` is empty; on OK `msg` is empty and
 // `body` is the request-type-specific reply below.
 
+/// STATS body: | u64 num_tenants | u64 total_count | u8 present |
+/// u8 kind | u64 tenant_count | u64 tenant_memory_elements |. The kind byte
+/// is the config block's format constant: always written 0, and any other
+/// value is rejected on decode.
 struct StatsReply {
   std::uint64_t num_tenants = 0;  ///< registry-wide
   std::uint64_t total_count = 0;  ///< registry-wide ingested elements
   bool tenant_present = false;    ///< remaining fields valid iff true
-  SketchKind tenant_kind = SketchKind::kUnknownN;
   std::uint64_t tenant_count = 0;
   std::uint64_t tenant_memory_elements = 0;
 };

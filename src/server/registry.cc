@@ -9,9 +9,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "core/det_reservoir.h"
-#include "core/kll.h"
-#include "core/unknown_n.h"
 #include "util/logging.h"
 #include "util/serde.h"
 #include "util/thread_annotations.h"
@@ -27,9 +24,13 @@ namespace {
 // one u32 length plus the backend's own Serialize() blob — replacing the
 // v1 per-kind layouts; version 3 dropped num_shards from the tenant config
 // (the wire's config block, PutTenantConfig). Older files are rejected
-// (re-ingest or re-snapshot). The on-disk format is partition-agnostic:
-// tenants are written as one flat list and re-hashed into partitions on
-// recovery, so the same file works across --shards settings.
+// (re-ingest or re-snapshot). A v3 file holding a record of a retired
+// tenant kind (KLL = 2, deterministic reservoir = 3) is rejected whole by
+// the config decoder ("unknown sketch kind N"), so a daemon refuses to
+// start rather than drop those tenants. The on-disk format is
+// partition-agnostic: tenants are written as one flat list and re-hashed
+// into partitions on recovery, so the same file works across --shards
+// settings.
 constexpr std::uint32_t kRegistryMagic = 0x4D524C52;  // "MRLR"
 constexpr std::uint8_t kRegistryVersion = 3;
 constexpr std::uint64_t kMaxCheckpointTenants = std::uint64_t{1} << 20;
@@ -59,8 +60,9 @@ Status WriteFileAtomic(const std::string& path,
     return Status::Internal("cannot rename " + tmp + " to " + path + ": " +
                             std::strerror(errno));
   }
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  const std::string dir = parent.empty() ? std::string(".") : parent.string();
   const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   const bool dir_synced = dir_fd >= 0 && ::fsync(dir_fd) == 0;
   if (dir_fd >= 0) ::close(dir_fd);
@@ -108,42 +110,12 @@ SketchRegistry::SketchRegistry(RegistryOptions options)
   }
 }
 
-Result<std::unique_ptr<QuantileEstimator>> SketchRegistry::MakeSketch(
-    const TenantConfig& config) {
-  switch (config.kind) {
-    case SketchKind::kUnknownN: {
-      UnknownNOptions opts;
-      opts.eps = config.eps;
-      opts.delta = config.delta;
-      opts.seed = config.seed;
-      Result<UnknownNSketch> sketch = UnknownNSketch::Create(opts);
-      if (!sketch.ok()) return sketch.status();
-      return std::unique_ptr<QuantileEstimator>(
-          new UnknownNSketch(std::move(sketch).value()));
-    }
-    case SketchKind::kKll: {
-      KllOptions opts;
-      opts.eps = config.eps;
-      opts.delta = config.delta;
-      opts.seed = config.seed;
-      Result<KllSketch> sketch = KllSketch::Create(opts);
-      if (!sketch.ok()) return sketch.status();
-      return std::unique_ptr<QuantileEstimator>(
-          new KllSketch(std::move(sketch).value()));
-    }
-    case SketchKind::kDetReservoir: {
-      DetReservoirOptions opts;
-      opts.eps = config.eps;
-      opts.delta = config.delta;
-      opts.seed = config.seed;
-      Result<DeterministicReservoirSketch> sketch =
-          DeterministicReservoirSketch::Create(opts);
-      if (!sketch.ok()) return sketch.status();
-      return std::unique_ptr<QuantileEstimator>(
-          new DeterministicReservoirSketch(std::move(sketch).value()));
-    }
-  }
-  return Status::InvalidArgument("unknown sketch kind");
+Result<UnknownNSketch> SketchRegistry::MakeSketch(const TenantConfig& config) {
+  UnknownNOptions opts;
+  opts.eps = config.eps;
+  opts.delta = config.delta;
+  opts.seed = config.seed;
+  return UnknownNSketch::Create(opts);
 }
 
 bool SketchRegistry::EvictGlobalLru() {
@@ -199,36 +171,25 @@ Status SketchRegistry::Create(std::string_view name,
     return Status::InvalidArgument("invalid tenant name");
   }
   MRL_RETURN_IF_ERROR(ValidateTenantConfig(config));
-  Result<std::unique_ptr<QuantileEstimator>> sketch = MakeSketch(config);
+  Result<UnknownNSketch> sketch = MakeSketch(config);
   if (!sketch.ok()) return sketch.status();
   return AddTenant(name, config, std::move(sketch).value(), /*replace=*/false);
 }
 
 Status SketchRegistry::AddTenant(std::string_view name,
                                  const TenantConfig& config,
-                                 std::unique_ptr<QuantileEstimator> sketch,
-                                 bool replace) {
+                                 UnknownNSketch sketch, bool replace) {
   Partition& home = PartitionFor(name);
-
-  const auto exists_error = [&](const Tenant& existing) {
-    const SketchKind have = existing.config.kind;
-    if (have != config.kind) {
-      return Status::FailedPrecondition(
-          "tenant already exists with kind '" +
-          std::string(SketchKindName(have)) + "', requested '" +
-          std::string(SketchKindName(config.kind)) + "'");
-    }
-    return Status::FailedPrecondition("tenant already exists");
-  };
 
   // Existence pre-check so creating or replacing an existing tenant never
   // evicts.
   bool exists;
   {
     ReaderLock lock(home.mu);
-    TenantMap::const_iterator it = home.tenants.find(name);
-    exists = it != home.tenants.end();
-    if (exists && !replace) return exists_error(*it->second);
+    exists = home.tenants.find(name) != home.tenants.end();
+    if (exists && !replace) {
+      return Status::FailedPrecondition("tenant already exists");
+    }
   }
 
   if (!exists &&
@@ -245,7 +206,9 @@ Status SketchRegistry::AddTenant(std::string_view name,
   {
     WriterLock lock(home.mu);
     TenantMap::iterator it = home.tenants.find(name);
-    if (it != home.tenants.end() && !replace) return exists_error(*it->second);
+    if (it != home.tenants.end() && !replace) {
+      return Status::FailedPrecondition("tenant already exists");
+    }
     tenant->last_used.store(
         use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
         std::memory_order_relaxed);
@@ -275,8 +238,8 @@ Result<std::uint64_t> SketchRegistry::AddBatch(std::string_view name,
   if (tenant == nullptr) return Status::NotFound("unknown tenant");
   Tenant& t = *tenant;
   WriterLock lock(t.mu);
-  t.sketch->AddBatch(values);
-  return t.sketch->count();
+  t.sketch.AddBatch(values);
+  return t.sketch.count();
 }
 
 Result<Value> SketchRegistry::Query(std::string_view name, double phi) const {
@@ -284,7 +247,7 @@ Result<Value> SketchRegistry::Query(std::string_view name, double phi) const {
   if (tenant == nullptr) return Status::NotFound("unknown tenant");
   Tenant& t = *tenant;
   ReaderLock lock(t.mu);
-  return t.sketch->Query(phi);
+  return t.sketch.Query(phi);
 }
 
 Status SketchRegistry::QueryMany(std::string_view name,
@@ -298,7 +261,7 @@ Status SketchRegistry::QueryMany(std::string_view name,
   phi_scratch.assign(phis.begin(), phis.end());
   Tenant& t = *tenant;
   ReaderLock lock(t.mu);
-  Result<std::vector<Value>> answers = t.sketch->QueryMany(phi_scratch);
+  Result<std::vector<Value>> answers = t.sketch.QueryMany(phi_scratch);
   if (!answers.ok()) return answers.status();
   *out = std::move(answers).value();
   return Status::OK();
@@ -337,12 +300,8 @@ Status SketchRegistry::FetchPartial(std::string_view name,
   if (tenant == nullptr) return Status::NotFound("unknown tenant");
   Tenant& t = *tenant;
   ReaderLock lock(t.mu);
-  if (!t.sketch->SupportsPartialExport()) {
-    return Status::FailedPrecondition(
-        "backend '" + t.sketch->name() + "' does not support partial export");
-  }
   PartialSummary summary;
-  MRL_RETURN_IF_ERROR(t.sketch->ExportPartial(&summary));
+  MRL_RETURN_IF_ERROR(t.sketch.ExportPartial(&summary));
   blob->clear();
   SerializePartialSummary(summary, blob);
   return Status::OK();
@@ -360,8 +319,7 @@ Status SketchRegistry::Install(std::string_view name,
   // before touching the directory, so a bad blob leaves any existing
   // tenant exactly as it was.
   BinaryReader reader(blob.data(), blob.size());
-  Result<std::unique_ptr<QuantileEstimator>> sketch =
-      DecodeTenantSketch(config, &reader);
+  Result<UnknownNSketch> sketch = DecodeTenantSketch(config, &reader);
   if (!sketch.ok()) return sketch.status();
   if (reader.Remaining() != 0) {
     return Status::InvalidArgument("install: trailing bytes after sketch");
@@ -377,8 +335,8 @@ TenantStats SketchRegistry::Stats(std::string_view name) const {
   ReaderLock lock(t.mu);
   stats.present = true;
   stats.config = t.config;
-  stats.count = t.sketch->count();
-  stats.memory_elements = t.sketch->MemoryElements();
+  stats.count = t.sketch.count();
+  stats.memory_elements = t.sketch.MemoryElements();
   return stats;
 }
 
@@ -399,7 +357,7 @@ RegistryStats SketchRegistry::GlobalStats() const {
   for (const std::shared_ptr<Tenant>& tenant : snapshot) {
     Tenant& t = *tenant;
     ReaderLock lock(t.mu);
-    stats.total_count += t.sketch->count();
+    stats.total_count += t.sketch.count();
   }
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.checkpoints = checkpoints_.load(std::memory_order_relaxed);
@@ -418,22 +376,22 @@ std::size_t SketchRegistry::size() const {
 
 void SketchRegistry::EncodeTenantSketch(const Tenant& tenant,
                                         BinaryWriter* writer) {
-  const std::vector<std::uint8_t> blob = tenant.sketch->Serialize();
+  const std::vector<std::uint8_t> blob = tenant.sketch.Serialize();
   writer->PutU32(static_cast<std::uint32_t>(blob.size()));
   writer->PutBytes(blob.data(), blob.size());
 }
 
-Result<std::unique_ptr<QuantileEstimator>> SketchRegistry::DecodeTenantSketch(
+Result<UnknownNSketch> SketchRegistry::DecodeTenantSketch(
     const TenantConfig& config, BinaryReader* reader) {
   std::uint32_t len;
   const std::uint8_t* blob;
   if (!reader->GetU32(&len) || !reader->GetBytes(len, &blob)) {
     return reader->status();
   }
-  Result<std::unique_ptr<QuantileEstimator>> sketch = MakeSketch(config);
+  Result<UnknownNSketch> sketch = MakeSketch(config);
   if (!sketch.ok()) return sketch.status();
   MRL_RETURN_IF_ERROR(
-      sketch.value()->Restore(std::span<const std::uint8_t>(blob, len)));
+      sketch.value().Restore(std::span<const std::uint8_t>(blob, len)));
   return sketch;
 }
 
@@ -522,8 +480,7 @@ Status SketchRegistry::RecoverFromDisk() {
     }
     TenantConfig config;
     MRL_RETURN_IF_ERROR(GetTenantConfig(&reader, &config));
-    Result<std::unique_ptr<QuantileEstimator>> sketch =
-        DecodeTenantSketch(config, &reader);
+    Result<UnknownNSketch> sketch = DecodeTenantSketch(config, &reader);
     if (!sketch.ok()) return sketch.status();
     TenantMap& target = recovered[PartitionOf(name)];
     if (target.find(name) != target.end()) {

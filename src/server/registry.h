@@ -10,7 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/estimator.h"
+#include "core/unknown_n.h"
 #include "server/protocol.h"
 #include "util/serde.h"
 #include "util/status.h"
@@ -124,8 +124,7 @@ class SketchRegistry {
 
   /// Exports tenant `name` as a serialized Section 6 partial summary
   /// (core/partial.h) without disturbing the live sketch — the
-  /// FETCH_SUMMARY op a router fans out before merging. FailedPrecondition
-  /// (naming the backend) when the tenant's backend cannot export partials.
+  /// FETCH_SUMMARY op a router fans out before merging.
   Status FetchPartial(std::string_view name, std::vector<std::uint8_t>* blob);
 
   /// Create-or-replace tenant `name` from a checkpoint blob — the RESTORE
@@ -163,16 +162,13 @@ class SketchRegistry {
   std::size_t num_partitions() const { return partitions_.size(); }
 
  private:
-  /// Tenants hold their backend through the QuantileEstimator interface —
-  /// ingestion, queries and Serialize/Restore checkpointing are all
-  /// virtual calls, so adding a backend touches MakeSketch and nothing
-  /// else here.
+  /// Every tenant is the paper's unknown-N sketch, held by value.
   struct Tenant {
-    Tenant(TenantConfig c, std::unique_ptr<QuantileEstimator> s)
+    Tenant(TenantConfig c, UnknownNSketch s)
         : config(c), sketch(std::move(s)) {}
     TenantConfig config;  ///< immutable after construction; read lock-free
     mutable SharedMutex mu;
-    std::unique_ptr<QuantileEstimator> sketch MRLQUANT_GUARDED_BY(mu);
+    UnknownNSketch sketch MRLQUANT_GUARDED_BY(mu);
     std::atomic<std::uint64_t> last_used{0};
   };
 
@@ -194,8 +190,7 @@ class SketchRegistry {
     TenantMap tenants MRLQUANT_GUARDED_BY(mu);
   };
 
-  static Result<std::unique_ptr<QuantileEstimator>> MakeSketch(
-      const TenantConfig& config);
+  static Result<UnknownNSketch> MakeSketch(const TenantConfig& config);
 
   Partition& PartitionFor(std::string_view name) const {
     return *partitions_[PartitionOf(name)];
@@ -205,7 +200,7 @@ class SketchRegistry {
   /// under the eviction cap. Without `replace` (Create) an existing tenant
   /// is an error; with it (Install) `sketch` replaces any existing tenant.
   Status AddTenant(std::string_view name, const TenantConfig& config,
-                   std::unique_ptr<QuantileEstimator> sketch, bool replace);
+                   UnknownNSketch sketch, bool replace);
 
   /// Evicts the globally least-recently-used tenant, scanning partitions
   /// one at a time (never holding two partition locks). Returns false when
@@ -217,12 +212,14 @@ class SketchRegistry {
   /// (bumping its LRU stamp), or null.
   std::shared_ptr<Tenant> FindTenant(std::string_view name) const;
 
-  /// Serializes one tenant's sketch — uniformly a u32 length followed by
-  /// the backend's Serialize() blob — under its (at least shared) lock.
+  /// Serializes one tenant's sketch — a u32 length followed by the
+  /// sketch's Serialize() blob — under its (at least shared) lock.
   static void EncodeTenantSketch(const Tenant& tenant, BinaryWriter* writer)
       MRLQUANT_REQUIRES_SHARED(tenant.mu);
-  static Result<std::unique_ptr<QuantileEstimator>> DecodeTenantSketch(
-      const TenantConfig& config, BinaryReader* reader);
+  /// Builds a sketch from `config` and Restores it from the framed blob;
+  /// anything but an MRLQ unknown-N checkpoint is rejected.
+  static Result<UnknownNSketch> DecodeTenantSketch(const TenantConfig& config,
+                                                   BinaryReader* reader);
 
   RegistryOptions options_;
   /// Fixed at construction; the vector itself is immutable after that, so

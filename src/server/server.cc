@@ -149,7 +149,6 @@ void QuantileServer::HandleFrame(std::span<const std::uint8_t> frame,
       if (!req.value().name.empty()) {
         const TenantStats tenant = registry_.Stats(req.value().name);
         reply.tenant_present = tenant.present;
-        reply.tenant_kind = tenant.config.kind;
         reply.tenant_count = tenant.count;
         reply.tenant_memory_elements = tenant.memory_elements;
       }

@@ -200,13 +200,13 @@ class BinaryReader {
 };
 
 /// Kind byte of an "MRLQ" sketch checkpoint (docs/checkpoint_format.md).
-/// Byte 4 was the retired sharded sketch; it is never reused.
+/// Bytes 4 (the sharded sketch), 5 (KLL) and 6 (the deterministic
+/// reservoir) belonged to retired checkpoint formats; they are never
+/// reused.
 enum class CheckpointKind : std::uint8_t {
   kUnknownN = 1,
   kKnownN = 2,
   kExtremeValue = 3,
-  kKll = 5,
-  kDetReservoir = 6,
 };
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4D524C51;  // "MRLQ"

@@ -1,14 +1,10 @@
-// Cross-backend differential tests: every registry-instantiable backend,
+// Cross-backend differential tests: the (eps, delta)-configured backends —
+// the MRL99 sketches and the KLL and deterministic-reservoir comparators —
 // driven purely through the QuantileEstimator interface, raced against an
 // exact sorted baseline on adversarial input orders — pre-sorted, reverse
 // sorted, Zipf-like duplicate-heavy, three-valued, and IEEE specials
 // (+/-inf and +/-0.0 mixed into normals). An answer passes when the rank
 // band it covers in the sorted stream intersects [phi - eps, phi + eps].
-//
-// Also covers the merge contracts of the two PR 6 backends: KLL level-wise
-// merge (accuracy preserved, k/type mismatches rejected) and the
-// deterministic reservoir's collision-exact merge (equal-seed requirement,
-// determinism of the merged state).
 
 #include <algorithm>
 #include <cmath>
@@ -121,7 +117,7 @@ struct Backend {
   std::function<std::unique_ptr<QuantileEstimator>(std::uint64_t)> make;
 };
 
-std::vector<Backend> RegistryBackends() {
+std::vector<Backend> EpsDeltaBackends() {
   std::vector<Backend> backends;
   backends.push_back({"unknown_n", [](std::uint64_t seed) {
     UnknownNOptions options;
@@ -163,7 +159,7 @@ const std::vector<double> kPhis = {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99};
 
 TEST(BackendDifferentialTest, EveryBackendWithinEpsOnAdversarialOrders) {
   const std::vector<NamedStream> streams = AdversarialStreams(kStreamLen);
-  for (const Backend& backend : RegistryBackends()) {
+  for (const Backend& backend : EpsDeltaBackends()) {
     for (const NamedStream& stream : streams) {
       SCOPED_TRACE(std::string(backend.name) + " on " + stream.name);
       std::unique_ptr<QuantileEstimator> sketch = backend.make(7);
@@ -210,118 +206,6 @@ TEST(BackendDifferentialTest, KllObservedErrorWithinConfiguredEps) {
       }
     }
   }
-}
-
-// ------------------------------------------------------------------- merges
-
-TEST(BackendDifferentialTest, KllMergePreservesAccuracy) {
-  Random rng(99);
-  std::vector<Value> all(2 * kStreamLen);
-  for (Value& v : all) v = rng.UniformDouble(-1e3, 1e3);
-
-  KllOptions options;
-  options.eps = kEps;
-  options.delta = kDelta;
-  options.seed = 3;
-  KllSketch left = std::move(KllSketch::Create(options)).value();
-  options.seed = 4;
-  KllSketch right = std::move(KllSketch::Create(options)).value();
-  for (std::size_t i = 0; i < kStreamLen; ++i) left.Add(all[i]);
-  for (std::size_t i = kStreamLen; i < all.size(); ++i) right.Add(all[i]);
-
-  ASSERT_TRUE(left.Merge(right).ok());
-  EXPECT_EQ(left.count(), all.size());
-
-  std::vector<Value> sorted = all;
-  std::sort(sorted.begin(), sorted.end());
-  for (double phi : kPhis) {
-    SCOPED_TRACE("phi=" + std::to_string(phi));
-    Result<Value> answer = left.Query(phi);
-    ASSERT_TRUE(answer.ok());
-    ExpectWithinEps(sorted, answer.value(), phi, kEps);
-  }
-}
-
-TEST(BackendDifferentialTest, KllMergeRejectsMismatches) {
-  KllOptions options;
-  options.eps = kEps;
-  options.seed = 1;
-  KllSketch a = std::move(KllSketch::Create(options)).value();
-  EXPECT_EQ(a.Merge(a).code(), StatusCode::kInvalidArgument);
-
-  options.eps = kEps / 4;  // different k
-  KllSketch b = std::move(KllSketch::Create(options)).value();
-  ASSERT_NE(a.k(), b.k());
-  EXPECT_EQ(a.Merge(b).code(), StatusCode::kFailedPrecondition);
-
-  DetReservoirOptions res_options;
-  DeterministicReservoirSketch reservoir =
-      std::move(DeterministicReservoirSketch::Create(res_options)).value();
-  EXPECT_EQ(a.Merge(reservoir).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(reservoir.Merge(a).code(), StatusCode::kInvalidArgument);
-}
-
-TEST(BackendDifferentialTest, DetReservoirMergeIsDeterministicAndAccurate) {
-  Random rng(123);
-  std::vector<Value> all(2 * kStreamLen);
-  for (Value& v : all) v = rng.UniformDouble(0.0, 1.0);
-
-  DetReservoirOptions options;
-  options.eps = kEps;
-  options.delta = kDelta;
-  options.seed = 11;
-
-  auto build_merged = [&]() {
-    DeterministicReservoirSketch left =
-        std::move(DeterministicReservoirSketch::Create(options)).value();
-    DeterministicReservoirSketch right =
-        std::move(DeterministicReservoirSketch::Create(options)).value();
-    for (std::size_t i = 0; i < kStreamLen; ++i) left.Add(all[i]);
-    for (std::size_t i = kStreamLen; i < all.size(); ++i) right.Add(all[i]);
-    EXPECT_TRUE(left.Merge(right).ok());
-    return left;
-  };
-
-  DeterministicReservoirSketch merged = build_merged();
-  EXPECT_EQ(merged.count(), all.size());
-
-  // No PRNG state anywhere: rebuilding and re-merging must be bit-identical.
-  DeterministicReservoirSketch again = build_merged();
-  EXPECT_EQ(merged.Serialize(), again.Serialize());
-
-  // Merged positions collide across the two inputs, so the effective sample
-  // halves in the worst case — allow twice the configured tolerance.
-  std::vector<Value> sorted = all;
-  std::sort(sorted.begin(), sorted.end());
-  for (double phi : kPhis) {
-    SCOPED_TRACE("phi=" + std::to_string(phi));
-    Result<Value> answer = merged.Query(phi);
-    ASSERT_TRUE(answer.ok());
-    ExpectWithinEps(sorted, answer.value(), phi, 2 * kEps);
-  }
-}
-
-TEST(BackendDifferentialTest, DetReservoirMergeRequiresEqualSeeds) {
-  DetReservoirOptions options;
-  options.seed = 1;
-  DeterministicReservoirSketch a =
-      std::move(DeterministicReservoirSketch::Create(options)).value();
-  EXPECT_EQ(a.Merge(a).code(), StatusCode::kInvalidArgument);
-
-  options.seed = 2;
-  DeterministicReservoirSketch b =
-      std::move(DeterministicReservoirSketch::Create(options)).value();
-  EXPECT_EQ(a.Merge(b).code(), StatusCode::kFailedPrecondition);
-}
-
-// Backends that opt out of Merge must say so cleanly, not crash.
-TEST(BackendDifferentialTest, MergeUnimplementedIsCleanStatus) {
-  UnknownNOptions options;
-  Result<UnknownNSketch> a = UnknownNSketch::Create(options);
-  Result<UnknownNSketch> b = UnknownNSketch::Create(options);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value().Merge(b.value()).code(), StatusCode::kUnimplemented);
 }
 
 }  // namespace

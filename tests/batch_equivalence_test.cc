@@ -327,10 +327,11 @@ TEST(BatchEquivalenceTest, SelectivityEstimatorMatches) {
 
 // --------------------------------------------- interface-level backend sweep
 
-// Every registry-instantiable backend, driven purely through the
-// QuantileEstimator interface: AddBatch over ANY chunking must leave
-// bit-identical serialized state to element-wise Add. This is the contract
-// the server's batch ingestion path (registry AddBatch) relies on.
+// Every backend below, driven purely through the QuantileEstimator
+// interface: AddBatch over ANY chunking must match element-wise Add —
+// bit-identical serialized state for the checkpointing backends, identical
+// answers for all. The server's batch ingestion path (registry AddBatch)
+// relies on it for the unknown-N sketch.
 TEST(BatchEquivalenceTest, EveryBackendAddBatchBitIdenticalToAdd) {
   struct Backend {
     const char* name;
@@ -364,6 +365,9 @@ TEST(BatchEquivalenceTest, EveryBackendAddBatchBitIdenticalToAdd) {
     return std::unique_ptr<QuantileEstimator>(new ExtremeValueSketch(
         std::move(ExtremeValueSketch::Create(options)).value()));
   }});
+  // The KLL and deterministic-reservoir comparators and the deterministic
+  // baselines have no checkpoint format (Serialize is empty); the answer
+  // comparison below is what covers them.
   backends.push_back({"kll", [](std::uint64_t seed) {
     KllOptions options;
     options.eps = 0.02;
@@ -380,8 +384,6 @@ TEST(BatchEquivalenceTest, EveryBackendAddBatchBitIdenticalToAdd) {
     return std::unique_ptr<QuantileEstimator>(new DeterministicReservoirSketch(
         std::move(DeterministicReservoirSketch::Create(options)).value()));
   }});
-  // The deterministic baselines ignore the seed and have no checkpoint
-  // format; the answer comparison below is what covers them.
   backends.push_back({"ars", [](std::uint64_t) {
     ArsSketch::Options options;
     options.eps = 0.02;

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <vector>
 
-#include "core/kll.h"
 #include "core/unknown_n.h"
 #include "gtest/gtest.h"
 #include "util/random.h"
@@ -236,18 +235,6 @@ TEST(PartialSummaryTest, HostileBlobsAreCleanErrors) {
   std::vector<std::uint8_t> empty_blob;
   SerializePartialSummary(empty, &empty_blob);
   EXPECT_TRUE(DeserializePartialSummary(empty_blob).ok());
-}
-
-TEST(PartialSummaryTest, KllBackendDeclinesExport) {
-  KllOptions options;
-  options.eps = 0.05;
-  Result<KllSketch> kll = KllSketch::Create(options);
-  ASSERT_TRUE(kll.ok());
-  EXPECT_FALSE(kll.value().SupportsPartialExport());
-  PartialSummary summary;
-  const Status status = kll.value().ExportPartial(&summary);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kUnimplemented);
 }
 
 }  // namespace

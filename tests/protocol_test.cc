@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -46,7 +47,6 @@ TEST(TenantNameTest, Validation) {
 
 TEST(FrameTest, CreateSketchRoundTrip) {
   TenantConfig config;
-  config.kind = SketchKind::kDetReservoir;
   config.eps = 0.02;
   config.delta = 1e-3;
   config.seed = 42;
@@ -62,27 +62,32 @@ TEST(FrameTest, CreateSketchRoundTrip) {
   EXPECT_TRUE(req.value().config == config);
 }
 
-TEST(SketchKindTest, ValidatorCoversExactlyTheKnownKinds) {
-  EXPECT_TRUE(IsKnownSketchKind(0));
-  EXPECT_FALSE(IsKnownSketchKind(1));  // retired: sharded (v1–v3)
-  EXPECT_TRUE(IsKnownSketchKind(2));
-  EXPECT_TRUE(IsKnownSketchKind(3));
-  for (int kind = 4; kind <= 255; ++kind) {
-    EXPECT_FALSE(IsKnownSketchKind(static_cast<std::uint8_t>(kind)))
-        << "kind " << kind;
+// The config block's kind byte is a format constant: PutTenantConfig
+// writes 0 and GetTenantConfig accepts nothing else. Bytes 1 (sharded),
+// 2 (KLL) and 3 (deterministic reservoir) named retired kinds.
+TEST(SketchKindTest, ConfigDecoderAcceptsOnlyKindZero) {
+  std::vector<std::uint8_t> block;
+  BinaryWriter writer(&block);
+  PutTenantConfig(TenantConfig{}, &writer);
+  ASSERT_EQ(block[0], 0);
+  for (int kind = 0; kind <= 255; ++kind) {
+    block[0] = static_cast<std::uint8_t>(kind);
+    BinaryReader reader(block);
+    TenantConfig decoded;
+    const Status status = GetTenantConfig(&reader, &decoded);
+    if (kind == 0) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      continue;
+    }
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "kind " << kind;
+    EXPECT_EQ(status.message(), "unknown sketch kind " + std::to_string(kind));
   }
-  EXPECT_EQ(SketchKindName(SketchKind::kUnknownN), "unknown_n");
-  EXPECT_EQ(SketchKindName(static_cast<SketchKind>(1)), "invalid");
-  EXPECT_EQ(SketchKindName(SketchKind::kKll), "kll");
-  EXPECT_EQ(SketchKindName(SketchKind::kDetReservoir), "det_reservoir");
-  EXPECT_EQ(SketchKindName(static_cast<SketchKind>(200)), "invalid");
 }
 
 // The config block CREATE_SKETCH, RESTORE and the registry checkpoint
 // share: 25 bytes, validated on the way in.
 TEST(TenantConfigTest, CodecRoundTripAndRangeChecks) {
   TenantConfig config;
-  config.kind = SketchKind::kKll;
   config.eps = 0.03;
   config.delta = 1e-6;
   config.seed = 0x0123456789abcdefull;
@@ -101,8 +106,6 @@ TEST(TenantConfigTest, CodecRoundTripAndRangeChecks) {
   };
   EXPECT_TRUE(ValidateTenantConfig(TenantConfig{}).ok());
   TenantConfig bad;
-  bad.kind = static_cast<SketchKind>(1);
-  EXPECT_TRUE(rejected(bad));
   for (double eps : {0.0, -0.1, 0.51, std::nan(""),
                      std::numeric_limits<double>::infinity()}) {
     bad = TenantConfig{};
@@ -151,28 +154,11 @@ TEST(FrameTest, AddBatchAndQueryWireBytes) {
   EXPECT_EQ(wire, frame(3, payload));
 }
 
-TEST(FrameTest, ProtocolV2KindsRoundTrip) {
-  for (SketchKind kind : {SketchKind::kKll, SketchKind::kDetReservoir}) {
-    TenantConfig config;
-    config.kind = kind;
-    config.eps = 0.01;
-    config.delta = 1e-4;
-    config.seed = 7;
-    std::vector<std::uint8_t> wire;
-    EncodeCreateSketch("t", config, &wire);
-    const FrameView frame = MustDecode(wire);
-    Result<CreateSketchRequest> req =
-        DecodeCreateSketch(frame.payload, frame.payload_len);
-    ASSERT_TRUE(req.ok()) << req.status().ToString();
-    EXPECT_TRUE(req.value().config == config);
-  }
-}
-
 TEST(FrameTest, UnknownSketchKindByteIsCleanError) {
   // Hand-build CREATE_SKETCH payloads carrying hostile kind bytes: every
   // one must come back as InvalidArgument from the decoder — never an
   // abort, and never a half-decoded request.
-  for (int kind : {1, 4, 5, 17, 128, 255}) {
+  for (int kind : {1, 2, 3, 4, 5, 17, 128, 255}) {
     std::vector<std::uint8_t> wire;
     {
       FrameBuilder frame(MsgType::kCreateSketch, &wire);
@@ -188,20 +174,35 @@ TEST(FrameTest, UnknownSketchKindByteIsCleanError) {
         DecodeCreateSketch(frame.payload, frame.payload_len);
     ASSERT_FALSE(req.ok()) << "kind " << kind;
     EXPECT_EQ(req.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(req.status().message(),
+              "unknown sketch kind " + std::to_string(kind));
   }
 }
 
+// The STATS reply's kind byte follows the config block's rule: the
+// encoder writes 0 and the decoder rejects any other byte, retired kind 2
+// included. The byte sits after the response header (request type,
+// status, u16 message length), num_tenants, total_count and present.
 TEST(ResponseTest, StatsReplyUnknownKindRejected) {
+  constexpr std::size_t kKindOffset = kFrameHeaderSize + 4 + 8 + 8 + 1;
   StatsReply stats;
   stats.tenant_present = true;
-  stats.tenant_kind = static_cast<SketchKind>(9);
-  std::vector<std::uint8_t> wire;
-  EncodeStatsOk(stats, &wire);
-  const FrameView frame = MustDecode(wire);
-  Result<ResponseView> response =
-      DecodeResponse(frame.payload, frame.payload_len);
-  ASSERT_TRUE(response.ok());
-  EXPECT_FALSE(DecodeStatsOk(response.value()).ok());
+  std::vector<std::uint8_t> good;
+  EncodeStatsOk(stats, &good);
+  ASSERT_EQ(good[kKindOffset], 0);
+  for (std::uint8_t kind : {2, 9}) {
+    std::vector<std::uint8_t> wire = good;
+    wire[kKindOffset] = kind;
+    StoreU32Le(wire.data() + 8, Crc32(wire.data() + kFrameHeaderSize,
+                                      wire.size() - kFrameHeaderSize));
+    const FrameView frame = MustDecode(wire);
+    Result<ResponseView> response =
+        DecodeResponse(frame.payload, frame.payload_len);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(DecodeStatsOk(response.value()).status().code(),
+              StatusCode::kInvalidArgument)
+        << "kind " << int{kind};
+  }
 }
 
 TEST(FrameTest, AddBatchRoundTrip) {
@@ -300,7 +301,6 @@ TEST(FrameTest, FetchSummaryRoundTrip) {
 
 TEST(FrameTest, RestoreRoundTrip) {
   TenantConfig config;
-  config.kind = SketchKind::kKll;
   config.eps = 0.02;
   config.delta = 1e-5;
   config.seed = 99;
@@ -490,7 +490,6 @@ TEST(ResponseTest, TypedBodiesRoundTrip) {
   stats.num_tenants = 2;
   stats.total_count = 1000;
   stats.tenant_present = true;
-  stats.tenant_kind = SketchKind::kDetReservoir;
   stats.tenant_count = 600;
   stats.tenant_memory_elements = 4096;
   EncodeStatsOk(stats, &wire);
@@ -502,7 +501,6 @@ TEST(ResponseTest, TypedBodiesRoundTrip) {
   EXPECT_EQ(stats_out.value().num_tenants, 2u);
   EXPECT_EQ(stats_out.value().total_count, 1000u);
   EXPECT_TRUE(stats_out.value().tenant_present);
-  EXPECT_EQ(stats_out.value().tenant_kind, SketchKind::kDetReservoir);
   EXPECT_EQ(stats_out.value().tenant_count, 600u);
   EXPECT_EQ(stats_out.value().tenant_memory_elements, 4096u);
 }

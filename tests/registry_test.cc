@@ -15,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/known_n.h"
 #include "core/unknown_n.h"
 #include "gtest/gtest.h"
 #include "util/random.h"
@@ -258,17 +259,18 @@ TEST(RegistryTest, CheckpointIsPartitionLayoutAgnostic) {
 TEST(RegistryTest, CheckpointRecoverRoundTrip) {
   const std::string path = TempPath("registry_ckpt");
   const std::vector<Value> values = UniformStream(50000, 11);
+  TenantConfig other_cfg;
+  other_cfg.eps = 0.005;
+  other_cfg.delta = 1e-3;
+  other_cfg.seed = 42;
 
   RegistryStats before;
   {
     RegistryOptions options;
     options.checkpoint_path = path;
     SketchRegistry registry(options);
-    TenantConfig unknown_cfg;
-    TenantConfig kll_cfg;
-    kll_cfg.kind = SketchKind::kKll;
-    ASSERT_TRUE(registry.Create("u", unknown_cfg).ok());
-    ASSERT_TRUE(registry.Create("k", kll_cfg).ok());
+    ASSERT_TRUE(registry.Create("u", TenantConfig{}).ok());
+    ASSERT_TRUE(registry.Create("k", other_cfg).ok());
     for (std::size_t i = 0; i < values.size(); i += 5000) {
       std::span<const Value> batch(values.data() + i, 5000);
       ASSERT_TRUE(registry.AddBatch("u", batch).ok());
@@ -286,7 +288,8 @@ TEST(RegistryTest, CheckpointRecoverRoundTrip) {
   EXPECT_EQ(recovered.GlobalStats().total_count, before.total_count);
   EXPECT_EQ(recovered.Stats("u").count, values.size());
   EXPECT_EQ(recovered.Stats("k").count, values.size());
-  EXPECT_EQ(recovered.Stats("k").config.kind, SketchKind::kKll);
+  EXPECT_TRUE(recovered.Stats("u").config == TenantConfig{});
+  EXPECT_TRUE(recovered.Stats("k").config == other_cfg);
 
   std::vector<Value> sorted = values;
   std::sort(sorted.begin(), sorted.end());
@@ -304,20 +307,19 @@ TEST(RegistryTest, CheckpointRecoverRoundTrip) {
 }
 
 // Every truncation and every single-byte flip of an MRLR v3 file holding
-// one tenant of each kind must fail recovery, and a failed recovery must
-// leave the tenants already in the registry as they were.
+// three tenants must fail recovery, and a failed recovery must leave the
+// tenants already in the registry as they were.
 TEST(RegistryTest, RecoverRejectsCorruptCheckpoint) {
   const std::string path = TempPath("registry_ckpt_corrupt");
   {
     RegistryOptions options;
     options.checkpoint_path = path;
     SketchRegistry registry(options);
-    for (SketchKind kind :
-         {SketchKind::kUnknownN, SketchKind::kKll, SketchKind::kDetReservoir}) {
+    for (std::uint64_t seed : {1, 2, 3}) {
       TenantConfig config;
-      config.kind = kind;
       config.eps = 0.1;
-      const std::string name(SketchKindName(kind));
+      config.seed = seed;
+      const std::string name = "t" + std::to_string(seed);
       ASSERT_TRUE(registry.Create(name, config).ok());
       ASSERT_TRUE(registry.AddBatch(name, UniformStream(100, 5)).ok());
     }
@@ -353,6 +355,19 @@ TEST(RegistryTest, RecoverRejectsCorruptCheckpoint) {
   v2[4] = 2;
   StoreU32Le(v2.data() + v2.size() - 4, Crc32(v2.data(), v2.size() - 4));
   expect_rejected(v2, "version 2");
+  // A v3 file written while kinds 2 (KLL) and 3 (deterministic reservoir)
+  // were served may hold their records: recovery refuses the whole file,
+  // naming the kind byte, rather than drop those tenants. After the header
+  // (u32 magic, u8 version, u64 tenant count) come the first record's u16
+  // name length, its name, and the config block's kind byte.
+  std::vector<std::uint8_t> kind2 = good;
+  const std::size_t kind_offset = 15 + LoadU16Le(good.data() + 13);
+  ASSERT_EQ(kind2[kind_offset], 0);
+  kind2[kind_offset] = 2;
+  StoreU32Le(kind2.data() + kind2.size() - 4,
+             Crc32(kind2.data(), kind2.size() - 4));
+  expect_rejected(kind2, "retired kind 2");
+  EXPECT_EQ(registry.RecoverFromDisk().message(), "unknown sketch kind 2");
 
   WriteFile(path, good);
   ASSERT_TRUE(registry.RecoverFromDisk().ok());
@@ -369,12 +384,25 @@ TEST(RegistryTest, FailedInstallKeepsExistingTenant) {
   std::vector<std::uint8_t> before;
   ASSERT_TRUE(registry.Snapshot("t", &before).ok());
 
-  TenantConfig kll_config;
-  kll_config.kind = SketchKind::kKll;
-  ASSERT_TRUE(registry.Create("k", kll_config).ok());
-  ASSERT_TRUE(registry.AddBatch("k", UniformStream(1000, 10)).ok());
-  std::vector<std::uint8_t> kll_blob;
-  ASSERT_TRUE(registry.Snapshot("k", &kll_blob).ok());
+  TenantConfig other_config;
+  other_config.eps = 0.05;
+  other_config.seed = 3;
+  ASSERT_TRUE(registry.Create("o", other_config).ok());
+  ASSERT_TRUE(registry.AddBatch("o", UniformStream(1000, 10)).ok());
+  std::vector<std::uint8_t> other_blob;
+  ASSERT_TRUE(registry.Snapshot("o", &other_blob).ok());
+
+  // A well-formed MRLQ checkpoint of another sketch kind (known-N, kind
+  // byte 2), framed the way Snapshot frames one.
+  KnownNOptions known_options;
+  known_options.n = 1000;
+  KnownNSketch known = std::move(KnownNSketch::Create(known_options)).value();
+  known.AddAll(UniformStream(1000, 10));
+  const std::vector<std::uint8_t> known_bytes = known.Serialize();
+  std::vector<std::uint8_t> known_blob;
+  BinaryWriter known_writer(&known_blob);
+  known_writer.PutU32(static_cast<std::uint32_t>(known_bytes.size()));
+  known_writer.PutBytes(known_bytes.data(), known_bytes.size());
 
   // Snapshot framing: u32 length, then the sketch blob (u32 magic, u8
   // version, ...); byte 8 is the sketch's version.
@@ -387,7 +415,7 @@ TEST(RegistryTest, FailedInstallKeepsExistingTenant) {
       {"corrupt", corrupt},
       {"truncated", std::vector<std::uint8_t>(before.begin(),
                                               before.begin() + 5)},
-      {"wrong kind", kll_blob},
+      {"wrong kind", known_blob},
   };
   for (const auto& c : cases) {
     EXPECT_EQ(registry.Install("t", TenantConfig{}, c.blob).code(),
@@ -399,13 +427,13 @@ TEST(RegistryTest, FailedInstallKeepsExistingTenant) {
     EXPECT_EQ(after, before) << c.what;
   }
 
-  // A good blob replaces the tenant, kind included.
-  ASSERT_TRUE(registry.Install("t", kll_config, kll_blob).ok());
-  EXPECT_EQ(registry.Stats("t").config.kind, SketchKind::kKll);
+  // A good blob replaces the tenant, config included.
+  ASSERT_TRUE(registry.Install("t", other_config, other_blob).ok());
+  EXPECT_TRUE(registry.Stats("t").config == other_config);
   EXPECT_EQ(registry.size(), 2u);
   std::vector<std::uint8_t> replaced;
   ASSERT_TRUE(registry.Snapshot("t", &replaced).ok());
-  EXPECT_EQ(replaced, kll_blob);
+  EXPECT_EQ(replaced, other_blob);
 }
 
 TEST(RegistryTest, MissingCheckpointIsEmptyRegistry) {

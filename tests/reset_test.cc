@@ -11,10 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/det_reservoir.h"
 #include "core/estimator.h"
 #include "core/extreme.h"
-#include "core/kll.h"
 #include "core/known_n.h"
 #include "core/unknown_n.h"
 #include "util/random.h"
@@ -66,22 +64,6 @@ std::vector<BackendFactory> AllBackends() {
     options.seed = seed;
     return std::unique_ptr<QuantileEstimator>(new ExtremeValueSketch(
         std::move(ExtremeValueSketch::Create(options)).value()));
-  }});
-  backends.push_back({"kll", [](std::uint64_t seed) {
-    KllOptions options;
-    options.eps = 0.02;
-    options.delta = 1e-3;
-    options.seed = seed;
-    return std::unique_ptr<QuantileEstimator>(
-        new KllSketch(std::move(KllSketch::Create(options)).value()));
-  }});
-  backends.push_back({"det_reservoir", [](std::uint64_t seed) {
-    DetReservoirOptions options;
-    options.eps = 0.02;
-    options.delta = 1e-3;
-    options.seed = seed;
-    return std::unique_ptr<QuantileEstimator>(new DeterministicReservoirSketch(
-        std::move(DeterministicReservoirSketch::Create(options)).value()));
   }});
   return backends;
 }

@@ -24,6 +24,7 @@
 #include "router/router.h"
 #include "server/client.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace mrl {
 namespace router {
@@ -418,8 +419,6 @@ TEST_F(RouterE2eTest, SingleOwnerRepliesMatchDirectDaemonByteForByte) {
   TenantConfig config;
   config.eps = 0.05;
   config.seed = 5;
-  TenantConfig kll = config;
-  kll.kind = server::SketchKind::kKll;
   const std::vector<Value> values = UniformStream(5000, 41);
   std::vector<Value> with_nan = values;
   with_nan[17] = std::numeric_limits<double>::quiet_NaN();
@@ -431,10 +430,21 @@ TEST_F(RouterE2eTest, SingleOwnerRepliesMatchDirectDaemonByteForByte) {
     encode(&requests.back());
   };
   using namespace server;  // NOLINT(build/namespaces)
+  // Rewrites the config block's kind byte, at `offset` into the payload, to
+  // retired kind 2 (KLL) and refreshes the CRC.
+  const auto plant_retired_kind = [](std::vector<std::uint8_t>* out,
+                                     std::size_t offset) {
+    (*out)[kFrameHeaderSize + offset] = 2;
+    StoreU32Le(out->data() + 8, Crc32(out->data() + kFrameHeaderSize,
+                                      out->size() - kFrameHeaderSize));
+  };
   add([&](auto* out) { EncodePing(out); });
   add([&](auto* out) { EncodeCreateSketch("t", config, out); });
   add([&](auto* out) { EncodeCreateSketch("t", config, out); });  // exists
-  add([&](auto* out) { EncodeCreateSketch("t", kll, out); });  // kind clash
+  add([&](auto* out) {
+    EncodeCreateSketch("t", config, out);
+    plant_retired_kind(out, 3);  // after the u16 name length and "t"
+  });
   add([&](auto* out) { EncodeCreateSketch("bad name!", config, out); });
   add([&](auto* out) { EncodeAddBatch("t", values, out); });
   add([&](auto* out) { EncodeAddBatch("t", with_nan, out); });
@@ -472,7 +482,10 @@ TEST_F(RouterE2eTest, SingleOwnerRepliesMatchDirectDaemonByteForByte) {
 
   requests.clear();
   add([&](auto* out) { EncodeRestore("t2", config, blob, out); });
-  add([&](auto* out) { EncodeRestore("t3", kll, blob, out); });  // bad kind
+  add([&](auto* out) {
+    EncodeRestore("t3", config, blob, out);
+    plant_retired_kind(out, 4);  // after the u16 name length and "t3"
+  });
   add([&](auto* out) { EncodeQueryMulti("t2", phis, out); });
   add([&](auto* out) { EncodeNameRequest(MsgType::kDelete, "t", out); });
   add([&](auto* out) { EncodeNameRequest(MsgType::kDelete, "t", out); });

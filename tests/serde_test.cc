@@ -6,10 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/det_reservoir.h"
 #include "core/estimator.h"
 #include "core/extreme.h"
-#include "core/kll.h"
 #include "core/known_n.h"
 #include "core/partial.h"
 #include "core/unknown_n.h"
@@ -343,9 +341,10 @@ TEST(ExtremeCheckpointTest, BitFlipsNeverCrash) {
   EXPECT_GT(rejected, 0);
 }
 
-// Kind byte 4 belonged to the retired sharded sketch and is never reused:
-// every remaining backend's Restore must reject it with a clean Status,
-// even when the rest of the blob is that backend's own valid payload.
+// Kind bytes 4 (sharded), 5 (KLL) and 6 (deterministic reservoir) belonged
+// to retired checkpoint formats and are never reused: every remaining
+// backend's Restore must reject each with a clean Status, even when the
+// rest of the blob is that backend's own valid payload.
 TEST(SketchCheckpointTest, RetiredKindFourRejectedByEveryRestore) {
   constexpr std::size_t kKindOffset = 5;  // after the magic and version
   std::vector<std::unique_ptr<QuantileEstimator>> backends;
@@ -355,20 +354,19 @@ TEST(SketchCheckpointTest, RetiredKindFourRejectedByEveryRestore) {
       std::make_unique<KnownNSketch>(MakeKnownNForCorruption()));
   backends.push_back(
       std::make_unique<ExtremeValueSketch>(MakeExtremeForCorruption()));
-  backends.push_back(std::make_unique<KllSketch>(
-      std::move(KllSketch::Create(KllOptions{})).value()));
-  backends.push_back(std::make_unique<DeterministicReservoirSketch>(
-      std::move(DeterministicReservoirSketch::Create(DetReservoirOptions{}))
-          .value()));
   for (std::size_t b = 0; b < backends.size(); ++b) {
     QuantileEstimator& backend = *backends[b];
     for (int i = 0; i < 1000; ++i) backend.Add(static_cast<Value>(i % 97));
-    std::vector<std::uint8_t> bytes = backend.Serialize();
-    ASSERT_GT(bytes.size(), kKindOffset);
-    ASSERT_TRUE(backend.Restore(bytes).ok()) << "backend " << b;
-    bytes[kKindOffset] = 4;
-    EXPECT_EQ(backend.Restore(bytes).code(), StatusCode::kInvalidArgument)
-        << "backend " << b;
+    const std::vector<std::uint8_t> good = backend.Serialize();
+    ASSERT_GT(good.size(), kKindOffset);
+    ASSERT_TRUE(backend.Restore(good).ok()) << "backend " << b;
+    for (std::uint8_t retired : {4, 5, 6}) {
+      std::vector<std::uint8_t> bytes = good;
+      bytes[kKindOffset] = retired;
+      EXPECT_EQ(backend.Restore(bytes).code(), StatusCode::kInvalidArgument)
+          << "backend " << b << ", kind " << int{retired};
+    }
+    EXPECT_EQ(backend.Serialize(), good) << "backend " << b;
   }
 }
 

@@ -280,31 +280,27 @@ TEST_F(ServerE2eTest, KillAndRestartRecoversFromCheckpoint) {
   }
 }
 
-TEST_F(ServerE2eTest, KindMismatchErrorTextReachesClient) {
+TEST_F(ServerE2eTest, ExistsErrorTextReachesClient) {
   std::unique_ptr<QuantileServer> server = StartServer(ServerOptions{});
   ASSERT_NE(server, nullptr);
   Client client = Connect();
 
-  // Re-creating an existing tenant under a different kind: the server's
-  // exact error text must round-trip to the caller, naming both the held
-  // and the requested backend.
-  TenantConfig kll_config;
-  kll_config.kind = SketchKind::kKll;
-  ASSERT_TRUE(client.CreateSketch("t", kll_config).ok());
-  const Status mismatch = client.CreateSketch("t", TenantConfig{});
-  EXPECT_EQ(mismatch.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(mismatch.message().find("kll"), std::string::npos)
-      << mismatch.message();
-  EXPECT_NE(mismatch.message().find("unknown_n"), std::string::npos)
-      << mismatch.message();
+  // Re-creating an existing tenant, under any config: the server's exact
+  // error text must round-trip to the caller.
+  ASSERT_TRUE(client.CreateSketch("t", TenantConfig{}).ok());
+  TenantConfig other;
+  other.eps = 0.05;
+  const Status exists = client.CreateSketch("t", other);
+  EXPECT_EQ(exists.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(exists.message(), "tenant already exists");
 
   // The error response must leave the connection usable.
   ASSERT_TRUE(client.AddBatch("t", std::vector<Value>{1.0}).ok());
   server->Stop();
 }
 
-TEST_F(ServerE2eTest, KllTenantSurvivesDaemonSigkill) {
-  checkpoint_path_ = TempName("e2e_kll_ckpt");
+TEST_F(ServerE2eTest, TenantSurvivesDaemonSigkill) {
+  checkpoint_path_ = TempName("e2e_sigkill_ckpt");
   const std::string uds_flag = "--uds=" + uds_path_;
   const std::string ckpt_flag = "--checkpoint=" + checkpoint_path_;
 
@@ -339,8 +335,8 @@ TEST_F(ServerE2eTest, KllTenantSurvivesDaemonSigkill) {
   {
     Client client = wait_for_daemon();
     TenantConfig config;
-    config.kind = SketchKind::kKll;
     config.eps = 0.01;
+    config.seed = 9;
     ASSERT_TRUE(client.CreateSketch("k", config).ok());
     for (std::size_t i = 0; i < kFirstHalf; i += kBatch) {
       ASSERT_TRUE(client
@@ -368,7 +364,6 @@ TEST_F(ServerE2eTest, KllTenantSurvivesDaemonSigkill) {
     Result<StatsReply> stats = client.Stats("k");
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_TRUE(stats.value().tenant_present);
-    EXPECT_EQ(stats.value().tenant_kind, SketchKind::kKll);
     EXPECT_EQ(stats.value().tenant_count, kFirstHalf);
 
     // Replay the lost tail and finish the stream on the recovered tenant.
@@ -630,6 +625,56 @@ TEST_F(ServerE2eTest, DaemonRejectsZeroMaxTenants) {
   ASSERT_EQ(waited, pid);
   ASSERT_TRUE(WIFEXITED(wstatus)) << "daemon died by a signal";
   EXPECT_EQ(WEXITSTATUS(wstatus), 2);
+}
+
+// Runs the mrlquant_client binary with `args` and returns its exit code
+// (-1 when it did not exit normally).
+int RunClient(const std::vector<std::string>& args) {
+  std::vector<char*> argv;
+  argv.push_back(const_cast<char*>("mrlquant_client"));
+  for (const std::string& arg : args) {
+    argv.push_back(const_cast<char*>(arg.c_str()));
+  }
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::execv(MRLQUANT_CLIENT_PATH, argv.data());
+    ::_exit(127);  // exec failed
+  }
+  if (pid < 0) return -1;
+  int wstatus = 0;
+  if (::waitpid(pid, &wstatus, 0) != pid || !WIFEXITED(wstatus)) return -1;
+  return WEXITSTATUS(wstatus);
+}
+
+// Malformed or out-of-range client flags are usage errors (exit 2), never
+// a silently different endpoint, an unbounded ping or a stray value.
+TEST_F(ServerE2eTest, ClientRejectsBadNumericFlags) {
+  std::unique_ptr<QuantileServer> server = StartServer(ServerOptions{});
+  ASSERT_NE(server, nullptr);
+  const std::string uds_flag = "--uds=" + uds_path_;
+
+  EXPECT_EQ(RunClient({"--port=70000", "ping"}), 2);
+  EXPECT_EQ(RunClient({"--port=abc", "ping"}), 2);
+  EXPECT_EQ(RunClient({"--port=0", "ping"}), 2);
+  EXPECT_EQ(RunClient({uds_flag, "--timeout-ms=abc", "ping"}), 2);
+  EXPECT_EQ(RunClient({uds_flag, "--timeout-ms=-1", "ping"}), 2);
+  EXPECT_EQ(RunClient({uds_flag, "ping"}), 0);
+
+  Client client = Connect();
+  ASSERT_TRUE(client.CreateSketch("t", TenantConfig{}).ok());
+  EXPECT_EQ(RunClient({uds_flag, "add", "t", ""}), 2);
+  EXPECT_EQ(RunClient({uds_flag, "create", "s", "--seed=12x"}), 2);
+  EXPECT_EQ(RunClient({uds_flag, "create", "s", "--seed=-1"}), 2);
+  EXPECT_EQ(RunClient({uds_flag, "create", "s", "--eps="}), 2);
+  Result<StatsReply> stats = client.Stats("t");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().tenant_count, 0u);
+  EXPECT_FALSE(client.Stats("s").value().tenant_present);
+
+  EXPECT_EQ(RunClient({uds_flag, "add", "t", "1.5", "2"}), 0);
+  EXPECT_EQ(client.Stats("t").value().tenant_count, 2u);
+  server->Stop();
 }
 
 TEST_F(ServerE2eTest, ConnectionSurvivesMalformedFrame) {

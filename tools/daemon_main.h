@@ -6,8 +6,8 @@
 namespace mrl {
 namespace cli {
 
-/// Command-line helpers shared by the long-running binaries (mrlquantd,
-/// mrlquant_router). Diagnostics are prefixed with the program's name.
+/// Command-line helpers shared by mrlquantd, mrlquant_router and
+/// mrlquant_client. Diagnostics are prefixed with the program's name.
 
 /// Matches `--name=VALUE`: stores VALUE and returns true, or returns false
 /// when `arg` is another flag.

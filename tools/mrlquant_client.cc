@@ -1,6 +1,6 @@
 // mrlquant_client: command-line client for mrlquantd.
 //
-//   mrlquant_client --uds=/tmp/mrlquant.sock create latency --kind=kll
+//   mrlquant_client --uds=/tmp/mrlquant.sock create latency --eps=0.01
 //   seq 1 1000000 | mrlquant_client --uds=/tmp/mrlquant.sock add latency -
 //   mrlquant_client --uds=/tmp/mrlquant.sock query latency 0.5
 //   mrlquant_client --uds=/tmp/mrlquant.sock quantiles latency 0.5 0.9 0.99
@@ -8,6 +8,9 @@
 //   mrlquant_client --uds=/tmp/mrlquant.sock stats [latency]
 //   mrlquant_client --uds=/tmp/mrlquant.sock delete latency
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -17,13 +20,15 @@
 #include <string>
 #include <vector>
 
+#include "daemon_main.h"
 #include "server/client.h"
 
 namespace {
 
 using mrl::Status;
+using mrl::cli::ParseFlag;
+using mrl::cli::ParseIntFlag;
 using mrl::server::Client;
-using mrl::server::SketchKind;
 using mrl::server::StatsReply;
 using mrl::server::TenantConfig;
 
@@ -32,8 +37,7 @@ void Usage() {
       stderr,
       "usage: mrlquant_client (--uds=PATH | --host=IP --port=N)\n"
       "                       [--timeout-ms=N] CMD ...\n"
-      "  create NAME [--kind=unknown|kll|dreservoir] [--eps=E]\n"
-      "              [--delta=D] [--seed=S]\n"
+      "  create NAME [--eps=E] [--delta=D] [--seed=S]\n"
       "  add NAME V...       ('-' reads whitespace-separated values "
       "from stdin)\n"
       "  query NAME PHI\n"
@@ -50,41 +54,53 @@ int Fail(const Status& status) {
   return 1;
 }
 
+/// A whole-string decimal: empty text, leading whitespace or trailing
+/// junk is a usage error (exit 2).
 double ParseDouble(const char* text) {
   char* end = nullptr;
   const double v = std::strtod(text, &end);
-  if (end == nullptr || *end != '\0') {
-    std::fprintf(stderr, "mrlquant_client: bad number: %s\n", text);
+  if (end == text || *end != '\0' ||
+      std::isspace(static_cast<unsigned char>(*text))) {
+    std::fprintf(stderr, "mrlquant_client: bad number: '%s'\n", text);
     std::exit(2);
   }
   return v;
 }
 
-bool FlagValue(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
+/// --seed takes the full u64 range, so it cannot go through ParseIntFlag
+/// (a long); it is as strict: digits only, no sign, no overflow.
+std::uint64_t ParseSeed(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+      *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "mrlquant_client: bad integer for --seed: %s\n",
+                 text.c_str());
+    std::exit(2);
+  }
+  return v;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string uds, host = "127.0.0.1", port_text;
+  std::string uds, host = "127.0.0.1";
+  long port = 0;  // unset; a client cannot dial port 0
   int timeout_ms = -1;
   int i = 1;
   for (; i < argc; ++i) {
-    std::string v;
-    if (FlagValue(argv[i], "--uds", &uds)) continue;
-    if (FlagValue(argv[i], "--host", &host)) continue;
-    if (FlagValue(argv[i], "--port", &port_text)) continue;
-    if (FlagValue(argv[i], "--timeout-ms", &v)) {
-      timeout_ms = std::atoi(v.c_str());
+    long value = 0;
+    if (ParseFlag(argv[i], "--uds", &uds)) continue;
+    if (ParseFlag(argv[i], "--host", &host)) continue;
+    if (ParseIntFlag(argv[i], "--port", 1, 65535, &port)) continue;
+    if (ParseIntFlag(argv[i], "--timeout-ms", 0, INT_MAX, &value)) {
+      timeout_ms = static_cast<int>(value);
       continue;
     }
     break;
   }
-  if (i >= argc) {
+  if (i >= argc || (uds.empty() && port == 0)) {
     Usage();
     return 2;
   }
@@ -96,11 +112,8 @@ int main(int argc, char** argv) {
   mrl::Result<Client> connected =
       !uds.empty()
           ? Client::ConnectUnix(uds, timeout_ms)
-          : Client::ConnectTcp(
-                host,
-                static_cast<std::uint16_t>(
-                    port_text.empty() ? 0 : std::atoi(port_text.c_str())),
-                timeout_ms);
+          : Client::ConnectTcp(host, static_cast<std::uint16_t>(port),
+                               timeout_ms);
   if (!connected.ok()) return Fail(connected.status());
   Client client = std::move(connected).value();
   if (timeout_ms > 0) {
@@ -124,27 +137,12 @@ int main(int argc, char** argv) {
     TenantConfig config;
     for (; i < argc; ++i) {
       std::string v;
-      if (FlagValue(argv[i], "--kind", &v)) {
-        if (v == "unknown" || v == "unknown_n") {
-          config.kind = SketchKind::kUnknownN;
-        } else if (v == "kll") {
-          config.kind = SketchKind::kKll;
-        } else if (v == "dreservoir" || v == "det_reservoir") {
-          config.kind = SketchKind::kDetReservoir;
-        } else {
-          std::fprintf(stderr,
-                       "mrlquant_client: bad --kind: %s (expected unknown, "
-                       "kll or dreservoir)\n",
-                       v.c_str());
-          return 2;
-        }
-      } else if (FlagValue(argv[i], "--eps", &v)) {
+      if (ParseFlag(argv[i], "--eps", &v)) {
         config.eps = ParseDouble(v.c_str());
-      } else if (FlagValue(argv[i], "--delta", &v)) {
+      } else if (ParseFlag(argv[i], "--delta", &v)) {
         config.delta = ParseDouble(v.c_str());
-      } else if (FlagValue(argv[i], "--seed", &v)) {
-        config.seed = static_cast<std::uint64_t>(
-            std::strtoull(v.c_str(), nullptr, 10));
+      } else if (ParseFlag(argv[i], "--seed", &v)) {
+        config.seed = ParseSeed(v);
       } else {
         std::fprintf(stderr, "mrlquant_client: unknown flag: %s\n", argv[i]);
         return 2;
@@ -252,9 +250,7 @@ int main(int argc, char** argv) {
         std::printf("tenant %s: not present\n", name.c_str());
       } else {
         std::printf(
-            "tenant %s: kind=%s count=%llu memory_elements=%llu\n",
-            name.c_str(),
-            std::string(SketchKindName(reply.tenant_kind)).c_str(),
+            "tenant %s: count=%llu memory_elements=%llu\n", name.c_str(),
             static_cast<unsigned long long>(reply.tenant_count),
             static_cast<unsigned long long>(reply.tenant_memory_elements));
       }
