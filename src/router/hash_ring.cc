@@ -7,6 +7,13 @@
 namespace mrl {
 namespace router {
 
+namespace {
+
+/// Ring points per backend. Part of placement: changing it moves tenants.
+constexpr int kVnodes = 64;
+
+}  // namespace
+
 std::uint64_t HashRing::Hash(std::string_view s) {
   std::uint64_t h = server::TenantNameHash(s);
   // Finalizer (murmur3 fmix64): raw FNV-1a clusters for keys that differ
@@ -20,12 +27,11 @@ std::uint64_t HashRing::Hash(std::string_view s) {
   return h;
 }
 
-HashRing::HashRing(std::vector<std::string> backends, int vnodes)
+HashRing::HashRing(std::vector<std::string> backends)
     : backends_(std::move(backends)) {
-  if (vnodes < 1) vnodes = 1;
-  points_.reserve(backends_.size() * static_cast<std::size_t>(vnodes));
+  points_.reserve(backends_.size() * kVnodes);
   for (std::size_t b = 0; b < backends_.size(); ++b) {
-    for (int v = 0; v < vnodes; ++v) {
+    for (int v = 0; v < kVnodes; ++v) {
       std::string point = backends_[b];
       point.push_back('#');
       point += std::to_string(v);

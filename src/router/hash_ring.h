@@ -10,7 +10,7 @@ namespace mrl {
 namespace router {
 
 /// Consistent-hash ring over a fixed backend set. Each backend contributes
-/// `vnodes` points ("addr#i" hashed with FNV-1a) on a 64-bit circle; a
+/// 64 points ("addr#i" hashed with FNV-1a) on a 64-bit circle; a
 /// tenant name hashes to a point and is owned by the first backend point at
 /// or after it (wrapping). Adding or removing one backend therefore moves
 /// only ~1/N of tenants — the property that makes rolling a backend in or
@@ -21,9 +21,8 @@ namespace router {
 class HashRing {
  public:
   /// `backends` are opaque labels (the router passes addresses); order
-  /// determines each backend's index but not its ring position. `vnodes`
-  /// is clamped to at least 1.
-  HashRing(std::vector<std::string> backends, int vnodes);
+  /// determines each backend's index but not its ring position.
+  explicit HashRing(std::vector<std::string> backends);
 
   /// Index of the backend owning `name`. Requires a non-empty ring.
   int OwnerOf(std::string_view name) const;

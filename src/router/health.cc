@@ -3,51 +3,30 @@
 namespace mrl {
 namespace router {
 
-const char* BackendStateName(BackendState state) {
-  switch (state) {
-    case BackendState::kUnknown:
-      return "unknown";
-    case BackendState::kUp:
-      return "up";
-    case BackendState::kSuspect:
-      return "suspect";
-    case BackendState::kDown:
-      return "down";
-  }
-  return "?";
-}
+namespace {
 
-HealthTracker::HealthTracker(std::size_t num_backends, int fail_threshold)
-    : entries_(num_backends),
-      fail_threshold_(fail_threshold < 1 ? 1 : fail_threshold) {}
+/// Consecutive failures that mark a backend down.
+constexpr int kFailThreshold = 2;
+
+}  // namespace
+
+HealthTracker::HealthTracker(std::size_t num_backends)
+    : consecutive_failures_(num_backends, 0) {}
 
 void HealthTracker::ReportSuccess(int backend) {
   MutexLock lock(mu_);
-  Entry& e = entries_[static_cast<std::size_t>(backend)];
-  e.state = BackendState::kUp;
-  e.consecutive_failures = 0;
+  consecutive_failures_[static_cast<std::size_t>(backend)] = 0;
 }
 
 void HealthTracker::ReportFailure(int backend) {
   MutexLock lock(mu_);
-  Entry& e = entries_[static_cast<std::size_t>(backend)];
-  ++e.consecutive_failures;
-  if (e.consecutive_failures >= fail_threshold_) {
-    e.state = BackendState::kDown;
-  } else if (e.state == BackendState::kUp) {
-    e.state = BackendState::kSuspect;
-  }
-}
-
-BackendState HealthTracker::state(int backend) const {
-  MutexLock lock(mu_);
-  return entries_[static_cast<std::size_t>(backend)].state;
+  ++consecutive_failures_[static_cast<std::size_t>(backend)];
 }
 
 bool HealthTracker::IsUsable(int backend) const {
   MutexLock lock(mu_);
-  return entries_[static_cast<std::size_t>(backend)].state !=
-         BackendState::kDown;
+  return consecutive_failures_[static_cast<std::size_t>(backend)] <
+         kFailThreshold;
 }
 
 }  // namespace router

@@ -9,43 +9,26 @@
 namespace mrl {
 namespace router {
 
-/// Backend liveness as the router believes it, modeled on the server
-/// description state machine of production drivers: a backend starts
-/// kUnknown, any successful round trip makes it kUp, the first failure of
-/// an Up backend demotes to kSuspect (one bad RPC is not an outage), and
-/// `fail_threshold` consecutive failures mark it kDown. Any success fully
-/// resets the backend to kUp — there is no half-recovered state.
-enum class BackendState { kUnknown, kUp, kSuspect, kDown };
-
-const char* BackendStateName(BackendState state);
-
-/// Shared scoreboard of backend states. Every RPC outcome — health-probe
+/// Shared scoreboard of backend liveness: a consecutive-failure counter per
+/// backend. Two failures in a row mark a backend down (one bad RPC is not
+/// an outage); any success resets it. Every RPC outcome — health-probe
 /// pings and regular forwarded traffic alike — feeds the same tracker, so
 /// a dead backend is usually noticed by the request that hits it, not only
 /// by the next probe tick. Thread-safe.
 class HealthTracker {
  public:
-  HealthTracker(std::size_t num_backends, int fail_threshold);
+  explicit HealthTracker(std::size_t num_backends);
 
   void ReportSuccess(int backend);
   void ReportFailure(int backend);
 
-  BackendState state(int backend) const;
-
   /// Whether the router should still send traffic to `backend`: anything
-  /// not kDown is usable (kUnknown and kSuspect get the benefit of the
-  /// doubt so a single dropped packet cannot blackhole a backend).
+  /// not down is usable, including a backend never heard from.
   bool IsUsable(int backend) const;
 
  private:
-  struct Entry {
-    BackendState state = BackendState::kUnknown;
-    int consecutive_failures = 0;
-  };
-
   mutable Mutex mu_;
-  std::vector<Entry> entries_ MRLQUANT_GUARDED_BY(mu_);
-  const int fail_threshold_;
+  std::vector<int> consecutive_failures_ MRLQUANT_GUARDED_BY(mu_);
 };
 
 }  // namespace router

@@ -83,12 +83,21 @@ Result<TenantConfig> ConfigOf(MsgType type, const std::uint8_t* payload,
   return req.value().config;
 }
 
+/// SNAPSHOT, RESTORE and FETCH_SUMMARY of a partitioned tenant: each
+/// backend holds one partition, and there is no whole copy to ship or
+/// install.
+Status NoSingleCopy() {
+  return Status::FailedPrecondition(
+      "a partitioned tenant has no single checkpoint or partial summary; "
+      "use its backends directly");
+}
+
 }  // namespace
 
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
-      ring_(options_.backends, options_.vnodes),
-      health_(options_.backends.size(), options_.fail_threshold) {}
+      ring_(options_.backends),
+      health_(options_.backends.size()) {}
 
 Result<std::unique_ptr<Router>> Router::Create(RouterOptions options) {
   if (options.backends.empty()) {
@@ -215,17 +224,9 @@ void Router::HandleFrame(std::span<const std::uint8_t> request,
                      (type == MsgType::kStats && name.empty()) ||
                      (type != MsgType::kResponse && IsPartitioned(name));
   if (!local) return ForwardFrame(type, name, request, out);
-
-  Result<FrameView> frame =
-      server::DecodeFrameBody(request.data() + 4, request.size() - 4);
-  if (!frame.ok()) {
-    // Attributable to no particular request type: echo kResponse, as the
-    // backends do for undecodable frames.
-    return server::EncodeErrorResponse(MsgType::kResponse, frame.status(),
-                                       out);
-  }
-  const Status status = ServeLocally(frame.value(), out);
-  if (!status.ok()) server::EncodeErrorResponse(type, status, out);
+  // Decoded and validated exactly as a daemon would: the same bytes answer
+  // a malformed frame here and on a backend.
+  server::ServeRequest(request, *this, out);
 }
 
 void Router::ForwardFrame(MsgType type, std::string_view name,
@@ -326,90 +327,11 @@ void Router::ForwardFrame(MsgType type, std::string_view name,
   if (!mirrored) mark_dirty(state);
 }
 
-Status Router::ServeLocally(const FrameView& frame,
-                            std::vector<std::uint8_t>* out) {
-  const std::uint8_t* payload = frame.payload;
-  const std::size_t len = frame.payload_len;
-  switch (frame.type) {
-    case MsgType::kPing:
-      // Answered by the router itself: PING probes the node it reaches.
-      MRL_RETURN_IF_ERROR(server::DecodePing(payload, len));
-      server::EncodeEmptyOk(frame.type, out);
-      return Status::OK();
-    case MsgType::kCreateSketch: {
-      Result<server::CreateSketchRequest> req =
-          server::DecodeCreateSketch(payload, len);
-      if (!req.ok()) return req.status();
-      return BroadcastCreate(req.value().name, req.value().config, out);
-    }
-    case MsgType::kAddBatch: {
-      Result<server::AddBatchRequest> req =
-          server::DecodeAddBatch(payload, len);
-      if (!req.ok()) return req.status();
-      std::vector<double> values;
-      MRL_RETURN_IF_ERROR(server::DecodeDoublesInto(
-          req.value().values_le, req.value().count, /*reject_nan=*/true,
-          &values));
-      return SplitAddBatch(req.value().name, values, out);
-    }
-    case MsgType::kQuery: {
-      Result<server::QueryRequest> req = server::DecodeQuery(payload, len);
-      if (!req.ok()) return req.status();
-      const double phis[1] = {req.value().phi};
-      std::vector<double> answers;
-      MRL_RETURN_IF_ERROR(FanOutQuery(req.value().name, phis, &answers));
-      server::EncodeQueryOk(answers[0], out);
-      return Status::OK();
-    }
-    case MsgType::kQueryMulti: {
-      Result<server::QueryMultiRequest> req =
-          server::DecodeQueryMulti(payload, len);
-      if (!req.ok()) return req.status();
-      std::vector<double> phis;
-      MRL_RETURN_IF_ERROR(server::DecodeDoublesInto(
-          req.value().phis_le, req.value().count, /*reject_nan=*/true, &phis));
-      std::vector<double> answers;
-      MRL_RETURN_IF_ERROR(FanOutQuery(req.value().name, phis, &answers));
-      server::EncodeQueryMultiOk(answers, out);
-      return Status::OK();
-    }
-    case MsgType::kSnapshot:
-    case MsgType::kDelete:
-    case MsgType::kStats:
-    case MsgType::kFetchSummary: {
-      Result<server::NameRequest> req =
-          server::DecodeNameRequest(frame.type, payload, len);
-      if (!req.ok()) return req.status();
-      const std::string_view name = req.value().name;
-      if (frame.type == MsgType::kDelete) return BroadcastDelete(name, out);
-      if (frame.type == MsgType::kStats) return AggregateStats(name, out);
-      if (frame.type == MsgType::kFetchSummary) {
-        return SpliceSummaries(name, out);
-      }
-      return Status::FailedPrecondition(
-          "partitioned tenants have no single checkpoint; use "
-          "FETCH_SUMMARY or snapshot the backends directly");
-    }
-    case MsgType::kRestore: {
-      Result<server::RestoreRequest> req = server::DecodeRestore(payload, len);
-      if (!req.ok()) return req.status();
-      return Status::FailedPrecondition(
-          "partitioned tenants cannot be restored through the router");
-    }
-    case MsgType::kResponse:
-      break;
-  }
-  return Status::InvalidArgument("unexpected response frame");
-}
-
 // ---------------------------------------------------------------------------
 // Partitioned tenants and fleet-wide STATS
 
-Status Router::BroadcastCreate(std::string_view name,
-                               const TenantConfig& config,
-                               std::vector<std::uint8_t>* out) {
-  // Every backend holds one range partition of the tenant, each sampling
-  // under its own derived seed.
+Status Router::CreateSketch(std::string_view name,
+                            const TenantConfig& config) {
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     TenantConfig part_config = config;
     part_config.seed =
@@ -418,21 +340,13 @@ Status Router::BroadcastCreate(std::string_view name,
       return client.CreateSketch(name, part_config);
     }));
   }
-  {
-    MutexLock lock(tenants_mu_);
-    TenantState& state = tenants_[std::string(name)];
-    state.config = config;
-    state.partitioned = true;
-  }
-  server::EncodeEmptyOk(MsgType::kCreateSketch, out);
+  MutexLock lock(tenants_mu_);
+  tenants_[std::string(name)].config = config;
   return Status::OK();
 }
 
-Status Router::SplitAddBatch(std::string_view name,
-                             const std::vector<double>& values,
-                             std::vector<std::uint8_t>* out) {
-  // Deal the batch out in contiguous slices, one per usable backend; the
-  // reply is the tenant's total count across all partitions.
+Result<std::uint64_t> Router::AddBatch(std::string_view name,
+                                       std::span<const Value> values) {
   std::vector<int> usable;
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     if (health_.IsUsable(static_cast<int>(i))) {
@@ -447,20 +361,18 @@ Status Router::SplitAddBatch(std::string_view name,
     // `total` covers every partition's count.
     const std::size_t begin = std::min(slot * per, values.size());
     const std::size_t end = std::min(values.size(), begin + per);
-    const std::span<const Value> slice(values.data() + begin, end - begin);
     MRL_RETURN_IF_ERROR(WithBackend(usable[slot], [&](Client& client) {
-      Result<std::uint64_t> count = client.AddBatch(name, slice);
+      Result<std::uint64_t> count =
+          client.AddBatch(name, values.subspan(begin, end - begin));
       if (!count.ok()) return count.status();
       total += count.value();
       return Status::OK();
     }));
   }
-  server::EncodeAddBatchOk(total, out);
-  return Status::OK();
+  return total;
 }
 
-Status Router::BroadcastDelete(std::string_view name,
-                               std::vector<std::uint8_t>* out) {
+Status Router::Delete(std::string_view name) {
   Status first_error = Status::OK();
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     if (!health_.IsUsable(static_cast<int>(i))) continue;
@@ -475,13 +387,10 @@ Status Router::BroadcastDelete(std::string_view name,
     MutexLock lock(tenants_mu_);
     tenants_.erase(std::string(name));
   }
-  MRL_RETURN_IF_ERROR(first_error);
-  server::EncodeEmptyOk(MsgType::kDelete, out);
-  return Status::OK();
+  return first_error;
 }
 
-Status Router::AggregateStats(std::string_view name,
-                              std::vector<std::uint8_t>* out) {
+Result<server::StatsReply> Router::Stats(std::string_view name) {
   // Sum across the fleet. With replication the totals count each mirrored
   // copy once per holder — fleet-level occupancy, not distinct data.
   server::StatsReply total;
@@ -490,13 +399,12 @@ Status Router::AggregateStats(std::string_view name,
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     if (!health_.IsUsable(static_cast<int>(i))) continue;
     server::StatsReply reply;
-    const Status status =
-        WithBackend(static_cast<int>(i), [&](Client& client) {
-          Result<server::StatsReply> r = client.Stats(name);
-          if (!r.ok()) return r.status();
-          reply = r.value();
-          return Status::OK();
-        });
+    const Status status = WithBackend(static_cast<int>(i), [&](Client& client) {
+      Result<server::StatsReply> r = client.Stats(name);
+      if (!r.ok()) return r.status();
+      reply = r.value();
+      return Status::OK();
+    });
     if (!status.ok()) {
       last_error = status;
       continue;
@@ -511,12 +419,12 @@ Status Router::AggregateStats(std::string_view name,
     }
   }
   if (!any) return last_error;
-  server::EncodeStatsOk(total, out);
-  return Status::OK();
+  return total;
 }
 
-Status Router::FetchPartitions(std::string_view name,
-                               std::vector<PartialSummary>* parts) {
+Status Router::QueryMulti(std::string_view name, std::span<const double> phis,
+                          std::vector<Value>* answers) {
+  std::vector<PartialSummary> parts;
   Status last_error = Status::NotFound("tenant '" + std::string(name) +
                                        "' not found on any backend");
   for (std::size_t i = 0; i < backends_.size(); ++i) {
@@ -534,15 +442,9 @@ Status Router::FetchPartitions(std::string_view name,
     Result<PartialSummary> part = DeserializePartialSummary(
         std::span<const std::uint8_t>(blob.data(), blob.size()));
     if (!part.ok()) return part.status();
-    parts->push_back(std::move(part).value());
+    parts.push_back(std::move(part).value());
   }
-  return parts->empty() ? last_error : Status::OK();
-}
-
-Status Router::FanOutQuery(std::string_view name, std::span<const double> phis,
-                           std::vector<double>* answers) {
-  std::vector<PartialSummary> parts;
-  MRL_RETURN_IF_ERROR(FetchPartitions(name, &parts));
+  if (parts.empty()) return last_error;
   std::uint64_t seed = 1;
   {
     MutexLock lock(tenants_mu_);
@@ -556,30 +458,24 @@ Status Router::FanOutQuery(std::string_view name, std::span<const double> phis,
   return Status::OK();
 }
 
-Status Router::SpliceSummaries(std::string_view name,
-                               std::vector<std::uint8_t>* out) {
-  // Partials share one k, so the union of their buffer sets is itself a
-  // valid partial summary — this is what lets routers stack
-  // hierarchically.
-  std::vector<PartialSummary> parts;
-  MRL_RETURN_IF_ERROR(FetchPartitions(name, &parts));
-  PartialSummary combined = std::move(parts.front());
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    if (parts[i].params.k != combined.params.k) {
-      return Status::Internal("partitions disagree on buffer capacity k");
-    }
-    if (parts[i].params.b > combined.params.b) {
-      combined.params = parts[i].params;
-    }
-    combined.count += parts[i].count;
-    for (ShippedBuffer& buf : parts[i].buffers) {
-      combined.buffers.push_back(std::move(buf));
-    }
-  }
-  std::vector<std::uint8_t> blob;
-  SerializePartialSummary(combined, &blob);
-  server::EncodeFetchSummaryOk(blob, out);
-  return Status::OK();
+Result<Value> Router::Query(std::string_view name, double phi) {
+  const double phis[1] = {phi};
+  std::vector<Value> answers;
+  MRL_RETURN_IF_ERROR(QueryMulti(name, phis, &answers));
+  return answers[0];
+}
+
+Status Router::Snapshot(std::string_view, std::vector<std::uint8_t>*) {
+  return NoSingleCopy();
+}
+
+Status Router::FetchSummary(std::string_view, std::vector<std::uint8_t>*) {
+  return NoSingleCopy();
+}
+
+Status Router::Restore(std::string_view, const TenantConfig&,
+                       std::span<const std::uint8_t>) {
+  return NoSingleCopy();
 }
 
 // ---------------------------------------------------------------------------
@@ -619,7 +515,7 @@ void Router::ResyncDirtyReplicas() {
   {
     MutexLock lock(tenants_mu_);
     for (const auto& [name, state] : tenants_) {
-      if (state.replica_dirty && !state.failed_over && !state.partitioned) {
+      if (state.replica_dirty && !state.failed_over) {
         dirty.push_back({name, state.config, state.dirty_gen});
       }
     }

@@ -20,9 +20,6 @@
 #include "util/thread_annotations.h"
 
 namespace mrl {
-
-struct PartialSummary;
-
 namespace router {
 
 struct RouterOptions {
@@ -38,13 +35,8 @@ struct RouterOptions {
   /// sketches) and fail over to the replica when the primary dies.
   bool replicate = false;
 
-  /// Virtual nodes per backend on the consistent-hash ring.
-  int vnodes = 64;
-
-  /// Health-probe cadence and the failure budget before a backend is
-  /// declared down (see router/health.h).
+  /// Health-probe cadence (see router/health.h).
   int health_interval_ms = 200;
-  int fail_threshold = 2;
 
   /// Per-RPC budget: bounds backend connect and every send/recv, so a hung
   /// backend surfaces as a failure within this window instead of wedging a
@@ -72,7 +64,12 @@ struct RouterOptions {
 /// over to its replica (sticky) and retries once; with replication,
 /// CREATE_SKETCH / ADD_BATCH / RESTORE are mirrored as the same bytes
 /// after the primary answers OK. The router answers only PING, STATS with
-/// an empty name, partitioned tenants, and transport failures itself.
+/// an empty name, partitioned tenants, and transport failures itself: those
+/// frames go through server::ServeRequest, the daemon's own dispatcher, so
+/// their decode errors are the daemon's bytes, and the RequestHandler
+/// overrides below run the partitioned tenant across the fleet. A
+/// partitioned tenant has no single checkpoint or partial summary, so its
+/// SNAPSHOT, RESTORE and FETCH_SUMMARY are FailedPrecondition.
 ///
 /// Threading: the router serves on a server::FrameServer, the substrate
 /// mrlquantd uses: one acceptor thread and one event-loop shard per core,
@@ -82,7 +79,8 @@ struct RouterOptions {
 /// `rpc_timeout_ms`, and other connections homed on that shard wait
 /// behind it. The only other thread is the health/resync thread. Stop()
 /// (or the destructor) winds both down.
-class Router final : private server::FrameHandler {
+class Router final : private server::FrameHandler,
+                     private server::RequestHandler {
  public:
   static Result<std::unique_ptr<Router>> Create(RouterOptions options);
 
@@ -107,7 +105,7 @@ class Router final : private server::FrameHandler {
   int ReplicaIndexOf(std::string_view name) const {
     return ring_.ReplicaOf(name);
   }
-  BackendState backend_state(int index) const { return health_.state(index); }
+  bool backend_down(int index) const { return !health_.IsUsable(index); }
   /// Whether `name` has been failed over to its replica.
   bool failed_over(std::string_view name) const;
 
@@ -129,7 +127,6 @@ class Router final : private server::FrameHandler {
   /// replication/failover bookkeeping).
   struct TenantState {
     server::TenantConfig config;
-    bool partitioned = false;
     /// Sticky: once the primary is declared dead mid-write, all traffic for
     /// this tenant serves from the replica — flapping primaries must not
     /// split the write stream across divergent copies.
@@ -156,36 +153,31 @@ class Router final : private server::FrameHandler {
                     std::span<const std::uint8_t> request,
                     std::vector<std::uint8_t>* out);
 
-  /// Answers a decoded frame the router serves itself (PING, fleet STATS,
-  /// partitioned tenants). On OK the response is in *out; an error is the
-  /// caller's to encode.
-  Status ServeLocally(const server::FrameView& frame,
-                      std::vector<std::uint8_t>* out);
-
-  // Partitioned tenants and fleet-wide STATS; each appends its OK response.
-  Status BroadcastCreate(std::string_view name,
-                         const server::TenantConfig& config,
-                         std::vector<std::uint8_t>* out);
-  Status SplitAddBatch(std::string_view name,
-                       const std::vector<double>& values,
-                       std::vector<std::uint8_t>* out);
-  Status BroadcastDelete(std::string_view name,
-                         std::vector<std::uint8_t>* out);
-  Status AggregateStats(std::string_view name,
-                        std::vector<std::uint8_t>* out);
-  /// FETCH_SUMMARY splice: the union of the partitions' buffer sets.
-  Status SpliceSummaries(std::string_view name,
-                         std::vector<std::uint8_t>* out);
-
-  /// FETCH_SUMMARY from every usable backend, deserialized. Missing or
-  /// unreachable partitions are skipped; only an all-miss is an error.
-  Status FetchPartitions(std::string_view name,
-                         std::vector<PartialSummary>* parts);
-
-  /// Fans QUERY/QUERY_MULTI out over a partitioned tenant: FetchPartitions,
-  /// then merge with MergePartialQuantiles.
-  Status FanOutQuery(std::string_view name, std::span<const double> phis,
-                     std::vector<double>* answers);
+  // RequestHandler: the frames HandleFrame serves itself, which are
+  // partitioned tenants and empty-name STATS.
+  /// Broadcast: every backend holds one range partition, each sampling
+  /// under its own derived seed.
+  Status CreateSketch(std::string_view name,
+                      const server::TenantConfig& config) override;
+  /// Deals the batch out in contiguous slices, one per usable backend, and
+  /// returns the tenant's total count across all partitions.
+  Result<std::uint64_t> AddBatch(std::string_view name,
+                                 std::span<const Value> values) override;
+  Result<Value> Query(std::string_view name, double phi) override;
+  /// Fans out FETCH_SUMMARY to every usable backend and merges the
+  /// partials with MergePartialQuantiles. Missing or unreachable
+  /// partitions are skipped; only an all-miss is an error.
+  Status QueryMulti(std::string_view name, std::span<const double> phis,
+                    std::vector<Value>* answers) override;
+  Status Snapshot(std::string_view name,
+                  std::vector<std::uint8_t>* blob) override;
+  Status Delete(std::string_view name) override;
+  /// Sums the backends' replies: the fleet's totals, and the tenant's.
+  Result<server::StatsReply> Stats(std::string_view name) override;
+  Status FetchSummary(std::string_view name,
+                      std::vector<std::uint8_t>* blob) override;
+  Status Restore(std::string_view name, const server::TenantConfig& config,
+                 std::span<const std::uint8_t> blob) override;
 
   /// Pooled connection to `backend`, dialing under the RPC timeout when
   /// the pool is empty.

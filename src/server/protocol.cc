@@ -503,12 +503,15 @@ Result<ResponseView> DecodeResponse(const std::uint8_t* payload,
       !reader.GetU16(&msg_len)) {
     return reader.status();
   }
-  if (!IsKnownMsgType(request_type) ||
-      request_type == static_cast<std::uint8_t>(MsgType::kResponse)) {
-    return Status::InvalidArgument("response echoes unknown request type");
-  }
   if (code > static_cast<std::uint8_t>(StatusCode::kUnimplemented)) {
     return Status::InvalidArgument("response status code out of range");
+  }
+  // An error may echo kResponse: the reply to a frame that names no request
+  // (bad CRC, unknown type or version, a response sent to a server).
+  if (!IsKnownMsgType(request_type) ||
+      (request_type == static_cast<std::uint8_t>(MsgType::kResponse) &&
+       code == static_cast<std::uint8_t>(StatusCode::kOk))) {
+    return Status::InvalidArgument("response echoes unknown request type");
   }
   if (msg_len > reader.Remaining()) {
     return Status::InvalidArgument("response message exceeds payload");
@@ -621,6 +624,121 @@ Result<StatsReply> DecodeStatsOk(const ResponseView& response) {
 Status DecodeFetchSummaryOk(const ResponseView& response,
                             std::vector<std::uint8_t>* out) {
   return DecodeBlobOk(response, MsgType::kFetchSummary, out);
+}
+
+// ---------------------------------------------------------------------------
+// Serving
+
+namespace {
+
+/// Decodes `frame`'s request, runs it on `handler` and appends the OK
+/// reply; an error is returned for the caller to encode.
+Status Serve(const FrameView& frame, RequestHandler& handler,
+             std::vector<std::uint8_t>* out) {
+  // Per-thread request scratch, reused across every frame a server thread
+  // handles.
+  thread_local std::vector<double> doubles;
+  thread_local std::vector<Value> answers;
+  thread_local std::vector<std::uint8_t> blob;
+
+  const std::uint8_t* payload = frame.payload;
+  const std::size_t len = frame.payload_len;
+  switch (frame.type) {
+    case MsgType::kCreateSketch: {
+      Result<CreateSketchRequest> req = DecodeCreateSketch(payload, len);
+      if (!req.ok()) return req.status();
+      MRL_RETURN_IF_ERROR(
+          handler.CreateSketch(req.value().name, req.value().config));
+      EncodeEmptyOk(frame.type, out);
+      return Status::OK();
+    }
+    case MsgType::kAddBatch: {
+      Result<AddBatchRequest> req = DecodeAddBatch(payload, len);
+      if (!req.ok()) return req.status();
+      MRL_RETURN_IF_ERROR(DecodeDoublesInto(
+          req.value().values_le, req.value().count, /*reject_nan=*/true,
+          &doubles));
+      Result<std::uint64_t> count = handler.AddBatch(req.value().name, doubles);
+      if (!count.ok()) return count.status();
+      EncodeAddBatchOk(count.value(), out);
+      return Status::OK();
+    }
+    case MsgType::kQuery: {
+      Result<QueryRequest> req = DecodeQuery(payload, len);
+      if (!req.ok()) return req.status();
+      Result<Value> answer = handler.Query(req.value().name, req.value().phi);
+      if (!answer.ok()) return answer.status();
+      EncodeQueryOk(answer.value(), out);
+      return Status::OK();
+    }
+    case MsgType::kQueryMulti: {
+      Result<QueryMultiRequest> req = DecodeQueryMulti(payload, len);
+      if (!req.ok()) return req.status();
+      MRL_RETURN_IF_ERROR(DecodeDoublesInto(req.value().phis_le,
+                                            req.value().count,
+                                            /*reject_nan=*/true, &doubles));
+      MRL_RETURN_IF_ERROR(
+          handler.QueryMulti(req.value().name, doubles, &answers));
+      EncodeQueryMultiOk(answers, out);
+      return Status::OK();
+    }
+    case MsgType::kSnapshot:
+    case MsgType::kDelete:
+    case MsgType::kStats:
+    case MsgType::kFetchSummary: {
+      Result<NameRequest> req = DecodeNameRequest(frame.type, payload, len);
+      if (!req.ok()) return req.status();
+      const std::string_view name = req.value().name;
+      if (frame.type == MsgType::kDelete) {
+        MRL_RETURN_IF_ERROR(handler.Delete(name));
+        EncodeEmptyOk(frame.type, out);
+      } else if (frame.type == MsgType::kStats) {
+        Result<StatsReply> stats = handler.Stats(name);
+        if (!stats.ok()) return stats.status();
+        EncodeStatsOk(stats.value(), out);
+      } else if (frame.type == MsgType::kSnapshot) {
+        MRL_RETURN_IF_ERROR(handler.Snapshot(name, &blob));
+        EncodeSnapshotOk(blob, out);
+      } else {
+        MRL_RETURN_IF_ERROR(handler.FetchSummary(name, &blob));
+        EncodeFetchSummaryOk(blob, out);
+      }
+      return Status::OK();
+    }
+    case MsgType::kPing:
+      MRL_RETURN_IF_ERROR(DecodePing(payload, len));
+      EncodeEmptyOk(frame.type, out);
+      return Status::OK();
+    case MsgType::kRestore: {
+      Result<RestoreRequest> req = DecodeRestore(payload, len);
+      if (!req.ok()) return req.status();
+      MRL_RETURN_IF_ERROR(handler.Restore(
+          req.value().name, req.value().config,
+          std::span<const std::uint8_t>(req.value().blob,
+                                        req.value().blob_len)));
+      EncodeEmptyOk(frame.type, out);
+      return Status::OK();
+    }
+    case MsgType::kResponse:
+      break;
+  }
+  return Status::InvalidArgument("response frame sent to server");
+}
+
+}  // namespace
+
+void ServeRequest(std::span<const std::uint8_t> frame,
+                  RequestHandler& handler, std::vector<std::uint8_t>* out) {
+  const Result<FrameView> decoded =
+      DecodeFrameBody(frame.data() + 4, frame.size() - 4);
+  if (!decoded.ok()) {
+    // Framing is intact (the prefix was sane) but the frame is malformed
+    // (bad CRC, unknown type/version): attributable to no request.
+    return EncodeErrorResponse(MsgType::kResponse, decoded.status(), out);
+  }
+  // A response frame's error echoes its own type, kResponse.
+  const Status status = Serve(decoded.value(), handler, out);
+  if (!status.ok()) EncodeErrorResponse(decoded.value().type, status, out);
 }
 
 }  // namespace server

@@ -319,6 +319,51 @@ Result<StatsReply> DecodeStatsOk(const ResponseView& response);
 Status DecodeFetchSummaryOk(const ResponseView& response,
                             std::vector<std::uint8_t>* out);
 
+// ---------------------------------------------------------------------------
+// Serving
+
+/// What a server does with each decoded, validated request: one method per
+/// request type. FrameHandler (server/frame_server.h) sees raw frame bytes,
+/// which the router needs for verbatim forwarding; RequestHandler sees
+/// decoded requests, and ServeRequest is the one bridge between them. A
+/// method's error becomes the error reply; `blob` and `answers` are
+/// reusable scratch that the method overwrites.
+class RequestHandler {
+ public:
+  virtual Status CreateSketch(std::string_view name,
+                              const TenantConfig& config) = 0;
+  virtual Result<std::uint64_t> AddBatch(std::string_view name,
+                                         std::span<const Value> values) = 0;
+  virtual Result<Value> Query(std::string_view name, double phi) = 0;
+  virtual Status QueryMulti(std::string_view name,
+                            std::span<const double> phis,
+                            std::vector<Value>* answers) = 0;
+  virtual Status Snapshot(std::string_view name,
+                          std::vector<std::uint8_t>* blob) = 0;
+  virtual Status Delete(std::string_view name) = 0;
+  /// `name` may be empty: registry-wide statistics only.
+  virtual Result<StatsReply> Stats(std::string_view name) = 0;
+  virtual Status FetchSummary(std::string_view name,
+                              std::vector<std::uint8_t>* blob) = 0;
+  virtual Status Restore(std::string_view name, const TenantConfig& config,
+                         std::span<const std::uint8_t> blob) = 0;
+
+ protected:
+  ~RequestHandler() = default;
+};
+
+/// Turns one whole request frame (length prefix included, at least 4
+/// bytes; the prefix itself is not read) into exactly one response frame
+/// appended to *out: frame check, per-type decode and validation, one
+/// handler call, then the OK or error reply. A frame that fails
+/// DecodeFrameBody, or a response frame, is answered with an error that
+/// echoes kResponse; any other error echoes the request type. PING is
+/// answered here, without a handler call. ADD_BATCH values and QUERY_MULTI
+/// phis refuse NaN. Decoding reuses per-thread scratch, so steady-state
+/// serving allocates nothing here.
+void ServeRequest(std::span<const std::uint8_t> frame,
+                  RequestHandler& handler, std::vector<std::uint8_t>* out);
+
 }  // namespace server
 }  // namespace mrl
 

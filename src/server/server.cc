@@ -4,8 +4,6 @@
 #include <iostream>
 #include <utility>
 
-#include "server/protocol.h"
-
 namespace mrl {
 namespace server {
 
@@ -64,125 +62,18 @@ void QuantileServer::Stop() {
   }
 }
 
-void QuantileServer::HandleFrame(std::span<const std::uint8_t> frame,
-                                 std::vector<std::uint8_t>* out) {
-  // Per-shard-thread request scratch, reused across every connection the
-  // shard serves, so steady-state handling allocates nothing.
-  thread_local std::vector<double> doubles;
-  thread_local std::vector<Value> answers;
-  thread_local std::vector<std::uint8_t> blob;
-
-  const Result<FrameView> decoded =
-      DecodeFrameBody(frame.data() + 4, frame.size() - 4);
-  if (!decoded.ok()) {
-    // Framing is intact (the prefix was sane) but the frame is malformed
-    // (bad CRC, unknown type/version): attributable to no request.
-    return EncodeErrorResponse(MsgType::kResponse, decoded.status(), out);
+Result<StatsReply> QuantileServer::Stats(std::string_view name) {
+  const RegistryStats global = registry_.GlobalStats();
+  StatsReply reply;
+  reply.num_tenants = global.num_tenants;
+  reply.total_count = global.total_count;
+  if (!name.empty()) {
+    const TenantStats tenant = registry_.Stats(name);
+    reply.tenant_present = tenant.present;
+    reply.tenant_count = tenant.count;
+    reply.tenant_memory_elements = tenant.memory_elements;
   }
-  const MsgType type = decoded.value().type;
-  const std::uint8_t* payload = decoded.value().payload;
-  const std::size_t payload_len = decoded.value().payload_len;
-  switch (type) {
-    case MsgType::kCreateSketch: {
-      Result<CreateSketchRequest> req =
-          DecodeCreateSketch(payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status status =
-          registry_.Create(req.value().name, req.value().config);
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeEmptyOk(type, out);
-    }
-    case MsgType::kAddBatch: {
-      Result<AddBatchRequest> req = DecodeAddBatch(payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status values =
-          DecodeDoublesInto(req.value().values_le, req.value().count,
-                            /*reject_nan=*/true, &doubles);
-      if (!values.ok()) return EncodeErrorResponse(type, values, out);
-      Result<std::uint64_t> count =
-          registry_.AddBatch(req.value().name, doubles);
-      if (!count.ok()) return EncodeErrorResponse(type, count.status(), out);
-      return EncodeAddBatchOk(count.value(), out);
-    }
-    case MsgType::kQuery: {
-      Result<QueryRequest> req = DecodeQuery(payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      Result<Value> answer = registry_.Query(req.value().name, req.value().phi);
-      if (!answer.ok()) {
-        return EncodeErrorResponse(type, answer.status(), out);
-      }
-      return EncodeQueryOk(answer.value(), out);
-    }
-    case MsgType::kQueryMulti: {
-      Result<QueryMultiRequest> req = DecodeQueryMulti(payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status phis =
-          DecodeDoublesInto(req.value().phis_le, req.value().count,
-                            /*reject_nan=*/true, &doubles);
-      if (!phis.ok()) return EncodeErrorResponse(type, phis, out);
-      const Status status = registry_.QueryMany(
-          req.value().name, doubles, &answers);
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeQueryMultiOk(answers, out);
-    }
-    case MsgType::kSnapshot: {
-      Result<NameRequest> req = DecodeNameRequest(type, payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status status = registry_.Snapshot(req.value().name, &blob);
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeSnapshotOk(blob, out);
-    }
-    case MsgType::kDelete: {
-      Result<NameRequest> req = DecodeNameRequest(type, payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status status = registry_.Delete(req.value().name);
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeEmptyOk(type, out);
-    }
-    case MsgType::kStats: {
-      Result<NameRequest> req = DecodeNameRequest(type, payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const RegistryStats global = registry_.GlobalStats();
-      StatsReply reply;
-      reply.num_tenants = global.num_tenants;
-      reply.total_count = global.total_count;
-      if (!req.value().name.empty()) {
-        const TenantStats tenant = registry_.Stats(req.value().name);
-        reply.tenant_present = tenant.present;
-        reply.tenant_count = tenant.count;
-        reply.tenant_memory_elements = tenant.memory_elements;
-      }
-      return EncodeStatsOk(reply, out);
-    }
-    case MsgType::kPing: {
-      const Status status = DecodePing(payload, payload_len);
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeEmptyOk(type, out);
-    }
-    case MsgType::kFetchSummary: {
-      Result<NameRequest> req = DecodeNameRequest(type, payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status status =
-          registry_.FetchPartial(req.value().name, &blob);
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeFetchSummaryOk(blob, out);
-    }
-    case MsgType::kRestore: {
-      Result<RestoreRequest> req = DecodeRestore(payload, payload_len);
-      if (!req.ok()) return EncodeErrorResponse(type, req.status(), out);
-      const Status status = registry_.Install(
-          req.value().name, req.value().config,
-          std::span<const std::uint8_t>(req.value().blob,
-                                        req.value().blob_len));
-      if (!status.ok()) return EncodeErrorResponse(type, status, out);
-      return EncodeEmptyOk(type, out);
-    }
-    case MsgType::kResponse:
-      break;
-  }
-  EncodeErrorResponse(MsgType::kResponse,
-                      Status::InvalidArgument("response frame sent to server"),
-                      out);
+  return reply;
 }
 
 void QuantileServer::HousekeepingLoop() {

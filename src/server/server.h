@@ -6,10 +6,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "server/frame_server.h"
+#include "server/protocol.h"
 #include "server/registry.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -43,9 +45,9 @@ struct ServerOptions {
 /// is the home shard of registry partition i, so once a connection has
 /// moved to its tenant's home shard (on its first frame) steady-state
 /// ADD_BATCH touches no cross-shard lock. This class holds only the
-/// daemon's side: one request frame against the registry, and the
-/// periodic checkpoint.
-class QuantileServer final : private FrameHandler {
+/// daemon's side: the registry call behind each request that ServeRequest
+/// decodes, and the periodic checkpoint.
+class QuantileServer final : private FrameHandler, private RequestHandler {
  public:
   /// Recovers the registry from its checkpoint (if any), then binds the
   /// configured listeners and starts serving.
@@ -73,10 +75,43 @@ class QuantileServer final : private FrameHandler {
 
   Status Start();
 
-  /// Decodes one request frame and executes it against the registry,
-  /// appending the response frame to *out.
   void HandleFrame(std::span<const std::uint8_t> frame,
-                   std::vector<std::uint8_t>* out) override;
+                   std::vector<std::uint8_t>* out) override {
+    ServeRequest(frame, *this, out);
+  }
+
+  // RequestHandler: one SketchRegistry call each.
+  Status CreateSketch(std::string_view name,
+                      const TenantConfig& config) override {
+    return registry_.Create(name, config);
+  }
+  Result<std::uint64_t> AddBatch(std::string_view name,
+                                 std::span<const Value> values) override {
+    return registry_.AddBatch(name, values);
+  }
+  Result<Value> Query(std::string_view name, double phi) override {
+    return registry_.Query(name, phi);
+  }
+  Status QueryMulti(std::string_view name, std::span<const double> phis,
+                    std::vector<Value>* answers) override {
+    return registry_.QueryMany(name, phis, answers);
+  }
+  Status Snapshot(std::string_view name,
+                  std::vector<std::uint8_t>* blob) override {
+    return registry_.Snapshot(name, blob);
+  }
+  Status Delete(std::string_view name) override {
+    return registry_.Delete(name);
+  }
+  Result<StatsReply> Stats(std::string_view name) override;
+  Status FetchSummary(std::string_view name,
+                      std::vector<std::uint8_t>* blob) override {
+    return registry_.FetchPartial(name, blob);
+  }
+  Status Restore(std::string_view name, const TenantConfig& config,
+                 std::span<const std::uint8_t> blob) override {
+    return registry_.Install(name, config, blob);
+  }
 
   void HousekeepingLoop() MRLQUANT_EXCLUDES(housekeeper_mu_);
 

@@ -87,6 +87,20 @@ TEST(CliTest, BadFlagsExitNonZero) {
   EXPECT_NE(RunCli("--format=csv /tmp/x", &out), 0);
   EXPECT_NE(RunCli("--wat=1 /tmp/x", &out), 0);
   EXPECT_NE(RunCli("", &out), 0);  // no file
+
+  // Malformed numbers, against a readable file so the flag is the only
+  // fault: each value must be a whole token, and the seed an unsigned
+  // integer with no sign.
+  const std::string path = ::testing::TempDir() + "/mrl_cli_flags.txt";
+  ASSERT_TRUE(WriteValuesTextFile(path, {1.0, 2.0, 3.0}).ok());
+  EXPECT_EQ(RunCli("--eps=0.01 --delta=1e-4 --seed=7 " + path, &out), 0);
+  for (const char* flag : {"--eps=0.01x", "--eps=abc", "--eps=",
+                           "--delta=1e-4junk", "--seed=abc", "--seed=-1",
+                           "--seed=+1", "--seed=7x",
+                           "--seed=18446744073709551616"}) {
+    EXPECT_NE(RunCli(std::string(flag) + " " + path, &out), 0) << flag;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CliTest, EmptyFileExitsNonZero) {

@@ -23,8 +23,8 @@ std::vector<std::string> Fleet(int n) {
 std::string TenantName(int i) { return "tenant-" + std::to_string(i); }
 
 TEST(HashRingTest, DeterministicPlacement) {
-  const HashRing a(Fleet(5), 64);
-  const HashRing b(Fleet(5), 64);
+  const HashRing a(Fleet(5));
+  const HashRing b(Fleet(5));
   for (int i = 0; i < 1000; ++i) {
     const std::string name = TenantName(i);
     EXPECT_EQ(a.OwnerOf(name), b.OwnerOf(name));
@@ -35,7 +35,7 @@ TEST(HashRingTest, DeterministicPlacement) {
 // Placement pinned to fixed values: a change to the hash or the ring walk
 // would silently move tenants between backends, so it must show up here.
 TEST(HashRingTest, PinnedPlacement) {
-  const HashRing ring(Fleet(4), 64);
+  const HashRing ring(Fleet(4));
   const auto expect = [&ring](const char* name, int owner, int replica) {
     EXPECT_EQ(ring.OwnerOf(name), owner) << name;
     EXPECT_EQ(ring.ReplicaOf(name), replica) << name;
@@ -59,7 +59,7 @@ TEST(HashRingTest, PinnedPlacement) {
 TEST(HashRingTest, OwnersCoverTheFleetRoughlyEvenly) {
   constexpr int kBackends = 4;
   constexpr int kTenants = 10000;
-  const HashRing ring(Fleet(kBackends), 64);
+  const HashRing ring(Fleet(kBackends));
   std::map<int, int> owners;
   for (int i = 0; i < kTenants; ++i) {
     const int owner = ring.OwnerOf(TenantName(i));
@@ -78,9 +78,9 @@ TEST(HashRingTest, OwnersCoverTheFleetRoughlyEvenly) {
 
 TEST(HashRingTest, MinimalDisruptionOnBackendRemoval) {
   constexpr int kTenants = 5000;
-  const HashRing before(Fleet(5), 64);
+  const HashRing before(Fleet(5));
   // Remove the last backend; survivors keep their indices in this fleet.
-  const HashRing after(Fleet(4), 64);
+  const HashRing after(Fleet(4));
   int moved = 0;
   for (int i = 0; i < kTenants; ++i) {
     const std::string name = TenantName(i);
@@ -94,7 +94,7 @@ TEST(HashRingTest, MinimalDisruptionOnBackendRemoval) {
 }
 
 TEST(HashRingTest, ReplicaIsDistinctFromOwner) {
-  const HashRing ring(Fleet(3), 64);
+  const HashRing ring(Fleet(3));
   for (int i = 0; i < 1000; ++i) {
     const std::string name = TenantName(i);
     const int owner = ring.OwnerOf(name);
@@ -105,13 +105,13 @@ TEST(HashRingTest, ReplicaIsDistinctFromOwner) {
 }
 
 TEST(HashRingTest, SingleBackendHasNoReplica) {
-  const HashRing ring(Fleet(1), 64);
+  const HashRing ring(Fleet(1));
   EXPECT_EQ(ring.OwnerOf("anything"), 0);
   EXPECT_EQ(ring.ReplicaOf("anything"), -1);
 }
 
-TEST(HashRingTest, VnodeFloorAndAccessors) {
-  const HashRing ring(Fleet(2), 0);  // clamped to 1 vnode
+TEST(HashRingTest, Accessors) {
+  const HashRing ring(Fleet(2));
   EXPECT_EQ(ring.size(), 2u);
   EXPECT_EQ(ring.backend(0), "unix:/tmp/backend0.sock");
   const int owner = ring.OwnerOf("x");

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -532,6 +534,130 @@ TEST(ResponseTest, MixedOkAndErrorShapesRejected) {
   }
   frame = MustDecode(wire);
   EXPECT_FALSE(DecodeResponse(frame.payload, frame.payload_len).ok());
+}
+
+// The reply to a frame that names no request (bad CRC, unknown type or
+// version, a response sent to a server) echoes kResponse. An error may carry
+// that echo, so a client reads the server's own message; an OK may not.
+TEST(ResponseTest, UnattributableErrorEchoesResponseType) {
+  std::vector<std::uint8_t> wire;
+  EncodeErrorResponse(MsgType::kResponse,
+                      Status::InvalidArgument("unsupported protocol version"),
+                      &wire);
+  FrameView frame = MustDecode(wire);
+  Result<ResponseView> response =
+      DecodeResponse(frame.payload, frame.payload_len);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().request_type, MsgType::kResponse);
+  EXPECT_EQ(response.value().code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(response.value().message, "unsupported protocol version");
+
+  wire.clear();
+  EncodeEmptyOk(MsgType::kResponse, &wire);
+  frame = MustDecode(wire);
+  EXPECT_FALSE(DecodeResponse(frame.payload, frame.payload_len).ok());
+}
+
+// Fails every request with NotFound and counts the calls that reach it.
+class CountingHandler final : public RequestHandler {
+ public:
+  int calls = 0;
+
+  Status CreateSketch(std::string_view, const TenantConfig&) override {
+    return Miss();
+  }
+  Result<std::uint64_t> AddBatch(std::string_view,
+                                 std::span<const Value>) override {
+    return Miss();
+  }
+  Result<Value> Query(std::string_view, double) override { return Miss(); }
+  Status QueryMulti(std::string_view, std::span<const double>,
+                    std::vector<Value>*) override {
+    return Miss();
+  }
+  Status Snapshot(std::string_view, std::vector<std::uint8_t>*) override {
+    return Miss();
+  }
+  Status Delete(std::string_view) override { return Miss(); }
+  Result<StatsReply> Stats(std::string_view) override { return Miss(); }
+  Status FetchSummary(std::string_view,
+                      std::vector<std::uint8_t>*) override {
+    return Miss();
+  }
+  Status Restore(std::string_view, const TenantConfig&,
+                 std::span<const std::uint8_t>) override {
+    return Miss();
+  }
+
+ private:
+  Status Miss() {
+    ++calls;
+    return Status::NotFound("no such tenant");
+  }
+};
+
+// Serves one frame and decodes the single reply it must produce.
+ResponseView ServeOne(const std::vector<std::uint8_t>& request,
+                      RequestHandler& handler,
+                      std::vector<std::uint8_t>* reply) {
+  reply->clear();
+  ServeRequest(request, handler, reply);
+  const FrameView frame = MustDecode(*reply);
+  EXPECT_EQ(frame.type, MsgType::kResponse);
+  Result<ResponseView> response =
+      DecodeResponse(frame.payload, frame.payload_len);
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  return response.value();
+}
+
+TEST(ServeRequestTest, EchoesAndHandlerCalls) {
+  CountingHandler handler;
+  std::vector<std::uint8_t> request;
+  std::vector<std::uint8_t> reply;
+
+  // PING is answered without the handler.
+  EncodePing(&request);
+  ResponseView response = ServeOne(request, handler, &reply);
+  EXPECT_EQ(response.request_type, MsgType::kPing);
+  EXPECT_TRUE(response.ok());
+  EXPECT_EQ(handler.calls, 0);
+
+  // A handler error echoes the request type.
+  request.clear();
+  EncodeQuery("t", 0.5, &request);
+  response = ServeOne(request, handler, &reply);
+  EXPECT_EQ(response.request_type, MsgType::kQuery);
+  EXPECT_EQ(response.code, StatusCode::kNotFound);
+  EXPECT_EQ(handler.calls, 1);
+
+  // A decode error also echoes the request type, and never reaches the
+  // handler: phi out of range, a NaN value.
+  request.clear();
+  EncodeQuery("t", 1.5, &request);
+  response = ServeOne(request, handler, &reply);
+  EXPECT_EQ(response.request_type, MsgType::kQuery);
+  EXPECT_EQ(response.code, StatusCode::kInvalidArgument);
+  request.clear();
+  const std::vector<Value> nan = {1.0, std::nan("")};
+  EncodeAddBatch("t", nan, &request);
+  response = ServeOne(request, handler, &reply);
+  EXPECT_EQ(response.request_type, MsgType::kAddBatch);
+  EXPECT_EQ(response.code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(handler.calls, 1);
+
+  // Another protocol version and a response frame name no request.
+  request.clear();
+  EncodeQuery("t", 0.5, &request);
+  request[4] = kProtocolVersion + 1;
+  response = ServeOne(request, handler, &reply);
+  EXPECT_EQ(response.request_type, MsgType::kResponse);
+  EXPECT_EQ(response.message, "unsupported protocol version");
+  request.clear();
+  EncodeEmptyOk(MsgType::kDelete, &request);
+  response = ServeOne(request, handler, &reply);
+  EXPECT_EQ(response.request_type, MsgType::kResponse);
+  EXPECT_EQ(response.message, "response frame sent to server");
+  EXPECT_EQ(handler.calls, 1);
 }
 
 TEST(FrameTest, StreamDecodingConsumesExactFrames) {

@@ -115,7 +115,6 @@ class RouterE2eTest : public ::testing::Test {
     // test-sized windows.
     options.health_interval_ms = 50;
     options.rpc_timeout_ms = 2000;
-    options.fail_threshold = 2;
     Result<std::unique_ptr<Router>> router = Router::Create(std::move(options));
     ASSERT_TRUE(router.ok()) << router.status().ToString();
     router_ = std::move(router).value();
@@ -244,6 +243,20 @@ TEST_F(RouterE2eTest, PartitionedTenantFanOutMerge) {
   const mrl::Result<double> median = client.Query("wide", 0.5);
   ASSERT_TRUE(median.ok());
   EXPECT_NEAR(RankOf(data, median.value()), 0.5, 2 * kEps);
+
+  // A partitioned tenant has no single checkpoint or partial summary to
+  // hand out or install; each backend's partition does.
+  std::vector<std::uint8_t> blob;
+  EXPECT_EQ(client.FetchSummary("wide", &blob).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(client.Snapshot("wide", &blob).code(),
+            StatusCode::kFailedPrecondition);
+  Result<Client> direct = Client::ConnectUnix(backend_uds_[0]);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_TRUE(direct.value().Snapshot("wide", &blob).ok());
+  EXPECT_EQ(client.RestoreTenant("wide", config, blob).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(client.connected());
 }
 
 // The acceptance scenario: replication on, SIGKILL the owning backend in
@@ -293,10 +306,10 @@ TEST_F(RouterE2eTest, FailoverUnderSigkillKeepsAccuracy) {
 
   // The health loop marks the dead backend down within its window.
   for (int attempt = 0; attempt < 100; ++attempt) {
-    if (router_->backend_state(owner) == BackendState::kDown) break;
+    if (router_->backend_down(owner)) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  EXPECT_EQ(router_->backend_state(owner), BackendState::kDown);
+  EXPECT_TRUE(router_->backend_down(owner));
 
   // Quantiles served from the replica cover the WHOLE stream (the replica
   // mirrored every acknowledged batch) within the configured eps.
@@ -408,8 +421,12 @@ std::vector<std::uint8_t> Exchange(Client& client,
 // the owning daemon's reply, byte for byte — OK bodies and error replies
 // alike. The reference is another daemon of the fleet fed the identical
 // request sequence directly, so it holds an identically configured tenant.
+// A frame for a partitioned tenant that fails validation is answered by the
+// router itself, with the same bytes a daemon answers it with.
 TEST_F(RouterE2eTest, SingleOwnerRepliesMatchDirectDaemonByteForByte) {
-  StartRouter(RouterOptions{});
+  RouterOptions options;
+  options.partitioned = {"wide"};
+  StartRouter(std::move(options));
   Client routed = ConnectRouter();
   const int direct_index = (router_->OwnerIndexOf("t") + 1) % kBackends;
   Result<Client> direct_conn = Client::ConnectUnix(backend_uds_[direct_index]);
@@ -492,6 +509,58 @@ TEST_F(RouterE2eTest, SingleOwnerRepliesMatchDirectDaemonByteForByte) {
   for (const std::vector<std::uint8_t>& request : requests) {
     EXPECT_EQ(Exchange(routed, request), Exchange(direct, request))
         << "request type " << static_cast<int>(request[5]);
+  }
+
+  // Frames for the partitioned tenant that fail validation.
+  requests.clear();
+  TenantConfig zero_eps = config;
+  zero_eps.eps = 0;
+  const std::vector<double> nan_phis = {
+      0.5, std::numeric_limits<double>::quiet_NaN()};
+  add([&](auto* out) { EncodeCreateSketch("wide", zero_eps, out); });
+  add([&](auto* out) { EncodeAddBatch("wide", with_nan, out); });
+  add([&](auto* out) {
+    FrameBuilder frame(MsgType::kAddBatch, out);
+    frame.PutName("wide");
+    frame.PutU64(2);  // but one value follows
+    frame.PutDouble(0.5);
+    frame.Finish();
+  });
+  add([&](auto* out) { EncodeQuery("wide", 1.5, out); });
+  add([&](auto* out) { EncodeQueryMulti("wide", nan_phis, out); });
+  add([&](auto* out) {
+    FrameBuilder frame(MsgType::kPing, out);
+    frame.PutName("wide");  // PING carries no payload
+    frame.Finish();
+  });
+  add([&](auto* out) {
+    EncodeQuery("wide", 0.5, out);
+    out->back() ^= 0x01;  // CRC mismatch
+  });
+  add([&](auto* out) {
+    EncodeNameRequest(MsgType::kStats, "wide", out);
+    (*out)[5] = 0x7f;  // unknown type byte
+  });
+  add([&](auto* out) {
+    FrameBuilder frame(MsgType::kRestore, out);
+    frame.PutName("wide");
+    PutTenantConfig(config, &frame);
+    frame.PutU32(8);  // but the blob is truncated to 4 bytes
+    frame.PutU32(0);
+    frame.Finish();
+  });
+  for (const std::vector<std::uint8_t>& request : requests) {
+    const std::vector<std::uint8_t> reply = Exchange(routed, request);
+    EXPECT_EQ(reply, Exchange(direct, request))
+        << "partitioned, request type " << static_cast<int>(request[5]);
+    // Each is an error reply: none reached the fleet.
+    Result<FrameView> reply_frame =
+        DecodeFrameBody(reply.data() + 4, reply.size() - 4);
+    ASSERT_TRUE(reply_frame.ok());
+    Result<ResponseView> reply_view = DecodeResponse(
+        reply_frame.value().payload, reply_frame.value().payload_len);
+    ASSERT_TRUE(reply_view.ok()) << reply_view.status().ToString();
+    EXPECT_FALSE(reply_view.value().ok());
   }
 }
 

@@ -14,6 +14,28 @@ constexpr char kUsage[] =
     "[--delta=D] [--phi=p1,p2,...] [--rank=v1,v2,...] "
     "[--seed=S] <file>";
 
+/// The whole of `text` as a double: false on an empty token or any
+/// trailing byte. Range checks are the sketch's.
+bool ParseDouble(const char* text, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0') return false;
+  *out = v;
+  return true;
+}
+
+/// The whole of `text` as an unsigned decimal: digits only (no sign, no
+/// space), and no overflow.
+bool ParseU64(const char* text, std::uint64_t* out) {
+  if (*text < '0' || *text > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 bool ParseDoubleList(const char* arg, std::vector<double>* out) {
@@ -25,9 +47,8 @@ bool ParseDoubleList(const char* arg, std::vector<double>* out) {
     std::string token = s.substr(pos, comma == std::string::npos
                                           ? std::string::npos
                                           : comma - pos);
-    char* end = nullptr;
-    double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') return false;
+    double v;
+    if (!ParseDouble(token.c_str(), &v)) return false;
     out->push_back(v);
     if (comma == std::string::npos) break;
     pos = comma + 1;
@@ -46,12 +67,20 @@ bool ParseArgs(int argc, char** argv, CliOptions* options,
     if (const char* v = value_of("--format=")) {
       options->format = v;
     } else if (const char* v = value_of("--eps=")) {
-      options->eps = std::atof(v);
+      if (!ParseDouble(v, &options->eps)) {
+        *error = std::string("malformed --eps: ") + v;
+        return false;
+      }
     } else if (const char* v = value_of("--delta=")) {
-      options->delta = std::atof(v);
+      if (!ParseDouble(v, &options->delta)) {
+        *error = std::string("malformed --delta: ") + v;
+        return false;
+      }
     } else if (const char* v = value_of("--seed=")) {
-      errno = 0;
-      options->seed = std::strtoull(v, nullptr, 10);
+      if (!ParseU64(v, &options->seed)) {
+        *error = std::string("malformed --seed (an unsigned integer): ") + v;
+        return false;
+      }
     } else if (const char* v = value_of("--phi=")) {
       if (!ParseDoubleList(v, &options->phis)) {
         *error = std::string("malformed --phi list: ") + v;

@@ -30,9 +30,8 @@ void Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --backends=LIST [--uds=PATH] [--port=N] [--replicate]\n"
-      "          [--partition=NAME[,NAME...]] [--vnodes=N]\n"
+      "          [--partition=NAME[,NAME...]]\n"
       "          [--health-interval-ms=N] [--rpc-timeout-ms=N]\n"
-      "          [--fail-threshold=N]\n"
       "--backends is a comma-separated list of mrlquantd addresses, each\n"
       "unix:PATH or HOST:PORT. At least one of --uds / --port is required\n"
       "(--port=0 binds an ephemeral port).\n"
@@ -80,20 +79,12 @@ int main(int argc, char** argv) {
       options.replicate = true;
       continue;
     }
-    if (ParseIntFlag(argv[i], "--vnodes", 0, INT_MAX, &value)) {
-      options.vnodes = static_cast<int>(value);
-      continue;
-    }
     if (ParseIntFlag(argv[i], "--health-interval-ms", 0, INT_MAX, &value)) {
       options.health_interval_ms = static_cast<int>(value);
       continue;
     }
     if (ParseIntFlag(argv[i], "--rpc-timeout-ms", 0, INT_MAX, &value)) {
       options.rpc_timeout_ms = static_cast<int>(value);
-      continue;
-    }
-    if (ParseIntFlag(argv[i], "--fail-threshold", 0, INT_MAX, &value)) {
-      options.fail_threshold = static_cast<int>(value);
       continue;
     }
     if (std::strcmp(argv[i], "--help") == 0) {
