@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench_reporter.h"
-#include "core/det_reservoir.h"
 #include "core/estimator.h"
 #include "core/kll.h"
 #include "core/unknown_n.h"
@@ -52,15 +51,6 @@ std::vector<Contender> Contenders() {
     options.seed = 2;
     return std::unique_ptr<QuantileEstimator>(new mrl::KllSketch(
         std::move(mrl::KllSketch::Create(options)).value()));
-  }});
-  list.push_back({"det_reservoir", [] {
-    mrl::DetReservoirOptions options;
-    options.eps = kEps;
-    options.delta = kDelta;
-    options.seed = 2;
-    return std::unique_ptr<QuantileEstimator>(
-        new mrl::DeterministicReservoirSketch(std::move(
-            mrl::DeterministicReservoirSketch::Create(options)).value()));
   }});
   return list;
 }

@@ -9,8 +9,8 @@ namespace mrl {
 namespace bench {
 
 /// One benchmark result row, mirrored into the shared JSON perf artifact
-/// (BENCH_PR9.json by default; override with the MRLQUANT_BENCH_JSON env
-/// var). Fields that do not apply stay zero/empty and are omitted from the
+/// named by the MRLQUANT_BENCH_JSON env var (no artifact when it is unset
+/// or empty). Fields that do not apply stay zero/empty and are omitted from the
 /// JSON: google-benchmark rows fill ns_per_op / elements_per_s /
 /// mem_elements; table-reproduction rows report their headline number via
 /// value + unit. Every row additionally carries the SIMD dispatch path
@@ -48,10 +48,11 @@ class BenchReporter {
 
   /// Appends all pending records to OutputPath() and clears them. Creates
   /// the file (as `[...]`) when missing; otherwise splices before the
-  /// closing bracket.
+  /// closing bracket. With no OutputPath() it only drops the records.
   void Flush();
 
-  /// Resolved JSON artifact path: $MRLQUANT_BENCH_JSON or "BENCH_PR9.json".
+  /// Resolved JSON artifact path: $MRLQUANT_BENCH_JSON, or empty (write
+  /// nothing) when it is unset.
   static std::string OutputPath();
 
  private:

@@ -74,9 +74,10 @@ void ExerciseResponse(const std::uint8_t* payload, std::size_t len) {
   (void)mrl::server::DecodeAddBatchOk(response.value());
   (void)mrl::server::DecodeQueryOk(response.value());
   (void)mrl::server::DecodeQueryMultiOk(response.value(), &values);
-  (void)mrl::server::DecodeSnapshotOk(response.value(), &blob);
+  (void)mrl::server::DecodeBlobOk(response.value(), MsgType::kSnapshot, &blob);
   (void)mrl::server::DecodeStatsOk(response.value());
-  (void)mrl::server::DecodeFetchSummaryOk(response.value(), &blob);
+  (void)mrl::server::DecodeBlobOk(response.value(), MsgType::kFetchSummary,
+                                  &blob);
 }
 
 /// Serves `frame` and traps unless the reply is exactly one decodable

@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
 
   wire.clear();
   const std::vector<std::uint8_t> blob = {0x4D, 0x52, 0x4C, 0x51, 0x02};
-  EncodeSnapshotOk(blob, &wire);
+  EncodeBlobOk(MsgType::kSnapshot, blob, &wire);
   ok = WriteFile(dir, "response_snapshot", wire) && ok;
 
   wire.clear();
@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
 
   wire.clear();
   const std::vector<std::uint8_t> partial = {0x4D, 0x52, 0x4C, 0x50, 0x01};
-  EncodeFetchSummaryOk(partial, &wire);
+  EncodeBlobOk(MsgType::kFetchSummary, partial, &wire);
   ok = WriteFile(dir, "response_fetch_summary", wire) && ok;
 
   // A two-frame stream exercises the framing advance in the harness.

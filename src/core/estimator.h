@@ -12,8 +12,8 @@
 namespace mrl {
 
 /// Common measuring interface of every single-pass quantile estimator in
-/// the library (the MRL99 sketches, the KLL and deterministic-reservoir
-/// comparators, and the baselines): ingest, query, footprint, and the
+/// the library (the MRL99 sketches, the KLL comparator, and the
+/// baselines): ingest, query, footprint, and the
 /// checkpoint round trip. The differential, accuracy and bench harnesses
 /// drive backends through it to compare them on one stream. The serving
 /// registry does not: it holds the one served sketch, UnknownNSketch,
@@ -72,8 +72,8 @@ class QuantileEstimator {
   virtual std::uint64_t MemoryElements() const = 0;
 
   /// Peak main-memory footprint in bytes. The default charges
-  /// sizeof(Value) per stored element; backends that carry per-element
-  /// metadata (e.g. the deterministic reservoir's hash tags) override it.
+  /// sizeof(Value) per stored element; a backend that carries per-element
+  /// metadata overrides it.
   virtual std::uint64_t MemoryBytes() const {
     return MemoryElements() * sizeof(Value);
   }

@@ -199,6 +199,11 @@ bool Router::failed_over(std::string_view name) const {
   return it != tenants_.end() && it->second.failed_over;
 }
 
+bool Router::tracks_tenant(std::string_view name) const {
+  MutexLock lock(tenants_mu_);
+  return tenants_.find(std::string(name)) != tenants_.end();
+}
+
 bool Router::IsPartitioned(std::string_view name) const {
   for (const std::string& tenant : options_.partitioned) {
     if (tenant == name) return true;
@@ -531,19 +536,31 @@ void Router::ResyncDirtyReplicas() {
     Status status = WithBackend(owner, [&](Client& client) {
       return client.Snapshot(tenant.name, &blob);
     });
-    if (!status.ok()) continue;
-    status = WithBackend(replica, [&](Client& client) {
-      return client.RestoreTenant(tenant.name, tenant.config,
-                                  std::span<const std::uint8_t>(blob));
-    });
-    if (!status.ok()) continue;
+    const bool dropped = status.code() == StatusCode::kNotFound;
+    if (status.ok()) {
+      status = WithBackend(replica, [&](Client& client) {
+        return client.RestoreTenant(tenant.name, tenant.config,
+                                    std::span<const std::uint8_t>(blob));
+      });
+    }
+    if (!status.ok() && !dropped) continue;
     MutexLock lock(tenants_mu_);
     auto it = tenants_.find(tenant.name);
-    // Clear only the generation we shipped: a mirror that failed while the
+    // Act only on the generation we saw: a mirror that failed while the
     // checkpoint was in flight bumped the generation, and that marking must
-    // win (the snapshot predates the write it records as missing).
-    if (it != tenants_.end() && !it->second.failed_over &&
-        it->second.dirty_gen == tenant.gen) {
+    // win (the snapshot predates the write it records as missing). A
+    // tenant re-created since (clean again, or dirty at a newer generation)
+    // is left alone too.
+    if (it == tenants_.end() || it->second.failed_over ||
+        !it->second.replica_dirty || it->second.dirty_gen != tenant.gen) {
+      continue;
+    }
+    if (dropped) {
+      // The owner no longer holds the tenant (LRU eviction, or a DELETE
+      // that bypassed this router): there is nothing to resync from, so
+      // stop tracking it instead of retrying every health tick.
+      tenants_.erase(it);
+    } else {
       it->second.replica_dirty = false;
     }
   }

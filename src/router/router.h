@@ -108,6 +108,8 @@ class Router final : private server::FrameHandler,
   bool backend_down(int index) const { return !health_.IsUsable(index); }
   /// Whether `name` has been failed over to its replica.
   bool failed_over(std::string_view name) const;
+  /// Whether the router holds replication state for `name`.
+  bool tracks_tenant(std::string_view name) const;
 
  private:
   /// One backend: parsed address plus a small pool of warm connections

@@ -347,7 +347,7 @@ Status Client::Snapshot(std::string_view name,
   Result<ResponseView> response = RoundTrip(MsgType::kSnapshot);
   if (!response.ok()) return response.status();
   if (!response.value().ok()) return response.value().ToStatus();
-  return DecodeSnapshotOk(response.value(), blob);
+  return DecodeBlobOk(response.value(), MsgType::kSnapshot, blob);
 }
 
 Status Client::Delete(std::string_view name) {
@@ -386,7 +386,7 @@ Status Client::FetchSummary(std::string_view name,
   Result<ResponseView> response = RoundTrip(MsgType::kFetchSummary);
   if (!response.ok()) return response.status();
   if (!response.value().ok()) return response.value().ToStatus();
-  return DecodeFetchSummaryOk(response.value(), blob);
+  return DecodeBlobOk(response.value(), MsgType::kFetchSummary, blob);
 }
 
 Status Client::RestoreTenant(std::string_view name, const TenantConfig& config,

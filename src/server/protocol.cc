@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "util/logging.h"
@@ -35,13 +36,10 @@ bool IsFramableBodyLen(std::size_t body_len) {
          body_len <= kMaxPayload + (kFrameHeaderSize - 4);
 }
 
-/// Reads a u16-length-prefixed name and validates it. The view borrows from
+/// Reads a string16 tenant name and validates it. The view borrows from
 /// the payload buffer underlying `reader`.
 bool GetName(BinaryReader* reader, bool allow_empty, std::string_view* out) {
-  std::uint16_t n;
-  const std::uint8_t* bytes;
-  if (!reader->GetU16(&n) || !reader->GetBytes(n, &bytes)) return false;
-  *out = std::string_view(reinterpret_cast<const char*>(bytes), n);
+  if (!reader->GetString16(out)) return false;
   if (out->empty() ? !allow_empty : !IsValidTenantName(*out)) {
     reader->Fail("invalid tenant name");
     return false;
@@ -52,7 +50,7 @@ bool GetName(BinaryReader* reader, bool allow_empty, std::string_view* out) {
 Status RequireAtEnd(const BinaryReader& reader) {
   if (!reader.status().ok()) return reader.status();
   if (reader.Remaining() != 0) {
-    return Status::InvalidArgument("trailing bytes after request payload");
+    return Status::InvalidArgument("trailing bytes after payload");
   }
   return Status::OK();
 }
@@ -190,8 +188,7 @@ FrameBuilder::FrameBuilder(MsgType type, std::vector<std::uint8_t>* out)
 
 void FrameBuilder::PutName(std::string_view name) {
   MRL_CHECK_LE(name.size(), kMaxTenantNameLen);
-  PutU16(static_cast<std::uint16_t>(name.size()));
-  PutBytes(reinterpret_cast<const std::uint8_t*>(name.data()), name.size());
+  PutString16(name);
 }
 
 void FrameBuilder::Finish() {
@@ -220,8 +217,7 @@ void EncodeAddBatch(std::string_view name, std::span<const Value> values,
                     std::vector<std::uint8_t>* out) {
   FrameBuilder frame(MsgType::kAddBatch, out);
   frame.PutName(name);
-  frame.PutU64(values.size());
-  for (Value v : values) frame.PutDouble(v);
+  frame.PutValues(values);
   frame.Finish();
 }
 
@@ -237,8 +233,7 @@ void EncodeQueryMulti(std::string_view name, std::span<const double> phis,
                       std::vector<std::uint8_t>* out) {
   FrameBuilder frame(MsgType::kQueryMulti, out);
   frame.PutName(name);
-  frame.PutU64(phis.size());
-  for (double phi : phis) frame.PutDouble(phi);
+  frame.PutValues(phis);
   frame.Finish();
 }
 
@@ -262,8 +257,7 @@ void EncodeRestore(std::string_view name, const TenantConfig& config,
   FrameBuilder frame(MsgType::kRestore, out);
   frame.PutName(name);
   PutTenantConfig(config, &frame);
-  frame.PutU32(static_cast<std::uint32_t>(blob.size()));
-  frame.PutBytes(blob.data(), blob.size());
+  frame.PutBlob(blob);
   frame.Finish();
 }
 
@@ -287,15 +281,10 @@ Result<AddBatchRequest> DecodeAddBatch(const std::uint8_t* payload,
   BinaryReader reader(payload, len);
   AddBatchRequest req;
   if (!GetName(&reader, /*allow_empty=*/false, &req.name) ||
-      !reader.GetU64(&req.count)) {
+      !reader.GetValues(&req.values_le, &req.count)) {
     return reader.status();
   }
-  if (req.count != reader.Remaining() / sizeof(double) ||
-      req.count * sizeof(double) != reader.Remaining()) {
-    return Status::InvalidArgument(
-        "ADD_BATCH count disagrees with payload size");
-  }
-  req.values_le = payload + (len - reader.Remaining());
+  MRL_RETURN_IF_ERROR(RequireAtEnd(reader));
   return req;
 }
 
@@ -319,15 +308,10 @@ Result<QueryMultiRequest> DecodeQueryMulti(const std::uint8_t* payload,
   BinaryReader reader(payload, len);
   QueryMultiRequest req;
   if (!GetName(&reader, /*allow_empty=*/false, &req.name) ||
-      !reader.GetU64(&req.count)) {
+      !reader.GetValues(&req.phis_le, &req.count)) {
     return reader.status();
   }
-  if (req.count != reader.Remaining() / sizeof(double) ||
-      req.count * sizeof(double) != reader.Remaining()) {
-    return Status::InvalidArgument(
-        "QUERY_MULTI count disagrees with payload size");
-  }
-  req.phis_le = payload + (len - reader.Remaining());
+  MRL_RETURN_IF_ERROR(RequireAtEnd(reader));
   return req;
 }
 
@@ -360,23 +344,19 @@ Result<RestoreRequest> DecodeRestore(const std::uint8_t* payload,
     return reader.status();
   }
   MRL_RETURN_IF_ERROR(GetTenantConfig(&reader, &req.config));
-  std::uint32_t blob_len;
-  if (!reader.GetU32(&blob_len)) return reader.status();
-  if (blob_len != reader.Remaining()) {
-    return Status::InvalidArgument(
-        "RESTORE blob length disagrees with payload size");
-  }
-  if (!reader.GetBytes(blob_len, &req.blob)) return reader.status();
-  req.blob_len = blob_len;
+  std::span<const std::uint8_t> blob;
+  if (!reader.GetBlob(&blob)) return reader.status();
+  MRL_RETURN_IF_ERROR(RequireAtEnd(reader));
+  req.blob = blob.data();
+  req.blob_len = blob.size();
   return req;
 }
 
 std::string_view FrameTenantName(const std::uint8_t* payload,
                                  std::size_t len) {
-  if (payload == nullptr || len < 2) return {};
-  const std::uint16_t n = LoadU16Le(payload);
-  if (static_cast<std::size_t>(n) + 2 > len) return {};
-  return std::string_view(reinterpret_cast<const char*>(payload) + 2, n);
+  BinaryReader reader(payload, len);
+  std::string_view name;
+  return reader.GetString16(&name) ? name : std::string_view();
 }
 
 std::uint64_t TenantNameHash(std::string_view name) {
@@ -393,15 +373,15 @@ std::uint64_t TenantNameHash(std::string_view name) {
 
 Status DecodeDoublesInto(const std::uint8_t* le, std::uint64_t count,
                          bool reject_nan, std::vector<double>* out) {
-  out->clear();
   out->resize(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const double v = LoadDoubleLe(le + i * sizeof(double));
-    if (reject_nan && std::isnan(v)) {
+  if (count != 0) std::memcpy(out->data(), le, count * sizeof(double));
+  if (reject_nan) {
+    bool any_nan = false;
+    for (const double v : *out) any_nan |= std::isnan(v);
+    if (any_nan) {
       out->clear();
       return Status::InvalidArgument("NaN rejected at the protocol boundary");
     }
-    (*out)[static_cast<std::size_t>(i)] = v;
   }
   return Status::OK();
 }
@@ -425,10 +405,7 @@ class ResponseBuilder : public FrameBuilder {
       : FrameBuilder(MsgType::kResponse, out) {
     PutU8(static_cast<std::uint8_t>(request_type));
     PutU8(static_cast<std::uint8_t>(status.code()));
-    const std::string& msg = status.message();
-    const std::size_t n = msg.size() > 0xFFFF ? 0xFFFF : msg.size();
-    PutU16(static_cast<std::uint16_t>(n));
-    PutBytes(reinterpret_cast<const std::uint8_t*>(msg.data()), n);
+    PutString16(std::string_view(status.message()).substr(0, 0xFFFF));
   }
 };
 
@@ -462,24 +439,16 @@ void EncodeQueryOk(double value, std::vector<std::uint8_t>* out) {
 void EncodeQueryMultiOk(std::span<const Value> values,
                         std::vector<std::uint8_t>* out) {
   ResponseBuilder frame(MsgType::kQueryMulti, Status::OK(), out);
-  frame.PutU64(values.size());
-  for (Value v : values) frame.PutDouble(v);
+  frame.PutValues(values);
   frame.Finish();
 }
 
-void EncodeSnapshotOk(std::span<const std::uint8_t> blob,
-                      std::vector<std::uint8_t>* out) {
-  ResponseBuilder frame(MsgType::kSnapshot, Status::OK(), out);
-  frame.PutU32(static_cast<std::uint32_t>(blob.size()));
-  frame.PutBytes(blob.data(), blob.size());
-  frame.Finish();
-}
-
-void EncodeFetchSummaryOk(std::span<const std::uint8_t> blob,
-                          std::vector<std::uint8_t>* out) {
-  ResponseBuilder frame(MsgType::kFetchSummary, Status::OK(), out);
-  frame.PutU32(static_cast<std::uint32_t>(blob.size()));
-  frame.PutBytes(blob.data(), blob.size());
+void EncodeBlobOk(MsgType request_type, std::span<const std::uint8_t> blob,
+                  std::vector<std::uint8_t>* out) {
+  MRL_CHECK(request_type == MsgType::kSnapshot ||
+            request_type == MsgType::kFetchSummary);
+  ResponseBuilder frame(request_type, Status::OK(), out);
+  frame.PutBlob(blob);
   frame.Finish();
 }
 
@@ -498,9 +467,9 @@ Result<ResponseView> DecodeResponse(const std::uint8_t* payload,
                                     std::size_t len) {
   BinaryReader reader(payload, len);
   std::uint8_t request_type, code;
-  std::uint16_t msg_len;
+  ResponseView view;
   if (!reader.GetU8(&request_type) || !reader.GetU8(&code) ||
-      !reader.GetU16(&msg_len)) {
+      !reader.GetString16(&view.message)) {
     return reader.status();
   }
   if (code > static_cast<std::uint8_t>(StatusCode::kUnimplemented)) {
@@ -513,18 +482,11 @@ Result<ResponseView> DecodeResponse(const std::uint8_t* payload,
        code == static_cast<std::uint8_t>(StatusCode::kOk))) {
     return Status::InvalidArgument("response echoes unknown request type");
   }
-  if (msg_len > reader.Remaining()) {
-    return Status::InvalidArgument("response message exceeds payload");
-  }
-  ResponseView view;
   view.request_type = static_cast<MsgType>(request_type);
   view.code = static_cast<StatusCode>(code);
-  const std::size_t msg_pos = len - reader.Remaining();
-  view.message = std::string_view(
-      reinterpret_cast<const char*>(payload) + msg_pos, msg_len);
-  view.body = payload + msg_pos + msg_len;
-  view.body_len = len - msg_pos - msg_len;
-  if (view.code == StatusCode::kOk && msg_len != 0) {
+  view.body_len = reader.Remaining();
+  view.body = payload + (len - view.body_len);
+  if (view.code == StatusCode::kOk && !view.message.empty()) {
     return Status::InvalidArgument("OK response carries an error message");
   }
   if (view.code != StatusCode::kOk && view.body_len != 0) {
@@ -540,23 +502,6 @@ Status RequireOkBody(const ResponseView& response, MsgType expect) {
     return Status::InvalidArgument("response for a different request type");
   }
   MRL_RETURN_IF_ERROR(response.ToStatus());
-  return Status::OK();
-}
-
-/// SNAPSHOT / FETCH_SUMMARY bodies: u32 length + exactly that many bytes.
-Status DecodeBlobOk(const ResponseView& response, MsgType expect,
-                    std::vector<std::uint8_t>* out) {
-  MRL_RETURN_IF_ERROR(RequireOkBody(response, expect));
-  BinaryReader reader(response.body, response.body_len);
-  std::uint32_t blob_len;
-  const std::uint8_t* blob;
-  if (!reader.GetU32(&blob_len)) return reader.status();
-  if (blob_len != reader.Remaining()) {
-    return Status::InvalidArgument(
-        "reply blob length disagrees with payload size");
-  }
-  if (!reader.GetBytes(blob_len, &blob)) return reader.status();
-  out->assign(blob, blob + blob_len);
   return Status::OK();
 }
 
@@ -584,21 +529,19 @@ Status DecodeQueryMultiOk(const ResponseView& response,
                           std::vector<Value>* out) {
   MRL_RETURN_IF_ERROR(RequireOkBody(response, MsgType::kQueryMulti));
   BinaryReader reader(response.body, response.body_len);
-  std::uint64_t count;
-  if (!reader.GetU64(&count)) return reader.status();
-  if (count != reader.Remaining() / sizeof(double) ||
-      count * sizeof(double) != reader.Remaining()) {
-    return Status::InvalidArgument(
-        "QUERY_MULTI reply count disagrees with payload size");
-  }
-  return DecodeDoublesInto(response.body + (response.body_len -
-                                            reader.Remaining()),
-                           count, /*reject_nan=*/false, out);
+  if (!reader.GetValues(out)) return reader.status();
+  return RequireAtEnd(reader);
 }
 
-Status DecodeSnapshotOk(const ResponseView& response,
-                        std::vector<std::uint8_t>* out) {
-  return DecodeBlobOk(response, MsgType::kSnapshot, out);
+Status DecodeBlobOk(const ResponseView& response, MsgType expect,
+                    std::vector<std::uint8_t>* out) {
+  MRL_RETURN_IF_ERROR(RequireOkBody(response, expect));
+  BinaryReader reader(response.body, response.body_len);
+  std::span<const std::uint8_t> blob;
+  if (!reader.GetBlob(&blob)) return reader.status();
+  MRL_RETURN_IF_ERROR(RequireAtEnd(reader));
+  out->assign(blob.begin(), blob.end());
+  return Status::OK();
 }
 
 Result<StatsReply> DecodeStatsOk(const ResponseView& response) {
@@ -619,11 +562,6 @@ Result<StatsReply> DecodeStatsOk(const ResponseView& response) {
   }
   stats.tenant_present = present != 0;
   return stats;
-}
-
-Status DecodeFetchSummaryOk(const ResponseView& response,
-                            std::vector<std::uint8_t>* out) {
-  return DecodeBlobOk(response, MsgType::kFetchSummary, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -696,12 +634,11 @@ Status Serve(const FrameView& frame, RequestHandler& handler,
         Result<StatsReply> stats = handler.Stats(name);
         if (!stats.ok()) return stats.status();
         EncodeStatsOk(stats.value(), out);
-      } else if (frame.type == MsgType::kSnapshot) {
-        MRL_RETURN_IF_ERROR(handler.Snapshot(name, &blob));
-        EncodeSnapshotOk(blob, out);
       } else {
-        MRL_RETURN_IF_ERROR(handler.FetchSummary(name, &blob));
-        EncodeFetchSummaryOk(blob, out);
+        MRL_RETURN_IF_ERROR(frame.type == MsgType::kSnapshot
+                                ? handler.Snapshot(name, &blob)
+                                : handler.FetchSummary(name, &blob));
+        EncodeBlobOk(frame.type, blob, out);
       }
       return Status::OK();
     }

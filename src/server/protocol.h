@@ -140,7 +140,8 @@ class FrameBuilder : public BinaryWriter {
  public:
   FrameBuilder(MsgType type, std::vector<std::uint8_t>* out);
 
-  /// u16 length + bytes.
+  /// A tenant name as a string16; CHECKs its length against
+  /// kMaxTenantNameLen.
   void PutName(std::string_view name);
 
   /// Backpatches the length prefix and payload CRC. Must be called exactly
@@ -295,17 +296,14 @@ void EncodeEmptyOk(MsgType request_type, std::vector<std::uint8_t>* out);
 void EncodeAddBatchOk(std::uint64_t new_count, std::vector<std::uint8_t>* out);
 /// QUERY: one double.
 void EncodeQueryOk(double value, std::vector<std::uint8_t>* out);
-/// QUERY_MULTI: u64 count + doubles.
+/// QUERY_MULTI: a value array (u64 count + doubles).
 void EncodeQueryMultiOk(std::span<const Value> values,
                         std::vector<std::uint8_t>* out);
-/// SNAPSHOT: u32 length + tenant checkpoint blob.
-void EncodeSnapshotOk(std::span<const std::uint8_t> blob,
-                      std::vector<std::uint8_t>* out);
+/// SNAPSHOT or FETCH_SUMMARY: one blob (u32 length + bytes) holding the
+/// tenant checkpoint or the serialized partial summary (core/partial.h).
+void EncodeBlobOk(MsgType request_type, std::span<const std::uint8_t> blob,
+                  std::vector<std::uint8_t>* out);
 void EncodeStatsOk(const StatsReply& stats, std::vector<std::uint8_t>* out);
-/// FETCH_SUMMARY: u32 length + serialized partial summary
-/// (core/partial.h).
-void EncodeFetchSummaryOk(std::span<const std::uint8_t> blob,
-                          std::vector<std::uint8_t>* out);
 
 Result<ResponseView> DecodeResponse(const std::uint8_t* payload,
                                     std::size_t len);
@@ -313,11 +311,10 @@ Result<std::uint64_t> DecodeAddBatchOk(const ResponseView& response);
 Result<double> DecodeQueryOk(const ResponseView& response);
 Status DecodeQueryMultiOk(const ResponseView& response,
                           std::vector<Value>* out);
-Status DecodeSnapshotOk(const ResponseView& response,
-                        std::vector<std::uint8_t>* out);
+/// The SNAPSHOT or FETCH_SUMMARY reply (`expect`): exactly one blob.
+Status DecodeBlobOk(const ResponseView& response, MsgType expect,
+                    std::vector<std::uint8_t>* out);
 Result<StatsReply> DecodeStatsOk(const ResponseView& response);
-Status DecodeFetchSummaryOk(const ResponseView& response,
-                            std::vector<std::uint8_t>* out);
 
 // ---------------------------------------------------------------------------
 // Serving

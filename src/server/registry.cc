@@ -376,22 +376,16 @@ std::size_t SketchRegistry::size() const {
 
 void SketchRegistry::EncodeTenantSketch(const Tenant& tenant,
                                         BinaryWriter* writer) {
-  const std::vector<std::uint8_t> blob = tenant.sketch.Serialize();
-  writer->PutU32(static_cast<std::uint32_t>(blob.size()));
-  writer->PutBytes(blob.data(), blob.size());
+  writer->PutBlob(tenant.sketch.Serialize());
 }
 
 Result<UnknownNSketch> SketchRegistry::DecodeTenantSketch(
     const TenantConfig& config, BinaryReader* reader) {
-  std::uint32_t len;
-  const std::uint8_t* blob;
-  if (!reader->GetU32(&len) || !reader->GetBytes(len, &blob)) {
-    return reader->status();
-  }
+  std::span<const std::uint8_t> blob;
+  if (!reader->GetBlob(&blob)) return reader->status();
   Result<UnknownNSketch> sketch = MakeSketch(config);
   if (!sketch.ok()) return sketch.status();
-  MRL_RETURN_IF_ERROR(
-      sketch.value().Restore(std::span<const std::uint8_t>(blob, len)));
+  MRL_RETURN_IF_ERROR(sketch.value().Restore(blob));
   return sketch;
 }
 
@@ -419,9 +413,7 @@ Status SketchRegistry::CheckpointNow() {
   writer.PutU8(kRegistryVersion);
   writer.PutU64(snapshot.size());
   for (const auto& [name, tenant] : snapshot) {
-    writer.PutU16(static_cast<std::uint16_t>(name.size()));
-    writer.PutBytes(reinterpret_cast<const std::uint8_t*>(name.data()),
-                    name.size());
+    writer.PutString16(name);
     Tenant& t = *tenant;
     PutTenantConfig(t.config, &writer);
     ReaderLock lock(t.mu);
@@ -469,12 +461,8 @@ Status SketchRegistry::RecoverFromDisk() {
   std::vector<TenantMap> recovered(partitions_.size());
   std::uint64_t recovered_count = 0;
   for (std::uint64_t i = 0; i < num_tenants; ++i) {
-    std::uint16_t name_len;
-    const std::uint8_t* name_bytes;
-    if (!reader.GetU16(&name_len) || !reader.GetBytes(name_len, &name_bytes)) {
-      return reader.status();
-    }
-    std::string name(reinterpret_cast<const char*>(name_bytes), name_len);
+    std::string_view name;
+    if (!reader.GetString16(&name)) return reader.status();
     if (!IsValidTenantName(name)) {
       return Status::InvalidArgument("registry checkpoint: bad tenant name");
     }
@@ -488,7 +476,7 @@ Status SketchRegistry::RecoverFromDisk() {
           "registry checkpoint: duplicate tenant name");
     }
     target.emplace(
-        std::move(name),
+        std::string(name),
         std::make_shared<Tenant>(config, std::move(sketch).value()));
     ++recovered_count;
   }

@@ -1,87 +1,83 @@
 #ifndef MRLQUANT_UTIL_SERDE_H_
 #define MRLQUANT_UTIL_SERDE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "util/logging.h"
 #include "util/status.h"
 #include "util/types.h"
 
 namespace mrl {
 
-// Little-endian loads and stores at a raw pointer, for fixed-offset fields
-// (frame headers, trailers) and bulk value arrays. Callers bound-check.
+// Every layout below is little-endian, and so is every host this builds on:
+// fixed-width fields and value arrays are plain memcpys of the native bytes.
+static_assert(std::endian::native == std::endian::little,
+              "mrlquant's wire and disk formats assume a little-endian host");
+
+// Loads and stores at a raw pointer, for fixed-offset fields (frame
+// headers, trailers). Callers bound-check; `p` need not be aligned.
 
 inline std::uint16_t LoadU16Le(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] |
-                                    (static_cast<std::uint16_t>(p[1]) << 8));
+  std::uint16_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
 }
 
 inline std::uint32_t LoadU32Le(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-inline std::uint64_t LoadU64Le(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-inline double LoadDoubleLe(const std::uint8_t* p) {
-  const std::uint64_t bits = LoadU64Le(p);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
 inline void StoreU32Le(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = (v >> (8 * i)) & 0xff;
+  std::memcpy(p, &v, sizeof(v));
 }
 
 /// Little-endian binary encoder over a caller-owned buffer: appends to
 /// *out, keeping the bytes already there.
+///
+/// The three length-prefixed layouts each have one writer here and one
+/// reader in BinaryReader:
+///   values:   | u64 count | count doubles |  (PutValues / GetValues)
+///   blob:     | u32 len | len bytes |        (PutBlob / GetBlob)
+///   string16: | u16 len | len bytes |        (PutString16 / GetString16)
 class BinaryWriter {
  public:
   explicit BinaryWriter(std::vector<std::uint8_t>* out) : out_(out) {}
 
   void PutU8(std::uint8_t v) { out_->push_back(v); }
-
-  void PutU16(std::uint16_t v) {
-    std::vector<std::uint8_t>& out = *out_;
-    out.push_back(v & 0xff);
-    out.push_back((v >> 8) & 0xff);
-  }
-
-  void PutU32(std::uint32_t v) {
-    std::vector<std::uint8_t>& out = *out_;
-    for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xff);
-  }
-
-  void PutU64(std::uint64_t v) {
-    std::vector<std::uint8_t>& out = *out_;
-    for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xff);
-  }
-
-  void PutI32(std::int32_t v) { PutU32(static_cast<std::uint32_t>(v)); }
-
-  void PutDouble(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    PutU64(bits);
-  }
+  void PutU16(std::uint16_t v) { PutRaw(v); }
+  void PutU32(std::uint32_t v) { PutRaw(v); }
+  void PutU64(std::uint64_t v) { PutRaw(v); }
+  void PutI32(std::int32_t v) { PutRaw(v); }
+  void PutDouble(double v) { PutRaw(v); }
 
   void PutBytes(const std::uint8_t* data, std::size_t n) {
     out_->insert(out_->end(), data, data + n);
   }
 
-  void PutValues(const std::vector<Value>& values) {
+  void PutValues(std::span<const Value> values) {
     PutU64(values.size());
-    for (Value v : values) PutDouble(v);
+    PutBytes(reinterpret_cast<const std::uint8_t*>(values.data()),
+             values.size_bytes());
+  }
+
+  void PutBlob(std::span<const std::uint8_t> blob) {
+    MRL_CHECK_LE(blob.size(), std::size_t{0xFFFFFFFF});
+    PutU32(static_cast<std::uint32_t>(blob.size()));
+    PutBytes(blob.data(), blob.size());
+  }
+
+  void PutString16(std::string_view s) {
+    MRL_CHECK_LE(s.size(), std::size_t{0xFFFF});
+    PutU16(static_cast<std::uint16_t>(s.size()));
+    PutBytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
   }
 
   std::size_t size() const { return out_->size(); }
@@ -90,12 +86,17 @@ class BinaryWriter {
   std::vector<std::uint8_t>& buffer() { return *out_; }
 
  private:
+  template <typename T>
+  void PutRaw(T v) {
+    PutBytes(reinterpret_cast<const std::uint8_t*>(&v), sizeof(v));
+  }
+
   std::vector<std::uint8_t>* out_;
 };
 
 /// Bounds-checked decoder. Every Get* returns false (and latches an error
 /// status) on truncated input; callers may batch reads and check status()
-/// once.
+/// once. Borrowed results point into the input and live as long as it.
 class BinaryReader {
  public:
   BinaryReader(const std::uint8_t* data, std::size_t size)
@@ -103,46 +104,12 @@ class BinaryReader {
   explicit BinaryReader(std::span<const std::uint8_t> bytes)
       : BinaryReader(bytes.data(), bytes.size()) {}
 
-  bool GetU8(std::uint8_t* out) {
-    if (!Require(1)) return false;
-    *out = data_[pos_++];
-    return true;
-  }
-
-  bool GetU16(std::uint16_t* out) {
-    if (!Require(2)) return false;
-    *out = LoadU16Le(data_ + pos_);
-    pos_ += 2;
-    return true;
-  }
-
-  bool GetU32(std::uint32_t* out) {
-    if (!Require(4)) return false;
-    *out = LoadU32Le(data_ + pos_);
-    pos_ += 4;
-    return true;
-  }
-
-  bool GetU64(std::uint64_t* out) {
-    if (!Require(8)) return false;
-    *out = LoadU64Le(data_ + pos_);
-    pos_ += 8;
-    return true;
-  }
-
-  bool GetI32(std::int32_t* out) {
-    std::uint32_t v;
-    if (!GetU32(&v)) return false;
-    *out = static_cast<std::int32_t>(v);
-    return true;
-  }
-
-  bool GetDouble(double* out) {
-    std::uint64_t bits;
-    if (!GetU64(&bits)) return false;
-    std::memcpy(out, &bits, sizeof(*out));
-    return true;
-  }
+  bool GetU8(std::uint8_t* out) { return GetRaw(out); }
+  bool GetU16(std::uint16_t* out) { return GetRaw(out); }
+  bool GetU32(std::uint32_t* out) { return GetRaw(out); }
+  bool GetU64(std::uint64_t* out) { return GetRaw(out); }
+  bool GetI32(std::int32_t* out) { return GetRaw(out); }
+  bool GetDouble(double* out) { return GetRaw(out); }
 
   /// Points *out at the next `n` bytes (borrowed from the input) and skips
   /// past them.
@@ -153,22 +120,45 @@ class BinaryReader {
     return true;
   }
 
-  /// Reads a length-prefixed value vector; rejects lengths that exceed the
-  /// remaining bytes (corrupt or adversarial input).
-  bool GetValues(std::vector<Value>* out) {
+  /// Reads a value array in place: *le points at *count little-endian
+  /// doubles, borrowed and possibly unaligned. A count that exceeds the
+  /// remaining bytes (corrupt or adversarial input) is rejected.
+  bool GetValues(const std::uint8_t** le, std::uint64_t* count) {
     std::uint64_t n;
     if (!GetU64(&n)) return false;
     if (n > Remaining() / sizeof(double)) {
       Fail("value vector length exceeds remaining input");
       return false;
     }
-    out->clear();
-    out->reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      double v;
-      if (!GetDouble(&v)) return false;
-      out->push_back(v);
-    }
+    *count = n;
+    return GetBytes(static_cast<std::size_t>(n) * sizeof(double), le);
+  }
+
+  /// Reads a value array into *out (capacity reused).
+  bool GetValues(std::vector<Value>* out) {
+    const std::uint8_t* le;
+    std::uint64_t n;
+    if (!GetValues(&le, &n)) return false;
+    out->resize(static_cast<std::size_t>(n));
+    if (n != 0) std::memcpy(out->data(), le, n * sizeof(double));
+    return true;
+  }
+
+  /// Reads a blob, borrowed from the input.
+  bool GetBlob(std::span<const std::uint8_t>* out) {
+    std::uint32_t n;
+    const std::uint8_t* bytes;
+    if (!GetU32(&n) || !GetBytes(n, &bytes)) return false;
+    *out = std::span<const std::uint8_t>(bytes, n);
+    return true;
+  }
+
+  /// Reads a string16, borrowed from the input; its bytes are not checked.
+  bool GetString16(std::string_view* out) {
+    std::uint16_t n;
+    const std::uint8_t* bytes;
+    if (!GetU16(&n) || !GetBytes(n, &bytes)) return false;
+    *out = std::string_view(reinterpret_cast<const char*>(bytes), n);
     return true;
   }
 
@@ -190,6 +180,14 @@ class BinaryReader {
       Fail("truncated input");
       return false;
     }
+    return true;
+  }
+
+  template <typename T>
+  bool GetRaw(T* out) {
+    if (!Require(sizeof(T))) return false;
+    std::memcpy(out, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
     return true;
   }
 

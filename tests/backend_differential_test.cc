@@ -1,5 +1,5 @@
 // Cross-backend differential tests: the (eps, delta)-configured backends —
-// the MRL99 sketches and the KLL and deterministic-reservoir comparators —
+// the MRL99 sketches and the KLL comparator —
 // driven purely through the QuantileEstimator interface, raced against an
 // exact sorted baseline on adversarial input orders — pre-sorted, reverse
 // sorted, Zipf-like duplicate-heavy, three-valued, and IEEE specials
@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/det_reservoir.h"
 #include "core/estimator.h"
 #include "core/kll.h"
 #include "core/known_n.h"
@@ -143,14 +142,6 @@ std::vector<Backend> EpsDeltaBackends() {
     options.seed = seed;
     return std::unique_ptr<QuantileEstimator>(
         new KllSketch(std::move(KllSketch::Create(options)).value()));
-  }});
-  backends.push_back({"det_reservoir", [](std::uint64_t seed) {
-    DetReservoirOptions options;
-    options.eps = kEps;
-    options.delta = kDelta;
-    options.seed = seed;
-    return std::unique_ptr<QuantileEstimator>(new DeterministicReservoirSketch(
-        std::move(DeterministicReservoirSketch::Create(options)).value()));
   }});
   return backends;
 }

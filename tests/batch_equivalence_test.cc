@@ -19,7 +19,6 @@
 #include "app/selectivity.h"
 #include "baseline/ars.h"
 #include "baseline/munro_paterson.h"
-#include "core/det_reservoir.h"
 #include "core/estimator.h"
 #include "core/extreme.h"
 #include "core/kll.h"
@@ -365,8 +364,7 @@ TEST(BatchEquivalenceTest, EveryBackendAddBatchBitIdenticalToAdd) {
     return std::unique_ptr<QuantileEstimator>(new ExtremeValueSketch(
         std::move(ExtremeValueSketch::Create(options)).value()));
   }});
-  // The KLL and deterministic-reservoir comparators and the deterministic
-  // baselines have no checkpoint format (Serialize is empty); the answer
+  // The KLL comparator and the deterministic baselines have no checkpoint format (Serialize is empty); the answer
   // comparison below is what covers them.
   backends.push_back({"kll", [](std::uint64_t seed) {
     KllOptions options;
@@ -375,14 +373,6 @@ TEST(BatchEquivalenceTest, EveryBackendAddBatchBitIdenticalToAdd) {
     options.seed = seed;
     return std::unique_ptr<QuantileEstimator>(
         new KllSketch(std::move(KllSketch::Create(options)).value()));
-  }});
-  backends.push_back({"det_reservoir", [](std::uint64_t seed) {
-    DetReservoirOptions options;
-    options.eps = 0.02;
-    options.delta = 1e-3;
-    options.seed = seed;
-    return std::unique_ptr<QuantileEstimator>(new DeterministicReservoirSketch(
-        std::move(DeterministicReservoirSketch::Create(options)).value()));
   }});
   backends.push_back({"ars", [](std::uint64_t) {
     ArsSketch::Options options;

@@ -224,6 +224,33 @@ TEST(FrameTest, AddBatchRoundTrip) {
                                 /*reject_nan=*/true, &decoded)
                   .ok());
   EXPECT_EQ(decoded, values);
+
+  // One NaN anywhere rejects the whole array and leaves `out` empty, even
+  // when it held the previous frame's values.
+  const std::size_t n = 1000;
+  for (std::size_t pos : {std::size_t{0}, n / 2, n - 1}) {
+    std::vector<Value> with_nan(n, 2.5);
+    with_nan[pos] = std::numeric_limits<double>::quiet_NaN();
+    wire.clear();
+    EncodeAddBatch("t", with_nan, &wire);
+    const FrameView nan_frame = MustDecode(wire);
+    Result<AddBatchRequest> nan_req =
+        DecodeAddBatch(nan_frame.payload, nan_frame.payload_len);
+    ASSERT_TRUE(nan_req.ok());
+    decoded = values;
+    const Status status =
+        DecodeDoublesInto(nan_req.value().values_le, nan_req.value().count,
+                          /*reject_nan=*/true, &decoded);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "pos " << pos;
+    EXPECT_TRUE(decoded.empty()) << "pos " << pos;
+    // Without the NaN rule the same bytes decode bit for bit.
+    ASSERT_TRUE(DecodeDoublesInto(nan_req.value().values_le,
+                                  nan_req.value().count,
+                                  /*reject_nan=*/false, &decoded)
+                    .ok());
+    ASSERT_EQ(decoded.size(), n);
+    EXPECT_TRUE(std::isnan(decoded[pos]));
+  }
 }
 
 TEST(FrameTest, QueryAndQueryMultiRoundTrip) {
@@ -479,12 +506,12 @@ TEST(ResponseTest, TypedBodiesRoundTrip) {
 
   wire.clear();
   const std::vector<std::uint8_t> blob = {0xDE, 0xAD, 0xBE, 0xEF};
-  EncodeSnapshotOk(blob, &wire);
+  EncodeBlobOk(MsgType::kSnapshot, blob, &wire);
   frame = MustDecode(wire);
   response = DecodeResponse(frame.payload, frame.payload_len);
   ASSERT_TRUE(response.ok());
   std::vector<std::uint8_t> blob_out;
-  ASSERT_TRUE(DecodeSnapshotOk(response.value(), &blob_out).ok());
+  ASSERT_TRUE(DecodeBlobOk(response.value(), MsgType::kSnapshot, &blob_out).ok());
   EXPECT_EQ(blob_out, blob);
 
   wire.clear();

@@ -407,6 +407,41 @@ TEST_F(RouterE2eTest, ReplicaResyncThenFailover) {
   EXPECT_EQ(stats.value().tenant_count, kN);
 }
 
+// A dirty tenant that its owner no longer holds (evicted by LRU, or here
+// deleted on the daemon behind the router's back) has nothing to resync
+// from: the router drops its state instead of retrying every health tick.
+TEST_F(RouterE2eTest, ForgetsDirtyTenantItsOwnerDropped) {
+  RouterOptions options;
+  options.replicate = true;
+  StartRouter(std::move(options));
+  Client client = ConnectRouter();
+  TenantConfig config;
+  config.seed = 41;
+  ASSERT_TRUE(client.CreateSketch("gone", config).ok());
+  ASSERT_TRUE(router_->tracks_tenant("gone"));
+  const int owner = router_->OwnerIndexOf("gone");
+  const int replica = router_->ReplicaIndexOf("gone");
+  ASSERT_GE(replica, 0);
+
+  // The mirror misses this write, so the replica is dirty.
+  KillBackend(replica);
+  const std::vector<Value> data = UniformStream(1000, 43);
+  ASSERT_TRUE(client.AddBatch("gone", data).ok());
+
+  {
+    Result<Client> direct = Client::ConnectUnix(backend_uds_[owner]);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_TRUE(direct.value().Delete("gone").ok());
+  }
+  RestartBackend(replica);
+  bool forgotten = false;
+  for (int attempt = 0; attempt < 200 && !forgotten; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    forgotten = !router_->tracks_tenant("gone");
+  }
+  EXPECT_TRUE(forgotten) << "router still resyncs a tenant its owner dropped";
+}
+
 // One raw round trip: the request frame goes out as is and the whole
 // response frame comes back undecoded.
 std::vector<std::uint8_t> Exchange(Client& client,
@@ -495,7 +530,7 @@ TEST_F(RouterE2eTest, SingleOwnerRepliesMatchDirectDaemonByteForByte) {
       DecodeResponse(frame.value().payload, frame.value().payload_len);
   ASSERT_TRUE(response.ok() && response.value().ok());
   std::vector<std::uint8_t> blob;
-  ASSERT_TRUE(DecodeSnapshotOk(response.value(), &blob).ok());
+  ASSERT_TRUE(DecodeBlobOk(response.value(), MsgType::kSnapshot, &blob).ok());
 
   requests.clear();
   add([&](auto* out) { EncodeRestore("t2", config, blob, out); });

@@ -1,7 +1,12 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,32 +28,93 @@ TEST(SerdeTest, PrimitivesRoundTrip) {
   std::vector<std::uint8_t> bytes;
   BinaryWriter w(&bytes);
   w.PutU8(0xAB);
+  w.PutU16(0xBEEF);
   w.PutU32(0xDEADBEEF);
   w.PutU64(0x0123456789ABCDEFull);
   w.PutI32(-42);
   w.PutDouble(-0.15625);
-  w.PutValues({1.0, -2.5, 3.75});
+  const std::vector<Value> three = {1.0, -2.5, 3.75};
+  w.PutValues(three);
 
   BinaryReader r(bytes);
   std::uint8_t u8;
+  std::uint16_t u16;
   std::uint32_t u32;
   std::uint64_t u64;
   std::int32_t i32;
   double d;
   std::vector<Value> values;
   ASSERT_TRUE(r.GetU8(&u8));
+  ASSERT_TRUE(r.GetU16(&u16));
   ASSERT_TRUE(r.GetU32(&u32));
   ASSERT_TRUE(r.GetU64(&u64));
   ASSERT_TRUE(r.GetI32(&i32));
   ASSERT_TRUE(r.GetDouble(&d));
   ASSERT_TRUE(r.GetValues(&values));
   EXPECT_EQ(u8, 0xAB);
+  EXPECT_EQ(u16, 0xBEEF);
   EXPECT_EQ(u32, 0xDEADBEEFu);
   EXPECT_EQ(u64, 0x0123456789ABCDEFull);
   EXPECT_EQ(i32, -42);
   EXPECT_DOUBLE_EQ(d, -0.15625);
-  EXPECT_EQ(values, (std::vector<Value>{1.0, -2.5, 3.75}));
+  EXPECT_EQ(values, three);
   EXPECT_TRUE(r.AtEnd());
+  // The fixed-width fields are little-endian on the wire.
+  const std::vector<std::uint8_t> head = {0xAB, 0xEF, 0xBE, 0xEF,
+                                          0xBE, 0xAD, 0xDE, 0xEF};
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), bytes.begin()));
+
+  // The three length-prefixed layouts, at every offset modulo 8 (payload
+  // doubles are unaligned in frames) and at lengths around the word size.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {-0.0, kInf, -kInf,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min() * 3};
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n : {0, 1, 7, 8, 65536}) {
+      std::vector<Value> vals(n);
+      std::vector<std::uint8_t> blob(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        vals[i] = i < std::size(specials) ? specials[i]
+                                          : static_cast<double>(i) * 0.5 - 7;
+        blob[i] = static_cast<std::uint8_t>(i * 131 + offset);
+      }
+      const std::string str(std::min<std::size_t>(n, 0xFFFF), 'x');
+
+      std::vector<std::uint8_t> buf(offset, 0xCC);
+      BinaryWriter writer(&buf);
+      writer.PutValues(vals);
+      writer.PutBlob(blob);
+      writer.PutString16(str);
+      ASSERT_EQ(buf.size(), offset + 8 + 8 * n + 4 + n + 2 + str.size());
+
+      BinaryReader reader(buf.data() + offset, buf.size() - offset);
+      std::vector<Value> got_vals = {42.0};  // overwritten, not appended
+      const std::uint8_t* le = nullptr;
+      std::uint64_t count = 0;
+      std::span<const std::uint8_t> got_blob;
+      std::string_view got_str;
+      ASSERT_TRUE(reader.GetValues(&got_vals));
+      ASSERT_TRUE(reader.GetBlob(&got_blob));
+      ASSERT_TRUE(reader.GetString16(&got_str));
+      EXPECT_TRUE(reader.AtEnd());
+      ASSERT_EQ(got_vals.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got_vals[i]),
+                  std::bit_cast<std::uint64_t>(vals[i]))
+            << "offset " << offset << " n " << n << " i " << i;
+      }
+      EXPECT_TRUE(std::equal(got_blob.begin(), got_blob.end(), blob.begin(),
+                             blob.end()));
+      EXPECT_EQ(got_str, str);
+
+      // The borrowed value form points into the buffer.
+      BinaryReader borrowed(buf.data() + offset, buf.size() - offset);
+      ASSERT_TRUE(borrowed.GetValues(&le, &count));
+      EXPECT_EQ(count, n);
+      EXPECT_EQ(le, buf.data() + offset + 8);
+    }
+  }
 }
 
 TEST(SerdeTest, TruncatedReadFailsAndLatches) {
