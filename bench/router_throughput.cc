@@ -62,7 +62,7 @@ Backend StartBackend(const char* tag) {
                std::to_string(static_cast<long>(::getpid())) + "." + tag +
                ".sock";
   ServerOptions options;
-  options.listen.uds_path = b.uds_path;
+  options.uds_path = b.uds_path;
   options.num_shards = 1;
   Result<std::unique_ptr<QuantileServer>> server =
       QuantileServer::Create(std::move(options));
@@ -119,7 +119,7 @@ int Run() {
       "/tmp/mrlq_rbench." + std::to_string(static_cast<long>(::getpid())) +
       ".front.sock";
   RouterOptions options;
-  options.listen.uds_path = router_uds;
+  options.uds_path = router_uds;
   options.backends = {"unix:" + b0.uds_path, "unix:" + b1.uds_path,
                       "unix:" + b2.uds_path};
   options.replicate = false;

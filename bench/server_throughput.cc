@@ -187,7 +187,7 @@ SweepServer StartServer(int num_shards, const char* tag) {
                std::to_string(static_cast<long>(::getpid())) + "." + tag +
                ".sock";
   ServerOptions options;
-  options.listen.uds_path = s.uds_path;
+  options.uds_path = s.uds_path;
   options.num_shards = num_shards;
   Result<std::unique_ptr<QuantileServer>> server =
       QuantileServer::Create(std::move(options));

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <string_view>
 #include <utility>
 
 #include "core/partial.h"
@@ -28,35 +28,15 @@ constexpr std::size_t kMaxPooledConnections = 8;
 /// reproducible from the tenant's one configured seed.
 constexpr std::uint64_t kSeedStride = 0x9e3779b97f4a7c15ULL;
 
-/// Parses "unix:PATH" or dotted-quad "HOST:PORT" into the Backend fields.
-Status ParseBackendAddress(const std::string& address, bool* is_unix,
-                           std::string* path_or_host, std::uint16_t* port) {
-  if (address.rfind("unix:", 0) == 0) {
-    *is_unix = true;
-    *path_or_host = address.substr(5);
-    if (path_or_host->empty()) {
-      return Status::InvalidArgument("empty unix socket path in '" + address +
-                                     "'");
-    }
-    return Status::OK();
-  }
-  const std::size_t colon = address.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == address.size()) {
+/// The socket path of backend address "unix:PATH", the one address form.
+Result<std::string> ParseBackendAddress(const std::string& address) {
+  constexpr std::string_view kPrefix = "unix:";
+  if (address.size() <= kPrefix.size() || address.rfind(kPrefix, 0) != 0) {
     return Status::InvalidArgument(
-        "backend address must be unix:PATH or HOST:PORT, got '" + address +
-        "'");
+        "backend address must be unix:PATH with a non-empty PATH, got '" +
+        address + "'");
   }
-  char* end = nullptr;
-  const long parsed = std::strtol(address.c_str() + colon + 1, &end, 10);
-  if (end == nullptr || *end != '\0' || parsed < 1 || parsed > 65535) {
-    return Status::InvalidArgument("bad port in backend address '" + address +
-                                   "'");
-  }
-  *is_unix = false;
-  *path_or_host = address.substr(0, colon);
-  *port = static_cast<std::uint16_t>(parsed);
-  return Status::OK();
+  return address.substr(kPrefix.size());
 }
 
 /// Whether `response`, a whole response frame from a backend, reports OK.
@@ -115,16 +95,15 @@ Result<std::unique_ptr<Router>> Router::Create(RouterOptions options) {
 Status Router::Start() {
   backends_.reserve(options_.backends.size());
   for (const std::string& address : options_.backends) {
+    Result<std::string> path = ParseBackendAddress(address);
+    if (!path.ok()) return path.status();
     auto backend = std::make_unique<Backend>();
-    backend->address = address;
-    MRL_RETURN_IF_ERROR(ParseBackendAddress(address, &backend->is_unix,
-                                            &backend->path_or_host,
-                                            &backend->port));
+    backend->path = std::move(path).value();
     backends_.push_back(std::move(backend));
   }
 
   Result<std::unique_ptr<server::FrameServer>> frames =
-      server::FrameServer::Create(options_.listen, /*num_shards=*/0, this);
+      server::FrameServer::Create(options_.uds_path, /*num_shards=*/0, this);
   if (!frames.ok()) return frames.status();
   frames_ = std::move(frames).value();
   health_thread_ = std::thread(&Router::HealthLoop, this);
@@ -157,10 +136,7 @@ Result<Client> Router::AcquireConnection(Backend& backend) {
     }
   }
   Result<Client> client =
-      backend.is_unix
-          ? Client::ConnectUnix(backend.path_or_host, options_.rpc_timeout_ms)
-          : Client::ConnectTcp(backend.path_or_host, backend.port,
-                               options_.rpc_timeout_ms);
+      Client::ConnectUnix(backend.path, options_.rpc_timeout_ms);
   if (!client.ok()) return client.status();
   MRL_RETURN_IF_ERROR(client.value().SetIoTimeout(options_.rpc_timeout_ms));
   return client;

@@ -23,11 +23,11 @@ namespace mrl {
 namespace router {
 
 struct RouterOptions {
-  /// Listeners; at least one must be enabled.
-  server::Listeners listen;
+  /// Unix-domain socket path to serve on; required.
+  std::string uds_path;
 
-  /// Backend addresses, "unix:PATH" or dotted-quad "HOST:PORT". Order is
-  /// the backend index used by HealthTracker and the test hooks.
+  /// Backend addresses, each "unix:PATH" (every process runs on one host).
+  /// Order is the backend index used by HealthTracker and the test hooks.
   std::vector<std::string> backends;
 
   /// Mirror every write of a non-partitioned tenant to its ring replica
@@ -51,7 +51,7 @@ struct RouterOptions {
 };
 
 /// Stateless distributed front for a fleet of mrlquantd backends. Speaks
-/// the same wire protocol as the backends on its listeners, so existing
+/// the same wire protocol as the backends on its socket, so existing
 /// clients (mrlquant_client, bench drivers) point at the router unchanged;
 /// tenant placement, §6 fan-out merging, replication, and failover all
 /// happen behind it.
@@ -82,6 +82,9 @@ struct RouterOptions {
 class Router final : private server::FrameHandler,
                      private server::RequestHandler {
  public:
+  /// InvalidArgument when `uds_path` is empty, a backend address is not
+  /// "unix:PATH" with a non-empty PATH, or the backend count does not fit
+  /// the options.
   static Result<std::unique_ptr<Router>> Create(RouterOptions options);
 
   ~Router();
@@ -89,10 +92,6 @@ class Router final : private server::FrameHandler,
   Router& operator=(const Router&) = delete;
 
   void Stop();
-
-  /// Bound TCP port (the ephemeral one when options.listen.tcp_port was 0),
-  /// or 0 when no TCP listener exists.
-  std::uint16_t tcp_port() const { return frames_->tcp_port(); }
 
   std::size_t num_backends() const { return ring_.size(); }
 
@@ -112,13 +111,10 @@ class Router final : private server::FrameHandler,
   bool tracks_tenant(std::string_view name) const;
 
  private:
-  /// One backend: parsed address plus a small pool of warm connections
+  /// One backend: its socket path plus a small pool of warm connections
   /// (AcquireConnection takes one, WithBackend returns it while healthy).
   struct Backend {
-    std::string address;  ///< as configured
-    bool is_unix = false;
-    std::string path_or_host;
-    std::uint16_t port = 0;
+    std::string path;  ///< the configured address without "unix:"
     Mutex mu;
     std::vector<server::Client> pool MRLQUANT_GUARDED_BY(mu);
   };

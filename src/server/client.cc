@@ -1,10 +1,6 @@
 #include "server/client.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -88,27 +84,6 @@ Result<Client> Client::ConnectUnix(const std::string& path, int timeout_ms) {
     ::close(fd);
     return status;
   }
-  return Client(fd);
-}
-
-Result<Client> Client::ConnectTcp(const std::string& host, std::uint16_t port,
-                                  int timeout_ms) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("host must be a dotted-quad IPv4 address");
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return StatusFromErrno("socket(AF_INET)");
-  const Status status = ConnectWithDeadline(
-      fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr), timeout_ms);
-  if (!status.ok()) {
-    ::close(fd);
-    return status;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return Client(fd);
 }
 

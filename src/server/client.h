@@ -32,8 +32,6 @@ class Client {
   /// unbounded until SetIoTimeout is called.
   static Result<Client> ConnectUnix(const std::string& path,
                                     int timeout_ms = -1);
-  static Result<Client> ConnectTcp(const std::string& host, std::uint16_t port,
-                                   int timeout_ms = -1);
 
   Client(Client&& other) noexcept;
   Client& operator=(Client&& other) noexcept;

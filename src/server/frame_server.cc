@@ -1,14 +1,15 @@
 #include "server/frame_server.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <utility>
 
 #include "server/conn.h"
+#include "server/protocol.h"
 #include "server/shard.h"
 #include "util/net.h"
 
@@ -18,6 +19,8 @@ namespace server {
 namespace {
 
 constexpr unsigned kMaxShards = 256;
+
+int OpenSpareFd() { return ::open("/dev/null", O_RDONLY | O_CLOEXEC); }
 
 }  // namespace
 
@@ -32,34 +35,25 @@ Result<int> FrameServer::ResolveNumShards(int requested) {
 }
 
 Result<std::unique_ptr<FrameServer>> FrameServer::Create(
-    const Listeners& listeners, int num_shards, FrameHandler* handler) {
-  if (listeners.uds_path.empty() && listeners.tcp_port < 0) {
-    return Status::InvalidArgument("no listener configured");
-  }
-  if (listeners.tcp_port > 65535) {
-    return Status::InvalidArgument("tcp_port must be in [0, 65535]");
+    const std::string& uds_path, int num_shards, FrameHandler* handler) {
+  if (uds_path.empty()) {
+    return Status::InvalidArgument("a Unix-domain socket path is required");
   }
   Result<int> shards = ResolveNumShards(num_shards);
   if (!shards.ok()) return shards.status();
   std::unique_ptr<FrameServer> server(new FrameServer());
-  MRL_RETURN_IF_ERROR(server->Start(listeners, shards.value(), handler));
+  MRL_RETURN_IF_ERROR(server->Start(uds_path, shards.value(), handler));
   return server;
 }
 
-Status FrameServer::Start(const Listeners& listeners, int num_shards,
+Status FrameServer::Start(const std::string& uds_path, int num_shards,
                           FrameHandler* handler) {
-  if (!listeners.uds_path.empty()) {
-    Result<int> fd = net::ListenUnix(listeners.uds_path);
-    if (!fd.ok()) return fd.status();
-    uds_path_ = listeners.uds_path;
-    uds_listen_fd_ = fd.value();
-  }
-  if (listeners.tcp_port >= 0) {
-    Result<int> fd = net::ListenLoopbackTcp(
-        static_cast<std::uint16_t>(listeners.tcp_port), &bound_tcp_port_);
-    if (!fd.ok()) return fd.status();
-    tcp_listen_fd_ = fd.value();
-  }
+  spare_fd_ = OpenSpareFd();
+  if (spare_fd_ < 0) return net::StatusFromErrno("open(/dev/null)");
+  Result<int> fd = net::ListenUnix(uds_path);
+  if (!fd.ok()) return fd.status();
+  uds_path_ = uds_path;
+  listen_fd_ = fd.value();
 
   Result<EventLoop> accept_loop = EventLoop::Create();
   if (!accept_loop.ok()) return accept_loop.status();
@@ -90,52 +84,67 @@ void FrameServer::Stop() {
   // Wind the shards down in parallel: signal them all, then reap.
   for (std::unique_ptr<Shard>& shard : shards_) shard->RequestStop();
   for (std::unique_ptr<Shard>& shard : shards_) shard->Join();
-  if (uds_listen_fd_ >= 0) {
-    ::close(uds_listen_fd_);
-    uds_listen_fd_ = -1;
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
     ::unlink(uds_path_.c_str());
   }
-  if (tcp_listen_fd_ >= 0) {
-    ::close(tcp_listen_fd_);
-    tcp_listen_fd_ = -1;
+  if (spare_fd_ >= 0) {
+    ::close(spare_fd_);
+    spare_fd_ = -1;
   }
 }
 
 void FrameServer::AcceptLoop() {
-  int listeners[2];
-  int num_listeners = 0;
-  if (uds_listen_fd_ >= 0) listeners[num_listeners++] = uds_listen_fd_;
-  if (tcp_listen_fd_ >= 0) listeners[num_listeners++] = tcp_listen_fd_;
-  for (int i = 0; i < num_listeners; ++i) {
-    if (!accept_loop_->Add(listeners[i], EPOLLIN, &listeners[i]).ok()) {
-      return;
-    }
-  }
+  if (!accept_loop_->Add(listen_fd_, EPOLLIN, &listen_fd_).ok()) return;
   std::size_t next_shard = 0;
-  epoll_event events[4];
+  epoll_event events[2];
   for (;;) {
-    const int n = accept_loop_->Wait(events, 4, /*timeout_ms=*/-1);
+    const int n = accept_loop_->Wait(events, 2, /*timeout_ms=*/-1);
     if (n < 0) return;
     for (int i = 0; i < n; ++i) {
       // Stop() is the only waker.
       if (events[i].data.ptr == nullptr) return;
-      const int listen_fd = *static_cast<int*>(events[i].data.ptr);
-      for (;;) {
-        const int fd =
-            ::accept4(listen_fd, nullptr, nullptr,
-                      SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (fd < 0) break;  // EAGAIN: drained; anything else: retry on event
-        if (listen_fd == tcp_listen_fd_) {
-          const int one = 1;
-          ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    }
+    for (;;) {
+      const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd < 0) {
+        // At EMFILE/ENFILE the pending connection stays queued and the
+        // level-triggered listener stays readable: shed it, or the
+        // acceptor would spin.
+        if ((errno == EMFILE || errno == ENFILE) && ShedOneConnection()) {
+          continue;
         }
-        // Round-robin placement; the shard re-routes to the tenant's home
-        // shard when the first frame arrives.
-        shards_[next_shard]->Adopt(std::make_unique<Conn>(fd));
-        next_shard = (next_shard + 1) % shards_.size();
+        break;  // EAGAIN: drained; anything else: retry on the next event
       }
+      // Round-robin placement; the shard re-routes to the tenant's home
+      // shard when the first frame arrives.
+      shards_[next_shard]->Adopt(std::make_unique<Conn>(fd));
+      next_shard = (next_shard + 1) % shards_.size();
     }
   }
+}
+
+bool FrameServer::ShedOneConnection() {
+  if (spare_fd_ < 0) spare_fd_ = OpenSpareFd();
+  if (spare_fd_ < 0) return false;
+  ::close(spare_fd_);
+  const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC);
+  if (fd >= 0) {
+    // Best effort: a fresh socket's send buffer takes this small frame
+    // whole, and a client that sent nothing yet still reads why it closed.
+    std::vector<std::uint8_t> reply;
+    EncodeErrorResponse(
+        MsgType::kResponse,
+        Status::ResourceExhausted("server is out of file descriptors"),
+        &reply);
+    ::send(fd, reply.data(), reply.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
+    ::close(fd);
+  }
+  spare_fd_ = OpenSpareFd();
+  return fd >= 0;
 }
 
 }  // namespace server

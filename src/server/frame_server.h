@@ -17,16 +17,6 @@ namespace server {
 
 class Shard;
 
-/// Where a frame server listens; at least one listener must be enabled.
-struct Listeners {
-  /// Unix-domain socket path; empty disables the UDS listener.
-  std::string uds_path;
-  /// TCP port on 127.0.0.1, in [0, 65535]: 0 binds an ephemeral port (read
-  /// it back with FrameServer::tcp_port()); negative disables the TCP
-  /// listener.
-  int tcp_port = -1;
-};
-
 /// What a frame server serves: one method, called from every shard thread
 /// concurrently, with whole frames in the order each connection sent them.
 class FrameHandler {
@@ -44,24 +34,29 @@ class FrameHandler {
 };
 
 /// The serving substrate of mrlquantd and mrlquant_router
-/// (docs/engineering.md, "The frame server"): an acceptor thread hands
-/// accepted connections round-robin to N shared-nothing event-loop shards,
-/// and a connection moves to its tenant's home shard (TenantNameHash modulo
-/// the shard count) once its first frame is buffered. Connections are
+/// (docs/engineering.md, "The frame server"): one Unix-domain listener,
+/// whose acceptor thread hands accepted connections round-robin to N
+/// shared-nothing event-loop shards, and a connection moves to its
+/// tenant's home shard (TenantNameHash modulo the shard count) once its
+/// first frame is buffered. Connections are
 /// nonblocking with buffered framing and request pipelining. Unflushed
 /// responses are capped per connection at one max-size frame plus 64 KiB:
 /// a client that outruns its own reads past that gets a ResourceExhausted
-/// ERROR and is closed. An idle server performs zero periodic wakeups.
+/// ERROR and is closed. When the process runs out of file descriptors, the
+/// acceptor sheds each pending connection (a best-effort ResourceExhausted
+/// ERROR, then close) instead of spinning on a listener it cannot drain.
+/// An idle server performs zero periodic wakeups.
 class FrameServer {
  public:
   /// `requested` shards, or one per core (at most 256) when it is 0;
   /// InvalidArgument outside [0, 256].
   static Result<int> ResolveNumShards(int requested);
 
-  /// Binds `listeners` and starts the acceptor and `num_shards` shard
-  /// threads (see ResolveNumShards), which call `handler` until Stop().
+  /// Binds the Unix-domain socket `uds_path` (required: InvalidArgument
+  /// when empty) and starts the acceptor and `num_shards` shard threads
+  /// (see ResolveNumShards), which call `handler` until Stop().
   static Result<std::unique_ptr<FrameServer>> Create(
-      const Listeners& listeners, int num_shards, FrameHandler* handler);
+      const std::string& uds_path, int num_shards, FrameHandler* handler);
 
   ~FrameServer();
   FrameServer(const FrameServer&) = delete;
@@ -69,30 +64,33 @@ class FrameServer {
 
   /// Stops accepting, winds the shards down in parallel (a handler call in
   /// progress finishes first, then every connection is closed), closes the
-  /// listeners and removes the socket file. Idempotent.
+  /// listener and removes the socket file. Idempotent.
   void Stop();
 
-  /// Bound TCP port, or 0 without a TCP listener.
-  std::uint16_t tcp_port() const { return bound_tcp_port_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
   FrameServer();
 
-  Status Start(const Listeners& listeners, int num_shards,
+  Status Start(const std::string& uds_path, int num_shards,
                FrameHandler* handler);
   void AcceptLoop();
+  /// Accepts and closes one pending connection while the process is out
+  /// of descriptors, by briefly giving up spare_fd_. False when there is no
+  /// spare to give up.
+  bool ShedOneConnection();
 
   std::string uds_path_;
-  int uds_listen_fd_ = -1;
-  int tcp_listen_fd_ = -1;
-  std::uint16_t bound_tcp_port_ = 0;
+  int listen_fd_ = -1;
+  /// A descriptor held in reserve (/dev/null) so that, at EMFILE/ENFILE,
+  /// the acceptor can still take a pending connection off the backlog.
+  int spare_fd_ = -1;
 
   /// Index i is home shard i. Stable once Start() returns (shards hold a
   /// span over this vector for migration).
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// The acceptor epolls the listen fds and blocks until a connection or
+  /// The acceptor epolls the listen fd and blocks until a connection or
   /// Stop()'s wakeup arrives.
   std::optional<EventLoop> accept_loop_;
   std::thread acceptor_;

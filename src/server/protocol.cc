@@ -371,14 +371,38 @@ std::uint64_t TenantNameHash(std::string_view name) {
   return hash;
 }
 
+namespace {
+
+/// Whether any of `values` is a NaN. Two-lane vectors (GCC/Clang vector
+/// extensions) so the scan compiles to packed unordered compares at
+/// baseline x86-64 and any optimization level: a scalar `std::isnan` OR
+/// loop is not vectorized there. `x != x` holds exactly for NaN.
+bool AnyNan(std::span<const double> values) {
+  using Lanes = double __attribute__((vector_size(16)));
+  using Mask = decltype(Lanes{} != Lanes{});
+  Mask any0{}, any1{};
+  std::size_t i = 0;
+  for (; i + 4 <= values.size(); i += 4) {
+    Lanes a, b;
+    std::memcpy(&a, values.data() + i, sizeof(a));
+    std::memcpy(&b, values.data() + i + 2, sizeof(b));
+    any0 |= a != a;
+    any1 |= b != b;
+  }
+  any0 |= any1;
+  bool any = (any0[0] | any0[1]) != 0;
+  for (; i < values.size(); ++i) any |= std::isnan(values[i]);
+  return any;
+}
+
+}  // namespace
+
 Status DecodeDoublesInto(const std::uint8_t* le, std::uint64_t count,
                          bool reject_nan, std::vector<double>* out) {
   out->resize(static_cast<std::size_t>(count));
   if (count != 0) std::memcpy(out->data(), le, count * sizeof(double));
   if (reject_nan) {
-    bool any_nan = false;
-    for (const double v : *out) any_nan |= std::isnan(v);
-    if (any_nan) {
+    if (AnyNan(*out)) {
       out->clear();
       return Status::InvalidArgument("NaN rejected at the protocol boundary");
     }
@@ -569,6 +593,10 @@ Result<StatsReply> DecodeStatsOk(const ResponseView& response) {
 
 namespace {
 
+/// The largest blob a SNAPSHOT or FETCH_SUMMARY reply carries: the payload
+/// cap less the request type, status code, empty message and blob length.
+constexpr std::size_t kMaxBlobReply = kMaxPayload - 8;
+
 /// Decodes `frame`'s request, runs it on `handler` and appends the OK
 /// reply; an error is returned for the caller to encode.
 Status Serve(const FrameView& frame, RequestHandler& handler,
@@ -638,6 +666,11 @@ Status Serve(const FrameView& frame, RequestHandler& handler,
         MRL_RETURN_IF_ERROR(frame.type == MsgType::kSnapshot
                                 ? handler.Snapshot(name, &blob)
                                 : handler.FetchSummary(name, &blob));
+        if (blob.size() > kMaxBlobReply) {
+          return Status::ResourceExhausted(
+              "reply blob of " + std::to_string(blob.size()) +
+              " bytes exceeds the frame payload cap");
+        }
         EncodeBlobOk(frame.type, blob, out);
       }
       return Status::OK();

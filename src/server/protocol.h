@@ -15,7 +15,7 @@ namespace mrl {
 namespace server {
 
 /// The mrlquantd wire protocol (docs/wire_protocol.md): length-prefixed
-/// binary frames over a byte stream (TCP or Unix-domain socket).
+/// binary frames over a byte stream (a Unix-domain socket).
 ///
 /// Frame layout, all integers little-endian:
 ///
@@ -356,8 +356,9 @@ class RequestHandler {
 /// DecodeFrameBody, or a response frame, is answered with an error that
 /// echoes kResponse; any other error echoes the request type. PING is
 /// answered here, without a handler call. ADD_BATCH values and QUERY_MULTI
-/// phis refuse NaN. Decoding reuses per-thread scratch, so steady-state
-/// serving allocates nothing here.
+/// phis refuse NaN. A SNAPSHOT or FETCH_SUMMARY blob too large for one
+/// frame is answered ResourceExhausted. Decoding reuses per-thread
+/// scratch, so steady-state serving allocates nothing here.
 void ServeRequest(std::span<const std::uint8_t> frame,
                   RequestHandler& handler, std::vector<std::uint8_t>* out);
 

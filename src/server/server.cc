@@ -28,7 +28,7 @@ Result<std::unique_ptr<QuantileServer>> QuantileServer::Create(
 Status QuantileServer::Start() {
   MRL_RETURN_IF_ERROR(registry_.RecoverFromDisk());
   Result<std::unique_ptr<FrameServer>> frames =
-      FrameServer::Create(options_.listen, options_.num_shards, this);
+      FrameServer::Create(options_.uds_path, options_.num_shards, this);
   if (!frames.ok()) return frames.status();
   frames_ = std::move(frames).value();
   running_.store(true, std::memory_order_release);

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -20,8 +21,8 @@ namespace mrl {
 namespace server {
 
 struct ServerOptions {
-  /// Listeners; at least one must be enabled.
-  Listeners listen;
+  /// Unix-domain socket path to serve on; required.
+  std::string uds_path;
   /// Shared-nothing event-loop shards, each a thread with its own epoll
   /// set and registry partition. 0 means one per core. A shard multiplexes
   /// any number of connections, so this is not a concurrent-connection
@@ -49,8 +50,8 @@ struct ServerOptions {
 /// decodes, and the periodic checkpoint.
 class QuantileServer final : private FrameHandler, private RequestHandler {
  public:
-  /// Recovers the registry from its checkpoint (if any), then binds the
-  /// configured listeners and starts serving.
+  /// Recovers the registry from its checkpoint (if any), then binds
+  /// `uds_path` and starts serving.
   static Result<std::unique_ptr<QuantileServer>> Create(ServerOptions options);
 
   ~QuantileServer();
@@ -61,9 +62,6 @@ class QuantileServer final : private FrameHandler, private RequestHandler {
   /// Stops accepting, winds down shards (closing their connections),
   /// closes sockets. Idempotent.
   void Stop();
-
-  /// Port actually bound (useful with an ephemeral tcp_port request).
-  std::uint16_t tcp_port() const { return frames_->tcp_port(); }
 
   int num_shards() const { return frames_->num_shards(); }
 

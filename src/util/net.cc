@@ -1,7 +1,5 @@
 #include "util/net.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -20,17 +18,6 @@ constexpr int kListenBacklog = 4096;
 IoOutcome FailedIo() {
   return errno == EAGAIN || errno == EWOULDBLOCK ? IoOutcome::kTimeout
                                                  : IoOutcome::kError;
-}
-
-/// bind(2) + listen(2) on a fresh socket; closes it on failure.
-Result<int> BindAndListen(int fd, const sockaddr* addr, socklen_t len,
-                          const char* what) {
-  if (::bind(fd, addr, len) != 0 || ::listen(fd, kListenBacklog) != 0) {
-    const Status status = StatusFromErrno(what);
-    ::close(fd);
-    return status;
-  }
-  return fd;
 }
 
 }  // namespace
@@ -77,30 +64,14 @@ Result<int> ListenUnix(const std::string& path) {
       ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return StatusFromErrno("socket(AF_UNIX)");
   ::unlink(path.c_str());
-  return BindAndListen(fd, reinterpret_cast<const sockaddr*>(&addr),
-                       sizeof(addr), "bind/listen(AF_UNIX)");
-}
-
-Result<int> ListenLoopbackTcp(std::uint16_t port, std::uint16_t* bound_port) {
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) return StatusFromErrno("socket(AF_INET)");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  Result<int> listening =
-      BindAndListen(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr),
-                    "bind/listen(AF_INET)");
-  if (!listening.ok()) return listening;
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    *bound_port = ntohs(bound.sin_port);
+  const auto* bound = reinterpret_cast<const sockaddr*>(&addr);
+  if (::bind(fd, bound, sizeof(addr)) != 0 ||
+      ::listen(fd, kListenBacklog) != 0) {
+    const Status status = StatusFromErrno("bind/listen(AF_UNIX)");
+    ::close(fd);
+    return status;
   }
-  return listening;
+  return fd;
 }
 
 }  // namespace net

@@ -23,12 +23,10 @@ enum class IoOutcome { kOk, kEof, kTimeout, kError };
 IoOutcome SendAll(int fd, const std::uint8_t* buf, std::size_t n);
 IoOutcome RecvAll(int fd, std::uint8_t* buf, std::size_t n);
 
-/// Nonblocking close-on-exec listening sockets, for an accept4 loop under
-/// epoll, with one backlog (the kernel clamps it to somaxconn). ListenUnix replaces a stale socket file at `path`;
-/// ListenLoopbackTcp binds 127.0.0.1 (`port` 0 picks an ephemeral port)
-/// and reports the bound port.
+/// A nonblocking close-on-exec Unix-domain listening socket at `path`, for
+/// an accept4 loop under epoll; replaces a stale socket file there. The
+/// backlog is large (the kernel clamps it to somaxconn).
 Result<int> ListenUnix(const std::string& path);
-Result<int> ListenLoopbackTcp(std::uint16_t port, std::uint16_t* bound_port);
 
 }  // namespace net
 }  // namespace mrl

@@ -2,6 +2,7 @@
 
 #include "server/protocol.h"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -250,6 +251,59 @@ TEST(FrameTest, AddBatchRoundTrip) {
                     .ok());
     ASSERT_EQ(decoded.size(), n);
     EXPECT_TRUE(std::isnan(decoded[pos]));
+  }
+}
+
+// The NaN scan of DecodeDoublesInto against std::isnan, bit pattern by
+// bit pattern: every NaN encoding (quiet, signalling, negative, the
+// smallest payload, all ones) rejects the array wherever it sits, and no
+// other value does. Short and odd lengths cover the vector body and the
+// scalar tail of the scan.
+TEST(FrameTest, NanScanMatchesIsnanAtEveryPosition) {
+  const std::uint64_t kPatterns[] = {
+      0x7FF8000000000000,  // quiet NaN
+      0x7FF4000000000000,  // signalling NaN
+      0x7FF0000000000001,  // smallest NaN payload (signalling)
+      0x7FF00000FFFFFFFF,  // NaN with an all-zero high payload half
+      0x7FF0000100000000,  // NaN with an all-zero low half
+      0xFFF8000000000000,  // negative quiet NaN
+      0xFFF0000000000001,  // negative signalling NaN
+      0x7FFFFFFFFFFFFFFF,  // largest positive NaN
+      0xFFFFFFFFFFFFFFFF,  // all ones
+      0x7FF0000000000000,  // +inf
+      0xFFF0000000000000,  // -inf
+      0x0000000000000000,  // +0
+      0x8000000000000000,  // -0
+      0x0000000000000001,  // smallest denormal
+      0x000FFFFFFFFFFFFF,  // largest denormal
+      0x8000000000000001,  // negative denormal
+      0x7FEFFFFFFFFFFFFF,  // +max
+      0xFFEFFFFFFFFFFFFF,  // -max
+  };
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  lengths.insert(lengths.end(), {31, 33, 65});
+  std::vector<double> decoded;
+  for (const std::uint64_t bits : kPatterns) {
+    const double special = std::bit_cast<double>(bits);
+    for (const std::size_t n : lengths) {
+      for (std::size_t pos = 0; pos < n; ++pos) {
+        std::vector<double> values(n, -1.5);
+        values[pos] = special;
+        std::vector<std::uint8_t> le(n * sizeof(double));
+        std::memcpy(le.data(), values.data(), le.size());
+        decoded.assign(3, 7.0);
+        const Status status =
+            DecodeDoublesInto(le.data(), n, /*reject_nan=*/true, &decoded);
+        const bool nan = std::isnan(special);
+        EXPECT_EQ(status.ok(), !nan) << std::hex << bits << std::dec
+                                     << " n=" << n << " pos=" << pos;
+        EXPECT_EQ(decoded.size(), nan ? 0 : n);
+        if (!nan) {
+          EXPECT_EQ(std::memcmp(decoded.data(), le.data(), le.size()), 0);
+        }
+      }
+    }
   }
 }
 
@@ -585,10 +639,13 @@ TEST(ResponseTest, UnattributableErrorEchoesResponseType) {
   EXPECT_FALSE(DecodeResponse(frame.payload, frame.payload_len).ok());
 }
 
-// Fails every request with NotFound and counts the calls that reach it.
+// Fails every request with NotFound and counts the calls that reach it;
+// with `blob_bytes` set, SNAPSHOT and FETCH_SUMMARY instead succeed with a
+// blob of that many bytes.
 class CountingHandler final : public RequestHandler {
  public:
   int calls = 0;
+  std::size_t blob_bytes = 0;
 
   Status CreateSketch(std::string_view, const TenantConfig&) override {
     return Miss();
@@ -602,14 +659,15 @@ class CountingHandler final : public RequestHandler {
                     std::vector<Value>*) override {
     return Miss();
   }
-  Status Snapshot(std::string_view, std::vector<std::uint8_t>*) override {
-    return Miss();
+  Status Snapshot(std::string_view,
+                  std::vector<std::uint8_t>* blob) override {
+    return Blob(blob);
   }
   Status Delete(std::string_view) override { return Miss(); }
   Result<StatsReply> Stats(std::string_view) override { return Miss(); }
   Status FetchSummary(std::string_view,
-                      std::vector<std::uint8_t>*) override {
-    return Miss();
+                      std::vector<std::uint8_t>* blob) override {
+    return Blob(blob);
   }
   Status Restore(std::string_view, const TenantConfig&,
                  std::span<const std::uint8_t>) override {
@@ -620,6 +678,12 @@ class CountingHandler final : public RequestHandler {
   Status Miss() {
     ++calls;
     return Status::NotFound("no such tenant");
+  }
+  Status Blob(std::vector<std::uint8_t>* blob) {
+    if (blob_bytes == 0) return Miss();
+    ++calls;
+    blob->assign(blob_bytes, 0xAB);
+    return Status::OK();
   }
 };
 
@@ -685,6 +749,36 @@ TEST(ServeRequestTest, EchoesAndHandlerCalls) {
   EXPECT_EQ(response.request_type, MsgType::kResponse);
   EXPECT_EQ(response.message, "response frame sent to server");
   EXPECT_EQ(handler.calls, 1);
+}
+
+// A SNAPSHOT or FETCH_SUMMARY blob that cannot fit one frame is refused
+// with a decodable ResourceExhausted reply instead of aborting the server;
+// the largest blob that fits is still served.
+TEST(ServeRequestTest, OversizedBlobReplyIsResourceExhausted) {
+  // Request type, status code, empty message and blob length.
+  constexpr std::size_t kBlobReplyOverhead = 8;
+  CountingHandler handler;
+  std::vector<std::uint8_t> request;
+  std::vector<std::uint8_t> reply;
+  std::vector<std::uint8_t> blob;
+  for (const MsgType type : {MsgType::kSnapshot, MsgType::kFetchSummary}) {
+    request.clear();
+    EncodeNameRequest(type, "big", &request);
+
+    handler.blob_bytes = kMaxPayload;
+    ResponseView response = ServeOne(request, handler, &reply);
+    EXPECT_EQ(response.request_type, type);
+    EXPECT_EQ(response.code, StatusCode::kResourceExhausted);
+    EXPECT_LT(reply.size(), 1024u);
+
+    handler.blob_bytes = kMaxPayload - kBlobReplyOverhead;
+    response = ServeOne(request, handler, &reply);
+    EXPECT_EQ(response.request_type, type);
+    ASSERT_TRUE(response.ok()) << response.message;
+    ASSERT_TRUE(DecodeBlobOk(response, type, &blob).ok());
+    EXPECT_EQ(blob.size(), kMaxPayload - kBlobReplyOverhead);
+  }
+  EXPECT_EQ(handler.calls, 4);
 }
 
 TEST(FrameTest, StreamDecodingConsumesExactFrames) {

@@ -46,6 +46,37 @@ double RankOf(const std::vector<Value>& sorted, Value answer) {
          static_cast<double>(sorted.size());
 }
 
+// Unix-domain sockets are the one transport: a backend address is
+// "unix:PATH" with a non-empty PATH, and the router needs its own socket
+// path. Create refuses anything else before it binds or dials.
+TEST(RouterCreateTest, RejectsNonUnixBackendsAndMissingSocketPath) {
+  const std::string base = "/tmp/mrlq_router_create_" +
+                           std::to_string(::getpid());
+  const std::string front = base + "_front.sock";
+  const std::string backend = "unix:" + base + "_b.sock";
+  const struct {
+    std::string uds_path;
+    std::string backend;
+    std::string named;  // in the error message
+  } cases[] = {
+      {front, "127.0.0.1:7000", "127.0.0.1:7000"},
+      {front, "unix:", "unix:"},
+      {"", backend, "socket path"},
+  };
+  for (const auto& c : cases) {
+    RouterOptions options;
+    options.uds_path = c.uds_path;
+    options.backends = {backend, c.backend};
+    Result<std::unique_ptr<Router>> router = Router::Create(options);
+    ASSERT_FALSE(router.ok()) << c.backend;
+    EXPECT_EQ(router.status().code(), StatusCode::kInvalidArgument)
+        << c.backend;
+    EXPECT_NE(router.status().message().find(c.named), std::string::npos)
+        << router.status().message();
+  }
+  EXPECT_FALSE(std::filesystem::exists(front));
+}
+
 constexpr int kBackends = 3;
 
 class RouterE2eTest : public ::testing::Test {
@@ -107,7 +138,7 @@ class RouterE2eTest : public ::testing::Test {
   }
 
   void StartRouter(RouterOptions options) {
-    options.listen.uds_path = router_uds_;
+    options.uds_path = router_uds_;
     for (int i = 0; i < kBackends; ++i) {
       options.backends.push_back("unix:" + backend_uds_[i]);
     }

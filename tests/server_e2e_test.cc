@@ -28,6 +28,7 @@
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "util/net.h"
 #include "util/random.h"
 
 namespace mrl {
@@ -58,7 +59,7 @@ double RankOf(const std::vector<Value>& sorted, Value answer) {
 class ServerE2eTest : public ::testing::Test {
  protected:
   std::unique_ptr<QuantileServer> StartServer(ServerOptions options) {
-    options.listen.uds_path = uds_path_;
+    options.uds_path = uds_path_;
     Result<std::unique_ptr<QuantileServer>> server =
         QuantileServer::Create(std::move(options));
     EXPECT_TRUE(server.ok()) << server.status().ToString();
@@ -540,34 +541,10 @@ TEST_F(ServerE2eTest, TenThousandConnectionsOpenIdleBurst) {
   // responses are collected — 10k in-flight requests across 4 shards.
   std::vector<std::uint8_t> frame;
   EncodeNameRequest(MsgType::kStats, "", &frame);
-  const auto send_all = [](int fd, const std::uint8_t* data, std::size_t n) {
-    std::size_t sent = 0;
-    while (sent < n) {
-      const ssize_t w = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      sent += static_cast<std::size_t>(w);
-    }
-    return true;
-  };
-  const auto recv_all = [](int fd, std::uint8_t* data, std::size_t n) {
-    std::size_t got = 0;
-    while (got < n) {
-      const ssize_t r = ::recv(fd, data + got, n - got, 0);
-      if (r == 0) return false;
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      got += static_cast<std::size_t>(r);
-    }
-    return true;
-  };
   for (int i = 0; i < kConns; ++i) {
-    ASSERT_TRUE(send_all(fds[static_cast<std::size_t>(i)], frame.data(),
-                         frame.size()))
+    ASSERT_EQ(net::SendAll(fds[static_cast<std::size_t>(i)], frame.data(),
+                           frame.size()),
+              net::IoOutcome::kOk)
         << "send on connection " << i;
   }
   int answered = 0;
@@ -575,7 +552,8 @@ TEST_F(ServerE2eTest, TenThousandConnectionsOpenIdleBurst) {
   for (int i = 0; i < kConns; ++i) {
     const int fd = fds[static_cast<std::size_t>(i)];
     std::uint8_t prefix[4];
-    ASSERT_TRUE(recv_all(fd, prefix, sizeof(prefix))) << "conn " << i;
+    ASSERT_EQ(net::RecvAll(fd, prefix, sizeof(prefix)), net::IoOutcome::kOk)
+        << "conn " << i;
     const std::uint32_t body_len =
         static_cast<std::uint32_t>(prefix[0]) |
         (static_cast<std::uint32_t>(prefix[1]) << 8) |
@@ -583,7 +561,8 @@ TEST_F(ServerE2eTest, TenThousandConnectionsOpenIdleBurst) {
         (static_cast<std::uint32_t>(prefix[3]) << 24);
     ASSERT_LE(body_len, kMaxPayload + kFrameHeaderSize - 4);
     body.resize(body_len);
-    ASSERT_TRUE(recv_all(fd, body.data(), body.size())) << "conn " << i;
+    ASSERT_EQ(net::RecvAll(fd, body.data(), body.size()), net::IoOutcome::kOk)
+        << "conn " << i;
     Result<FrameView> decoded = DecodeFrameBody(body.data(), body.size());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     Result<ResponseView> view = DecodeResponse(decoded.value().payload,
@@ -600,51 +579,159 @@ TEST_F(ServerE2eTest, TenThousandConnectionsOpenIdleBurst) {
   ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
 }
 
-// An out-of-range --max-tenants is a usage error like every other daemon
-// flag: exit code 2 with a message, not an abort in the registry.
-TEST_F(ServerE2eTest, DaemonRejectsZeroMaxTenants) {
-  const std::string uds_flag = "--uds=" + uds_path_;
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::execl(MRLQUANT_DAEMON_PATH, "mrlquantd", uds_flag.c_str(),
-            "--max-tenants=0", static_cast<char*>(nullptr));
-    ::_exit(127);
-  }
-  ASSERT_GT(pid, 0);
-  int wstatus = 0;
-  pid_t waited = 0;
-  for (int attempt = 0; attempt < 400 && waited == 0; ++attempt) {
-    waited = ::waitpid(pid, &wstatus, WNOHANG);
-    if (waited == 0) std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-  if (waited == 0) {
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, &wstatus, 0);
-    FAIL() << "daemon kept running with --max-tenants=0";
-  }
-  ASSERT_EQ(waited, pid);
-  ASSERT_TRUE(WIFEXITED(wstatus)) << "daemon died by a signal";
-  EXPECT_EQ(WEXITSTATUS(wstatus), 2);
-}
-
-// Runs the mrlquant_client binary with `args` and returns its exit code
-// (-1 when it did not exit normally).
-int RunClient(const std::vector<std::string>& args) {
+// Runs the binary at `path` with `args` and returns its exit code: -1 when
+// it did not exit normally, or was still running after 10 s (then it is
+// killed).
+int RunBinary(const char* path, const std::vector<std::string>& args) {
   std::vector<char*> argv;
-  argv.push_back(const_cast<char*>("mrlquant_client"));
+  argv.push_back(const_cast<char*>(path));
   for (const std::string& arg : args) {
     argv.push_back(const_cast<char*>(arg.c_str()));
   }
   argv.push_back(nullptr);
   const pid_t pid = ::fork();
   if (pid == 0) {
-    ::execv(MRLQUANT_CLIENT_PATH, argv.data());
+    ::execv(path, argv.data());
     ::_exit(127);  // exec failed
   }
   if (pid < 0) return -1;
   int wstatus = 0;
-  if (::waitpid(pid, &wstatus, 0) != pid || !WIFEXITED(wstatus)) return -1;
+  pid_t waited = 0;
+  for (int attempt = 0; attempt < 1000 && waited == 0; ++attempt) {
+    waited = ::waitpid(pid, &wstatus, WNOHANG);
+    if (waited == 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (waited == 0) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &wstatus, 0);
+    return -1;
+  }
+  if (waited != pid || !WIFEXITED(wstatus)) return -1;
   return WEXITSTATUS(wstatus);
+}
+
+int RunClient(const std::vector<std::string>& args) {
+  return RunBinary(MRLQUANT_CLIENT_PATH, args);
+}
+
+// User plus system CPU time of process `pid` in seconds, from
+// /proc/<pid>/stat; negative when it cannot be read.
+double ProcessCpuSeconds(pid_t pid) {
+  std::FILE* f =
+      std::fopen(("/proc/" + std::to_string(pid) + "/stat").c_str(), "r");
+  if (f == nullptr) return -1;
+  char line[1024];
+  const bool read = std::fgets(line, sizeof(line), f) != nullptr;
+  std::fclose(f);
+  if (!read) return -1;
+  // Fields after the parenthesized command name, which may hold spaces:
+  // state is field 3, utime and stime are fields 14 and 15.
+  const char* rest = std::strrchr(line, ')');
+  if (rest == nullptr) return -1;
+  unsigned long utime = 0, stime = 0;
+  if (std::sscanf(rest + 1,
+                  " %*c %*d %*d %*d %*d %*d %*u %*u %*u %*u %*u %lu %lu",
+                  &utime, &stime) != 2) {
+    return -1;
+  }
+  return static_cast<double>(utime + stime) /
+         static_cast<double>(::sysconf(_SC_CLK_TCK));
+}
+
+// A daemon out of file descriptors sheds the connections it cannot hold
+// instead of spinning on its readable listener, and serves again once
+// clients go away. The daemon runs with RLIMIT_NOFILE 24, so most of 30
+// clients cannot be accepted.
+TEST_F(ServerE2eTest, AcceptorIdlesWhenOutOfDescriptors) {
+  const std::string uds_flag = "--uds=" + uds_path_;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const rlimit nofile{24, 24};
+    if (::setrlimit(RLIMIT_NOFILE, &nofile) != 0) ::_exit(126);
+    ::execl(MRLQUANT_DAEMON_PATH, "mrlquantd", uds_flag.c_str(), "--shards=1",
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ASSERT_GT(pid, 0);
+  const auto stop_daemon = [pid] {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+  };
+  const auto wait_for_ping = [&]() {
+    for (int attempt = 0; attempt < 200; ++attempt) {
+      Result<Client> client = Client::ConnectUnix(uds_path_, 1000);
+      if (client.ok() && client.value().SetIoTimeout(1000).ok() &&
+          client.value().Ping().ok()) {
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    }
+    return false;
+  };
+  if (!wait_for_ping()) {
+    stop_daemon();
+    FAIL() << "daemon did not come up on " << uds_path_;
+  }
+
+  std::vector<Client> clients;
+  for (int i = 0; i < 30; ++i) {
+    Result<Client> client = Client::ConnectUnix(uds_path_, 1000);
+    if (!client.ok()) break;
+    clients.push_back(std::move(client).value());
+  }
+  EXPECT_EQ(clients.size(), 30u);
+
+  const double cpu_before = ProcessCpuSeconds(pid);
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  const double cpu_after = ProcessCpuSeconds(pid);
+  ASSERT_GE(cpu_before, 0);
+  ASSERT_GE(cpu_after, 0);
+  EXPECT_LT(cpu_after - cpu_before, 0.2) << "acceptor spins at EMFILE";
+
+  // The accepted clients are served; the shed ones were closed.
+  int served = 0;
+  for (Client& client : clients) {
+    if (client.SetIoTimeout(1000).ok() && client.Ping().ok()) ++served;
+  }
+  EXPECT_GT(served, 0);
+  EXPECT_LT(served, 30);
+
+  clients.clear();
+  EXPECT_TRUE(wait_for_ping()) << "daemon stopped serving after EMFILE";
+  ASSERT_EQ(::waitpid(pid, nullptr, WNOHANG), 0) << "daemon died";
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  ASSERT_EQ(::waitpid(pid, nullptr, 0), pid);
+}
+
+// An out-of-range --max-tenants is a usage error like every other daemon
+// flag: exit code 2 with a message, not an abort in the registry.
+TEST_F(ServerE2eTest, DaemonRejectsZeroMaxTenants) {
+  EXPECT_EQ(RunBinary(MRLQUANT_DAEMON_PATH,
+                      {"--uds=" + uds_path_, "--max-tenants=0"}),
+            2);
+}
+
+// Unix-domain sockets are the one transport: --port and --host are
+// unknown flags, and so usage errors (exit 2), for all three binaries.
+TEST_F(ServerE2eTest, TransportFlagsOtherThanUdsAreUsageErrors) {
+  std::unique_ptr<QuantileServer> server = StartServer(ServerOptions{});
+  ASSERT_NE(server, nullptr);
+  const std::string uds_flag = "--uds=" + uds_path_;
+  const std::string spare_uds_flag = "--uds=" + uds_path_ + ".spare";
+  const std::string backends_flag = "--backends=unix:" + uds_path_;
+  for (const char* flag : {"--port=7000", "--port=0", "--host=127.0.0.1"}) {
+    EXPECT_EQ(RunClient({uds_flag, flag, "ping"}), 2) << flag;
+    EXPECT_EQ(RunClient({flag, "ping"}), 2) << flag;
+    EXPECT_EQ(RunBinary(MRLQUANT_DAEMON_PATH, {spare_uds_flag, flag}), 2)
+        << flag;
+    EXPECT_EQ(RunBinary(MRLQUANT_ROUTER_PATH,
+                        {spare_uds_flag, backends_flag, flag}),
+              2)
+        << flag;
+  }
+  EXPECT_EQ(RunClient({uds_flag, "ping"}), 0);
+  server->Stop();
+  std::remove((uds_path_ + ".spare").c_str());
 }
 
 // Malformed or out-of-range client flags are usage errors (exit 2), never
@@ -654,9 +741,6 @@ TEST_F(ServerE2eTest, ClientRejectsBadNumericFlags) {
   ASSERT_NE(server, nullptr);
   const std::string uds_flag = "--uds=" + uds_path_;
 
-  EXPECT_EQ(RunClient({"--port=70000", "ping"}), 2);
-  EXPECT_EQ(RunClient({"--port=abc", "ping"}), 2);
-  EXPECT_EQ(RunClient({"--port=0", "ping"}), 2);
   EXPECT_EQ(RunClient({uds_flag, "--timeout-ms=abc", "ping"}), 2);
   EXPECT_EQ(RunClient({uds_flag, "--timeout-ms=-1", "ping"}), 2);
   EXPECT_EQ(RunClient({uds_flag, "ping"}), 0);

@@ -34,6 +34,7 @@
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "util/net.h"
 #include "util/random.h"
 
 namespace mrl {
@@ -82,7 +83,7 @@ class ServerPipelineTest : public ::testing::TestWithParam<Target> {
   void StartServer() {
     const bool routed = GetParam() == Target::kRouter;
     ServerOptions options;
-    options.listen.uds_path = routed ? backend_path_ : uds_path_;
+    options.uds_path = routed ? backend_path_ : uds_path_;
     options.num_shards = 2;  // exercise tenant-affinity migration too
     Result<std::unique_ptr<QuantileServer>> server =
         QuantileServer::Create(std::move(options));
@@ -90,7 +91,7 @@ class ServerPipelineTest : public ::testing::TestWithParam<Target> {
     server_ = std::move(server).value();
     if (!routed) return;
     router::RouterOptions router_options;
-    router_options.listen.uds_path = uds_path_;
+    router_options.uds_path = uds_path_;
     router_options.backends = {"unix:" + backend_path_};
     Result<std::unique_ptr<router::Router>> router =
         router::Router::Create(std::move(router_options));
@@ -116,45 +117,22 @@ class ServerPipelineTest : public ::testing::TestWithParam<Target> {
     return fd;
   }
 
-  static bool SendAll(int fd, const std::uint8_t* data, std::size_t n) {
-    std::size_t sent = 0;
-    while (sent < n) {
-      const ssize_t w = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      sent += static_cast<std::size_t>(w);
-    }
-    return true;
-  }
-
-  static bool RecvAll(int fd, std::uint8_t* data, std::size_t n) {
-    std::size_t got = 0;
-    while (got < n) {
-      const ssize_t r = ::recv(fd, data + got, n - got, 0);
-      if (r == 0) return false;
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      got += static_cast<std::size_t>(r);
-    }
-    return true;
-  }
-
   /// Reads and decodes exactly one response frame. False on EOF or a
   /// malformed frame (asserts on the latter).
   static bool ReadReply(int fd, Reply* out) {
     std::uint8_t prefix[4];
-    if (!RecvAll(fd, prefix, sizeof(prefix))) return false;
+    if (net::RecvAll(fd, prefix, sizeof(prefix)) != net::IoOutcome::kOk) {
+      return false;
+    }
     const std::uint32_t body_len =
         static_cast<std::uint32_t>(prefix[0]) |
         (static_cast<std::uint32_t>(prefix[1]) << 8) |
         (static_cast<std::uint32_t>(prefix[2]) << 16) |
         (static_cast<std::uint32_t>(prefix[3]) << 24);
     std::vector<std::uint8_t> body(body_len);
-    if (!RecvAll(fd, body.data(), body.size())) return false;
+    if (net::RecvAll(fd, body.data(), body.size()) != net::IoOutcome::kOk) {
+      return false;
+    }
     Result<FrameView> frame = DecodeFrameBody(body.data(), body.size());
     EXPECT_TRUE(frame.ok()) << frame.status().message();
     if (!frame.ok()) return false;
@@ -187,7 +165,7 @@ TEST_P(ServerPipelineTest, PartialFramesAcrossReadBoundaries) {
   std::vector<std::uint8_t> wire;
   EncodeCreateSketch("dribble", TenantConfig{}, &wire);
   for (const std::uint8_t byte : wire) {
-    ASSERT_TRUE(SendAll(fd, &byte, 1));
+    ASSERT_EQ(net::SendAll(fd, &byte, 1), net::IoOutcome::kOk);
   }
   Reply reply;
   ASSERT_TRUE(ReadReply(fd, &reply));
@@ -203,7 +181,8 @@ TEST_P(ServerPipelineTest, PartialFramesAcrossReadBoundaries) {
                               wire.size()};
   std::size_t at = 0;
   for (const std::size_t cut : cuts) {
-    ASSERT_TRUE(SendAll(fd, wire.data() + at, cut - at));
+    ASSERT_EQ(net::SendAll(fd, wire.data() + at, cut - at),
+              net::IoOutcome::kOk);
     at = cut;
   }
   ASSERT_TRUE(ReadReply(fd, &reply));
@@ -227,7 +206,7 @@ TEST_P(ServerPipelineTest, MultipleFramesPerReadAnswerInOrder) {
     EncodeAddBatch("burst", std::vector<Value>{static_cast<Value>(i)}, &wire);
   }
   EncodeQuery("burst", 1.0, &wire);
-  ASSERT_TRUE(SendAll(fd, wire.data(), wire.size()));
+  ASSERT_EQ(net::SendAll(fd, wire.data(), wire.size()), net::IoOutcome::kOk);
 
   Reply reply;
   ASSERT_TRUE(ReadReply(fd, &reply));
@@ -334,7 +313,7 @@ TEST_P(ServerPipelineTest, ResponseBacklogDrainsViaShortWrites) {
   std::vector<std::uint8_t> wire;
   EncodeCreateSketch("backlog", TenantConfig{}, &wire);
   EncodeAddBatch("backlog", UniformStream(100000, 7), &wire);
-  ASSERT_TRUE(SendAll(fd, wire.data(), wire.size()));
+  ASSERT_EQ(net::SendAll(fd, wire.data(), wire.size()), net::IoOutcome::kOk);
   Reply reply;
   ASSERT_TRUE(ReadReply(fd, &reply));
   ASSERT_EQ(reply.code, StatusCode::kOk) << reply.message;
@@ -353,7 +332,7 @@ TEST_P(ServerPipelineTest, ResponseBacklogDrainsViaShortWrites) {
   for (int i = 0; i < kRequests; ++i) {
     EncodeQueryMulti("backlog", phis, &wire);
   }
-  ASSERT_TRUE(SendAll(fd, wire.data(), wire.size()));
+  ASSERT_EQ(net::SendAll(fd, wire.data(), wire.size()), net::IoOutcome::kOk);
 
   for (int i = 0; i < kRequests; ++i) {
     ASSERT_TRUE(ReadReply(fd, &reply)) << "response " << i;
@@ -378,7 +357,7 @@ TEST_P(ServerPipelineTest, SlowReaderHitsWriteBufferCap) {
   std::vector<std::uint8_t> wire;
   EncodeCreateSketch("slow", TenantConfig{}, &wire);
   EncodeAddBatch("slow", UniformStream(100000, 9), &wire);
-  ASSERT_TRUE(SendAll(fd, wire.data(), wire.size()));
+  ASSERT_EQ(net::SendAll(fd, wire.data(), wire.size()), net::IoOutcome::kOk);
   Reply reply;
   ASSERT_TRUE(ReadReply(fd, &reply));
   ASSERT_EQ(reply.code, StatusCode::kOk) << reply.message;
@@ -396,7 +375,7 @@ TEST_P(ServerPipelineTest, SlowReaderHitsWriteBufferCap) {
   for (int i = 0; i < kRequests; ++i) {
     EncodeNameRequest(MsgType::kSnapshot, "slow", &wire);
   }
-  ASSERT_TRUE(SendAll(fd, wire.data(), wire.size()));
+  ASSERT_EQ(net::SendAll(fd, wire.data(), wire.size()), net::IoOutcome::kOk);
 
   // Now read: some number of completed responses, then exactly one
   // ResourceExhausted ERROR, then EOF.

@@ -52,13 +52,6 @@ bool ParseIntFlag(const char* arg, const char* name, long lo, long hi,
   return true;
 }
 
-bool ParsePortFlag(const char* arg, int* port) {
-  long value = 0;
-  if (!ParseIntFlag(arg, "--port", 0, 65535, &value)) return false;
-  *port = static_cast<int>(value);
-  return true;
-}
-
 bool WaitForStopSignal() {
   if (pipe(g_signal_pipe) != 0) {
     std::fprintf(stderr, "%s: pipe: %s\n", program_invocation_short_name,

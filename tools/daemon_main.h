@@ -18,10 +18,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* out);
 bool ParseIntFlag(const char* arg, const char* name, long lo, long hi,
                   long* out);
 
-/// `--port=N`, the listener rule of server::Listeners: N in [0, 65535], 0
-/// binds an ephemeral port.
-bool ParsePortFlag(const char* arg, int* port);
-
 /// Blocks until SIGINT or SIGTERM arrives: one blocking read of a
 /// self-pipe the signal handler writes to, so the caller does zero periodic
 /// wakeups while parked. Returns false (with a diagnostic) if the pipe

@@ -35,8 +35,7 @@ using mrl::server::TenantConfig;
 void Usage() {
   std::fprintf(
       stderr,
-      "usage: mrlquant_client (--uds=PATH | --host=IP --port=N)\n"
-      "                       [--timeout-ms=N] CMD ...\n"
+      "usage: mrlquant_client --uds=PATH [--timeout-ms=N] CMD ...\n"
       "  create NAME [--eps=E] [--delta=D] [--seed=S]\n"
       "  add NAME V...       ('-' reads whitespace-separated values "
       "from stdin)\n"
@@ -85,22 +84,23 @@ std::uint64_t ParseSeed(const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string uds, host = "127.0.0.1";
-  long port = 0;  // unset; a client cannot dial port 0
+  std::string uds;
   int timeout_ms = -1;
   int i = 1;
   for (; i < argc; ++i) {
     long value = 0;
     if (ParseFlag(argv[i], "--uds", &uds)) continue;
-    if (ParseFlag(argv[i], "--host", &host)) continue;
-    if (ParseIntFlag(argv[i], "--port", 1, 65535, &port)) continue;
     if (ParseIntFlag(argv[i], "--timeout-ms", 0, INT_MAX, &value)) {
       timeout_ms = static_cast<int>(value);
       continue;
     }
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "mrlquant_client: unknown flag: %s\n", argv[i]);
+      return 2;
+    }
     break;
   }
-  if (i >= argc || (uds.empty() && port == 0)) {
+  if (i >= argc || uds.empty()) {
     Usage();
     return 2;
   }
@@ -109,11 +109,7 @@ int main(int argc, char** argv) {
   // wait is the default rather than opt-in.
   if (cmd_peek == "ping" && timeout_ms < 0) timeout_ms = 2000;
 
-  mrl::Result<Client> connected =
-      !uds.empty()
-          ? Client::ConnectUnix(uds, timeout_ms)
-          : Client::ConnectTcp(host, static_cast<std::uint16_t>(port),
-                               timeout_ms);
+  mrl::Result<Client> connected = Client::ConnectUnix(uds, timeout_ms);
   if (!connected.ok()) return Fail(connected.status());
   Client client = std::move(connected).value();
   if (timeout_ms > 0) {

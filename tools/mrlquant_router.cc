@@ -29,12 +29,11 @@ namespace {
 void Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s --backends=LIST [--uds=PATH] [--port=N] [--replicate]\n"
+      "usage: %s --uds=PATH --backends=LIST [--replicate]\n"
       "          [--partition=NAME[,NAME...]]\n"
       "          [--health-interval-ms=N] [--rpc-timeout-ms=N]\n"
-      "--backends is a comma-separated list of mrlquantd addresses, each\n"
-      "unix:PATH or HOST:PORT. At least one of --uds / --port is required\n"
-      "(--port=0 binds an ephemeral port).\n"
+      "--uds is the Unix-domain socket to serve on. --backends is a\n"
+      "comma-separated list of mrlquantd addresses, each unix:PATH.\n"
       "--replicate mirrors each tenant's writes to a ring replica and\n"
       "fails over when the primary dies (needs >= 2 backends).\n"
       "--partition names tenants spread across ALL backends; their\n"
@@ -63,8 +62,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string text;
     long value = 0;
-    if (ParseFlag(argv[i], "--uds", &options.listen.uds_path)) continue;
-    if (mrl::cli::ParsePortFlag(argv[i], &options.listen.tcp_port)) continue;
+    if (ParseFlag(argv[i], "--uds", &options.uds_path)) continue;
     if (ParseFlag(argv[i], "--backends", &text)) {
       options.backends = SplitCommas(text);
       continue;
@@ -110,10 +108,6 @@ int main(int argc, char** argv) {
                static_cast<long>(getpid()), num_backends,
                num_backends == 1 ? "" : "s",
                replicated ? ", replicated" : "");
-  if (router.value()->tcp_port() != 0) {
-    std::fprintf(stderr, ", tcp port %u",
-                 static_cast<unsigned>(router.value()->tcp_port()));
-  }
   std::fprintf(stderr, ")\n");
   const bool parked = mrl::cli::WaitForStopSignal();
   std::fprintf(stderr, "mrlquant_router: shutting down\n");

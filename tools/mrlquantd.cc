@@ -5,7 +5,7 @@
 //             --checkpoint-interval-ms=5000
 //
 // Serves the wire protocol of docs/wire_protocol.md over a Unix-domain
-// socket and/or loopback TCP, on N shared-nothing event-loop shards
+// socket, on N shared-nothing event-loop shards
 // (--shards, default one per core). Runs until SIGINT/SIGTERM, then shuts
 // down cleanly (checkpointing once more when --checkpoint-on-stop is
 // given). The main thread parks on a self-pipe read (daemon_main.h) —
@@ -29,11 +29,10 @@ namespace {
 void Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--uds=PATH] [--port=N] [--shards=N]\n"
+      "usage: %s --uds=PATH [--shards=N]\n"
       "          [--max-tenants=N] [--checkpoint=PATH]\n"
       "          [--checkpoint-interval-ms=N] [--checkpoint-on-stop]\n"
-      "At least one of --uds / --port is required (--port=0 binds an\n"
-      "ephemeral port).\n"
+      "--uds is the Unix-domain socket to serve on.\n"
       "--shards sets the number of shared-nothing event-loop shards\n"
       "(default: one per core).\n",
       argv0);
@@ -47,8 +46,7 @@ int main(int argc, char** argv) {
   mrl::server::ServerOptions options;
   for (int i = 1; i < argc; ++i) {
     long value = 0;
-    if (ParseFlag(argv[i], "--uds", &options.listen.uds_path)) continue;
-    if (mrl::cli::ParsePortFlag(argv[i], &options.listen.tcp_port)) continue;
+    if (ParseFlag(argv[i], "--uds", &options.uds_path)) continue;
     if (ParseIntFlag(argv[i], "--shards", 0, 256, &value)) {
       options.num_shards = static_cast<int>(value);
       continue;
@@ -90,10 +88,6 @@ int main(int argc, char** argv) {
                server.value()->num_shards() == 1 ? "" : "s",
                mrl::simd::ActivePathName(),
                mrl::simd::CpuFeatureString().c_str());
-  if (server.value()->tcp_port() != 0) {
-    std::fprintf(stderr, ", tcp port %u",
-                 static_cast<unsigned>(server.value()->tcp_port()));
-  }
   std::fprintf(stderr, ")\n");
   const bool parked = mrl::cli::WaitForStopSignal();
   std::fprintf(stderr, "mrlquantd: shutting down\n");
