@@ -6,7 +6,7 @@
 //   decoders;
 // * into argv[2], for registry_recover_fuzz: MRLR registry checkpoints
 //   written by SketchRegistry::CheckpointNow — empty, one tenant, and
-//   three tenants across two partitions.
+//   three tenants.
 
 #include <cstdint>
 #include <cstdio>
@@ -34,15 +34,13 @@ bool WriteFile(const std::filesystem::path& dir, const std::string& name,
   return true;
 }
 
-// Writes dir/name as the checkpoint of a registry with `num_partitions`
-// partitions holding `tenants`, tenant i fed (i + 1) * 1500 values.
+// Writes dir/name as the checkpoint of a registry holding `tenants`,
+// tenant i fed (i + 1) * 1500 values.
 bool WriteRegistry(const std::filesystem::path& dir, const std::string& name,
-                   std::size_t num_partitions,
                    const std::vector<std::string>& tenants) {
   using namespace mrl::server;  // NOLINT(build/namespaces)
   RegistryOptions options;
   options.checkpoint_path = (dir / name).string();
-  options.num_partitions = num_partitions;
   SketchRegistry registry(options);
   std::uint64_t x = 1;
   for (std::size_t i = 0; i < tenants.size(); ++i) {
@@ -186,9 +184,8 @@ int main(int argc, char** argv) {
   EncodeNameRequest(MsgType::kDelete, "b", &wire);
   ok = WriteFile(dir, "two_frames", wire) && ok;
 
-  ok = WriteRegistry(registry_dir, "empty", 1, {}) && ok;
-  ok = WriteRegistry(registry_dir, "one_tenant", 1, {"latency"}) && ok;
-  // Tenants "a" and "c" hash to partition 0 of 2, "b" to partition 1.
-  ok = WriteRegistry(registry_dir, "three_tenants", 2, {"a", "b", "c"}) && ok;
+  ok = WriteRegistry(registry_dir, "empty", {}) && ok;
+  ok = WriteRegistry(registry_dir, "one_tenant", {"latency"}) && ok;
+  ok = WriteRegistry(registry_dir, "three_tenants", {"a", "b", "c"}) && ok;
   return ok ? 0 : 1;
 }

@@ -7,8 +7,8 @@
 // contract under test: recovery NEVER aborts, reads out of bounds, or
 // leaks — it either loads the registry or returns a Status. When it loads,
 // the recovered registry is checkpointed again and that file is recovered
-// into a fresh registry with another partition count; that must succeed
-// with the same tenant count and element total, or the harness traps.
+// into a fresh registry; that must succeed with the same tenant count and
+// element total, or the harness traps.
 
 #include <unistd.h>
 
@@ -54,12 +54,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   RegistryOptions options;
   options.checkpoint_path = path;
-  options.num_partitions = 4;
   SketchRegistry recovered(options);
   if (recovered.RecoverFromDisk().ok()) {
     const RegistryStats stats = recovered.GlobalStats();
     if (!recovered.CheckpointNow().ok()) __builtin_trap();
-    options.num_partitions = 1;
     SketchRegistry again(options);
     if (!again.RecoverFromDisk().ok() || again.size() != recovered.size() ||
         again.GlobalStats().total_count != stats.total_count) {

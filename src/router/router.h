@@ -76,7 +76,7 @@ struct RouterOptions {
 /// with buffered framing, request pipelining (responses leave in request
 /// order) and the per-connection write-buffer cap. A shard runs
 /// HandleFrame inline, so a blocking backend RPC holds the shard for up to
-/// `rpc_timeout_ms`, and other connections homed on that shard wait
+/// `rpc_timeout_ms`, and the other connections on that shard wait
 /// behind it. The only other thread is the health/resync thread. Stop()
 /// (or the destructor) winds both down.
 class Router final : private server::FrameHandler,

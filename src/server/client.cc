@@ -1,12 +1,11 @@
 #include "server/client.h"
 
-#include <fcntl.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -21,50 +20,19 @@ using net::StatusFromErrno;
 
 namespace {
 
-/// connect(2) with a deadline: flips the socket nonblocking, polls for
-/// writability, then reads SO_ERROR for the real outcome before restoring
-/// blocking mode. `timeout_ms < 0` is a plain blocking connect.
-Status ConnectWithDeadline(int fd, const sockaddr* addr, socklen_t addrlen,
-                           int timeout_ms) {
-  if (timeout_ms < 0) {
-    if (::connect(fd, addr, addrlen) != 0) return StatusFromErrno("connect");
-    return Status::OK();
+/// Sets SO_SNDTIMEO on `fd`; a zero timeval removes the bound.
+Status SetSendTimeout(int fd, timeval tv) {
+  if (::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
+    return StatusFromErrno("setsockopt(SO_SNDTIMEO)");
   }
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return StatusFromErrno("fcntl(F_GETFL)");
-  if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-    return StatusFromErrno("fcntl(F_SETFL)");
-  }
-  Status status = Status::OK();
-  if (::connect(fd, addr, addrlen) != 0) {
-    if (errno == EINPROGRESS || errno == EAGAIN) {
-      pollfd pfd{fd, POLLOUT, 0};
-      int rc;
-      do {
-        rc = ::poll(&pfd, 1, timeout_ms);
-      } while (rc < 0 && errno == EINTR);
-      if (rc == 0) {
-        status = Status::Internal("connect timed out");
-      } else if (rc < 0) {
-        status = StatusFromErrno("poll");
-      } else {
-        int so_error = 0;
-        socklen_t len = sizeof(so_error);
-        if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0) {
-          status = StatusFromErrno("getsockopt(SO_ERROR)");
-        } else if (so_error != 0) {
-          status = Status::Internal(std::string("connect: ") +
-                                    std::strerror(so_error));
-        }
-      }
-    } else {
-      status = StatusFromErrno("connect");
-    }
-  }
-  if (status.ok() && ::fcntl(fd, F_SETFL, flags) != 0) {
-    status = StatusFromErrno("fcntl(F_SETFL)");
-  }
-  return status;
+  return Status::OK();
+}
+
+timeval TimevalFromMs(int timeout_ms) {
+  timeval tv{};
+  tv.tv_sec = timeout_ms / 1000;
+  tv.tv_usec = static_cast<long>(timeout_ms % 1000) * 1000;
+  return tv;
 }
 
 }  // namespace
@@ -78,29 +46,32 @@ Result<Client> Client::ConnectUnix(const std::string& path, int timeout_ms) {
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) return StatusFromErrno("socket(AF_UNIX)");
-  const Status status = ConnectWithDeadline(
-      fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr), timeout_ms);
-  if (!status.ok()) {
-    ::close(fd);
-    return status;
+  Client client(fd);
+  // A Unix-domain connect completes or fails at once unless the listener's
+  // backlog is full. Then a blocking connect waits for room, for at most
+  // SO_SNDTIMEO, and fails EAGAIN when that expires.
+  if (timeout_ms >= 0) {
+    MRL_RETURN_IF_ERROR(
+        SetSendTimeout(fd, TimevalFromMs(std::max(timeout_ms, 1))));
   }
-  return Client(fd);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    if (errno == EAGAIN && timeout_ms >= 0) {
+      return Status::Internal("connect timed out");
+    }
+    return StatusFromErrno("connect");
+  }
+  if (timeout_ms >= 0) MRL_RETURN_IF_ERROR(SetSendTimeout(fd, timeval{}));
+  return client;
 }
 
 Status Client::SetIoTimeout(int timeout_ms) {
   if (fd_ < 0) return Status::FailedPrecondition("client not connected");
-  timeval tv{};
-  if (timeout_ms > 0) {
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = static_cast<long>(timeout_ms % 1000) * 1000;
-  }
+  const timeval tv = timeout_ms > 0 ? TimevalFromMs(timeout_ms) : timeval{};
   if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
     return StatusFromErrno("setsockopt(SO_RCVTIMEO)");
   }
-  if (::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
-    return StatusFromErrno("setsockopt(SO_SNDTIMEO)");
-  }
-  return Status::OK();
+  return SetSendTimeout(fd_, tv);
 }
 
 Client::Client(Client&& other) noexcept

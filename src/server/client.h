@@ -17,8 +17,7 @@ namespace server {
 /// Blocking single-connection client for mrlquantd. The plain methods run
 /// one request per round trip; the Pipeline* methods queue many requests
 /// and flush them in one write (the server answers in request order). Not
-/// thread-safe (open one client per thread — connections are cheap and the
-/// server routes each connection to its tenant's shard anyway). Request
+/// thread-safe (open one client per thread — connections are cheap). Request
 /// and response buffers are reused across calls, so a steady AddBatch loop
 /// allocates nothing client-side either.
 ///
@@ -27,9 +26,10 @@ namespace server {
 /// surface as the server's own Status and the connection stays usable.
 class Client {
  public:
-  /// `timeout_ms` bounds the connect itself (nonblocking connect + poll);
-  /// negative blocks indefinitely. I/O on the established connection is
-  /// unbounded until SetIoTimeout is called.
+  /// `timeout_ms` bounds the wait for room in a full listen backlog (at
+  /// least 1 ms; Internal "connect timed out" when it expires); negative
+  /// waits indefinitely. I/O on the established connection is unbounded
+  /// until SetIoTimeout is called.
   static Result<Client> ConnectUnix(const std::string& path,
                                     int timeout_ms = -1);
 

@@ -10,9 +10,9 @@
 namespace mrl {
 namespace server {
 
-/// A nonblocking connection with buffered framing, owned by exactly one
-/// shard at a time (handed between shards whole, through an MPSC inbox, so
-/// no member needs a lock). The read side accumulates raw bytes until
+/// A nonblocking connection with buffered framing, owned by the one shard
+/// that adopted it (only that shard's thread touches it, so no member needs
+/// a lock). The read side accumulates raw bytes until
 /// complete frames can be carved off; the write side batches every pending
 /// response into one flat buffer flushed with a single vectored write per
 /// readiness event — that is what makes request pipelining pay: many
@@ -72,9 +72,6 @@ class Conn {
   /// Close after the response buffer drains (write-cap overflow, protocol
   /// errors that poison framing, EOF with responses still buffered).
   bool closing = false;
-  /// Pinned to its tenant's home shard (or confirmed shard-agnostic);
-  /// re-routing is considered only before the first frame is processed.
-  bool routed = false;
   /// Registered EPOLLOUT interest (response backlog waiting for the
   /// socket); tracked here so the shard only issues epoll_ctl on change.
   bool want_write = false;

@@ -22,9 +22,7 @@ constexpr unsigned kMaxShards = 256;
 
 int OpenSpareFd() { return ::open("/dev/null", O_RDONLY | O_CLOEXEC); }
 
-}  // namespace
-
-Result<int> FrameServer::ResolveNumShards(int requested) {
+Result<int> ResolveNumShards(int requested) {
   if (requested < 0 || requested > static_cast<int>(kMaxShards)) {
     return Status::InvalidArgument(
         "num_shards must be in [0, 256] (0: one per core)");
@@ -33,6 +31,8 @@ Result<int> FrameServer::ResolveNumShards(int requested) {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(std::min(hw, kMaxShards));
 }
+
+}  // namespace
 
 Result<std::unique_ptr<FrameServer>> FrameServer::Create(
     const std::string& uds_path, int num_shards, FrameHandler* handler) {
@@ -61,11 +61,7 @@ Status FrameServer::Start(const std::string& uds_path, int num_shards,
 
   shards_.reserve(static_cast<std::size_t>(num_shards));
   for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(static_cast<std::size_t>(i), handler));
-  }
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->SetPeers(shards_);
+    shards_.push_back(std::make_unique<Shard>(handler));
   }
   for (std::unique_ptr<Shard>& shard : shards_) {
     MRL_RETURN_IF_ERROR(shard->Start());
@@ -118,8 +114,7 @@ void FrameServer::AcceptLoop() {
         }
         break;  // EAGAIN: drained; anything else: retry on the next event
       }
-      // Round-robin placement; the shard re-routes to the tenant's home
-      // shard when the first frame arrives.
+      // Round-robin placement, for the connection's whole life.
       shards_[next_shard]->Adopt(std::make_unique<Conn>(fd));
       next_shard = (next_shard + 1) % shards_.size();
     }

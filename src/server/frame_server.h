@@ -36,10 +36,9 @@ class FrameHandler {
 /// The serving substrate of mrlquantd and mrlquant_router
 /// (docs/engineering.md, "The frame server"): one Unix-domain listener,
 /// whose acceptor thread hands accepted connections round-robin to N
-/// shared-nothing event-loop shards, and a connection moves to its
-/// tenant's home shard (TenantNameHash modulo the shard count) once its
-/// first frame is buffered. Connections are
-/// nonblocking with buffered framing and request pipelining. Unflushed
+/// event-loop shards; a connection stays on the shard that accepted it for
+/// its whole life. Connections are nonblocking with buffered framing and
+/// request pipelining. Unflushed
 /// responses are capped per connection at one max-size frame plus 64 KiB:
 /// a client that outruns its own reads past that gets a ResourceExhausted
 /// ERROR and is closed. When the process runs out of file descriptors, the
@@ -48,13 +47,10 @@ class FrameHandler {
 /// An idle server performs zero periodic wakeups.
 class FrameServer {
  public:
-  /// `requested` shards, or one per core (at most 256) when it is 0;
-  /// InvalidArgument outside [0, 256].
-  static Result<int> ResolveNumShards(int requested);
-
   /// Binds the Unix-domain socket `uds_path` (required: InvalidArgument
   /// when empty) and starts the acceptor and `num_shards` shard threads
-  /// (see ResolveNumShards), which call `handler` until Stop().
+  /// (0: one per core, at most 256; InvalidArgument outside [0, 256]),
+  /// which call `handler` until Stop().
   static Result<std::unique_ptr<FrameServer>> Create(
       const std::string& uds_path, int num_shards, FrameHandler* handler);
 
@@ -86,8 +82,6 @@ class FrameServer {
   /// the acceptor can still take a pending connection off the backlog.
   int spare_fd_ = -1;
 
-  /// Index i is home shard i. Stable once Start() returns (shards hold a
-  /// span over this vector for migration).
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// The acceptor epolls the listen fd and blocks until a connection or

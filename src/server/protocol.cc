@@ -360,9 +360,9 @@ std::string_view FrameTenantName(const std::uint8_t* payload,
 }
 
 std::uint64_t TenantNameHash(std::string_view name) {
-  // Stable across platforms and standard-library versions, so tenant →
-  // shard/partition routing never changes under recompilation (the
-  // checkpoint format does not depend on it either way).
+  // Stable across platforms and standard-library versions, so tenant
+  // placement never changes under recompilation (the checkpoint format
+  // does not depend on it either way).
   std::uint64_t hash = 0xcbf29ce484222325ull;
   for (const char c : name) {
     hash ^= static_cast<std::uint8_t>(c);

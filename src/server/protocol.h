@@ -232,17 +232,15 @@ Result<RestoreRequest> DecodeRestore(const std::uint8_t* payload,
 
 /// Peeks the tenant name at the front of a request payload without fully
 /// decoding it — every request payload begins with a u16-length-prefixed
-/// name. The sharded server uses this to route a connection to the shard
-/// owning the tenant before dispatch. Returns an empty view when the
+/// name. The router uses this to pick a frame's backend before forwarding
+/// it unparsed. Returns an empty view when the
 /// payload is too short or the length runs past it (the real decoder will
 /// produce the error); does not validate name characters.
 std::string_view FrameTenantName(const std::uint8_t* payload,
                                  std::size_t len);
 
-/// Stable hash of a tenant name (FNV-1a, 64-bit), the one name hash of the
-/// serving tier: the registry reduces it modulo its partition count and the
-/// frame server modulo its shard count, so a tenant's home shard and its
-/// registry partition agree by construction.
+/// Stable hash of a tenant name (FNV-1a, 64-bit): the router's placement
+/// hash (router/hash_ring.h).
 std::uint64_t TenantNameHash(std::string_view name);
 
 /// Copies `count` little-endian doubles into *out (capacity reused).

@@ -27,10 +27,8 @@ namespace {
 // (re-ingest or re-snapshot). A v3 file holding a record of a retired
 // tenant kind (KLL = 2, deterministic reservoir = 3) is rejected whole by
 // the config decoder ("unknown sketch kind N"), so a daemon refuses to
-// start rather than drop those tenants. The on-disk format is
-// partition-agnostic: tenants are written as one flat list and re-hashed
-// into partitions on recovery, so the same file works across --shards
-// settings.
+// start rather than drop those tenants. Tenants are one flat list, in the
+// directory's iteration order.
 constexpr std::uint32_t kRegistryMagic = 0x4D524C52;  // "MRLR"
 constexpr std::uint8_t kRegistryVersion = 3;
 constexpr std::uint64_t kMaxCheckpointTenants = std::uint64_t{1} << 20;
@@ -102,12 +100,6 @@ Status ReadFileBytes(const std::string& path, std::vector<std::uint8_t>* out,
 SketchRegistry::SketchRegistry(RegistryOptions options)
     : options_(std::move(options)) {
   MRL_CHECK_GE(options_.max_tenants, 1u);
-  MRL_CHECK_GE(options_.num_partitions, 1u);
-  MRL_CHECK_LE(options_.num_partitions, 256u);
-  partitions_.reserve(options_.num_partitions);
-  for (std::size_t i = 0; i < options_.num_partitions; ++i) {
-    partitions_.push_back(std::make_unique<Partition>());
-  }
 }
 
 Result<UnknownNSketch> SketchRegistry::MakeSketch(const TenantConfig& config) {
@@ -118,50 +110,26 @@ Result<UnknownNSketch> SketchRegistry::MakeSketch(const TenantConfig& config) {
   return UnknownNSketch::Create(opts);
 }
 
-bool SketchRegistry::EvictGlobalLru() {
-  // Phase 1: find the globally oldest tenant, visiting partitions one at a
-  // time under their reader locks (two partition locks are never held at
-  // once — see the lock-order comment in registry.h).
-  std::size_t victim_part = partitions_.size();
-  std::string victim_name;
-  std::uint64_t oldest = ~std::uint64_t{0};
-  for (std::size_t pi = 0; pi < partitions_.size(); ++pi) {
-    Partition& p = *partitions_[pi];
-    ReaderLock lock(p.mu);
-    for (const auto& [name, tenant] : p.tenants) {
-      const std::uint64_t used =
-          tenant->last_used.load(std::memory_order_relaxed);
-      if (used <= oldest) {
-        oldest = used;
-        victim_part = pi;
-        victim_name = name;
-      }
+std::shared_ptr<SketchRegistry::Tenant> SketchRegistry::EvictLru() {
+  TenantMap::iterator victim = tenants_.begin();
+  for (TenantMap::iterator it = tenants_.begin(); it != tenants_.end(); ++it) {
+    if (it->second->last_used.load(std::memory_order_relaxed) <
+        victim->second->last_used.load(std::memory_order_relaxed)) {
+      victim = it;
     }
   }
-  if (victim_part == partitions_.size()) return false;
-
-  // Phase 2: re-lock the victim's partition exclusively and evict. A
-  // racing Delete may have beaten us to it — the caller's loop re-checks
-  // the live count either way.
-  Partition& p = *partitions_[victim_part];
-  WriterLock lock(p.mu);
-  TenantMap::iterator it = p.tenants.find(victim_name);
-  if (it == p.tenants.end()) return true;
-  p.tenants.erase(it);
-  live_tenants_.fetch_sub(1, std::memory_order_relaxed);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  std::shared_ptr<Tenant> evicted = std::move(victim->second);
+  tenants_.erase(victim);
+  ++evictions_;
+  return evicted;
 }
 
 std::shared_ptr<SketchRegistry::Tenant> SketchRegistry::FindTenant(
     std::string_view name) const {
-  const Partition& p = PartitionFor(name);
-  ReaderLock lock(p.mu);
-  TenantMap::const_iterator it = p.tenants.find(name);
-  if (it == p.tenants.end()) return nullptr;
-  it->second->last_used.store(
-      use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-      std::memory_order_relaxed);
+  ReaderLock lock(mu_);
+  TenantMap::const_iterator it = tenants_.find(name);
+  if (it == tenants_.end()) return nullptr;
+  it->second->last_used.store(NextUse(), std::memory_order_relaxed);
   return it->second;
 }
 
@@ -179,56 +147,24 @@ Status SketchRegistry::Create(std::string_view name,
 Status SketchRegistry::AddTenant(std::string_view name,
                                  const TenantConfig& config,
                                  UnknownNSketch sketch, bool replace) {
-  Partition& home = PartitionFor(name);
-
-  // Existence pre-check so creating or replacing an existing tenant never
-  // evicts.
-  bool exists;
-  {
-    ReaderLock lock(home.mu);
-    exists = home.tenants.find(name) != home.tenants.end();
-    if (exists && !replace) {
-      return Status::FailedPrecondition("tenant already exists");
-    }
-  }
-
-  if (!exists &&
-      live_tenants_.load(std::memory_order_relaxed) >= options_.max_tenants) {
-    WriterLock cross(cross_mu_);
-    while (live_tenants_.load(std::memory_order_relaxed) >=
-           options_.max_tenants) {
-      if (!EvictGlobalLru()) break;
-    }
-  }
-
   std::shared_ptr<Tenant> tenant =
       std::make_shared<Tenant>(config, std::move(sketch));
-  {
-    WriterLock lock(home.mu);
-    TenantMap::iterator it = home.tenants.find(name);
-    if (it != home.tenants.end() && !replace) {
-      return Status::FailedPrecondition("tenant already exists");
-    }
-    tenant->last_used.store(
-        use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
-    if (it == home.tenants.end()) {
-      home.tenants.emplace(std::string(name), std::move(tenant));
-      live_tenants_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      it->second = std::move(tenant);
-    }
+  // Declared before the lock, so a replaced or evicted tenant (the last
+  // reference, unless a reader holds one) is freed after it is released.
+  std::vector<std::shared_ptr<Tenant>> displaced;
+  WriterLock lock(mu_);
+  tenant->last_used.store(NextUse(), std::memory_order_relaxed);
+  TenantMap::iterator it = tenants_.find(name);
+  if (it != tenants_.end()) {
+    if (!replace) return Status::FailedPrecondition("tenant already exists");
+    displaced.push_back(std::exchange(it->second, std::move(tenant)));
+    return Status::OK();
   }
-
-  // Concurrent creates can overshoot the cap transiently (each saw a free
-  // slot); self-heal before returning so the cap holds at quiescence.
-  if (live_tenants_.load(std::memory_order_relaxed) > options_.max_tenants) {
-    WriterLock cross(cross_mu_);
-    while (live_tenants_.load(std::memory_order_relaxed) >
-           options_.max_tenants) {
-      if (!EvictGlobalLru()) break;
-    }
+  // A recovered checkpoint may hold more tenants than the cap.
+  while (tenants_.size() >= options_.max_tenants) {
+    displaced.push_back(EvictLru());
   }
+  tenants_.emplace(std::string(name), std::move(tenant));
   return Status::OK();
 }
 
@@ -285,12 +221,12 @@ Status SketchRegistry::Snapshot(std::string_view name,
 }
 
 Status SketchRegistry::Delete(std::string_view name) {
-  Partition& p = PartitionFor(name);
-  WriterLock lock(p.mu);
-  TenantMap::iterator it = p.tenants.find(name);
-  if (it == p.tenants.end()) return Status::NotFound("unknown tenant");
-  p.tenants.erase(it);
-  live_tenants_.fetch_sub(1, std::memory_order_relaxed);
+  std::shared_ptr<Tenant> deleted;  // freed after the lock is released
+  WriterLock lock(mu_);
+  TenantMap::iterator it = tenants_.find(name);
+  if (it == tenants_.end()) return Status::NotFound("unknown tenant");
+  deleted = std::move(it->second);
+  tenants_.erase(it);
   return Status::OK();
 }
 
@@ -343,35 +279,28 @@ TenantStats SketchRegistry::Stats(std::string_view name) const {
 RegistryStats SketchRegistry::GlobalStats() const {
   RegistryStats stats;
   // Directory pass and tenant pass deliberately do not nest: copy the
-  // tenant handles out partition by partition, release each partition
-  // lock, then visit every tenant under its own lock (lock order: never
-  // hold a partition lock across sketch work; see registry.h).
+  // tenant handles out, release the directory lock, then visit every
+  // tenant under its own lock (see the lock order in registry.h).
   std::vector<std::shared_ptr<Tenant>> snapshot;
-  for (const std::unique_ptr<Partition>& part : partitions_) {
-    const Partition& p = *part;
-    ReaderLock lock(p.mu);
-    stats.num_tenants += p.tenants.size();
-    snapshot.reserve(snapshot.size() + p.tenants.size());
-    for (const auto& [name, tenant] : p.tenants) snapshot.push_back(tenant);
+  {
+    ReaderLock lock(mu_);
+    stats.num_tenants = tenants_.size();
+    stats.evictions = evictions_;
+    snapshot.reserve(tenants_.size());
+    for (const auto& [name, tenant] : tenants_) snapshot.push_back(tenant);
   }
   for (const std::shared_ptr<Tenant>& tenant : snapshot) {
     Tenant& t = *tenant;
     ReaderLock lock(t.mu);
     stats.total_count += t.sketch.count();
   }
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.checkpoints = checkpoints_.load(std::memory_order_relaxed);
   return stats;
 }
 
 std::size_t SketchRegistry::size() const {
-  std::size_t total = 0;
-  for (const std::unique_ptr<Partition>& part : partitions_) {
-    const Partition& p = *part;
-    ReaderLock lock(p.mu);
-    total += p.tenants.size();
-  }
-  return total;
+  ReaderLock lock(mu_);
+  return tenants_.size();
 }
 
 void SketchRegistry::EncodeTenantSketch(const Tenant& tenant,
@@ -391,21 +320,16 @@ Result<UnknownNSketch> SketchRegistry::DecodeTenantSketch(
 
 Status SketchRegistry::CheckpointNow() {
   if (options_.checkpoint_path.empty()) return Status::OK();
-  // cross_mu_ serializes whole-registry operations against each other
-  // (two concurrent checkpoints would race on the temp file; a checkpoint
-  // racing a recover would interleave half-swapped directories).
-  WriterLock cross(cross_mu_);
+  // Held to the end: two checkpoints would race on the temp file, and a
+  // slower older snapshot could land after a newer one.
+  MutexLock checkpoint_lock(checkpoint_mu_);
   // Same two-pass shape as GlobalStats: directory handles out under the
-  // partition locks, then the (slow) per-tenant serialization under
+  // directory lock, then the (slow) per-tenant serialization under
   // Tenant::mu only — a checkpoint never blocks lookups or other tenants.
   std::vector<std::pair<std::string, std::shared_ptr<Tenant>>> snapshot;
-  for (const std::unique_ptr<Partition>& part : partitions_) {
-    const Partition& p = *part;
-    ReaderLock lock(p.mu);
-    snapshot.reserve(snapshot.size() + p.tenants.size());
-    for (const auto& [name, tenant] : p.tenants) {
-      snapshot.emplace_back(name, tenant);
-    }
+  {
+    ReaderLock lock(mu_);
+    snapshot.assign(tenants_.begin(), tenants_.end());
   }
   std::vector<std::uint8_t> bytes;
   BinaryWriter writer(&bytes);
@@ -456,10 +380,8 @@ Status SketchRegistry::RecoverFromDisk() {
   if (num_tenants > kMaxCheckpointTenants) {
     return Status::InvalidArgument("registry checkpoint tenant count absurd");
   }
-  // Decode into per-partition staging maps (tenants re-hash to partitions
-  // here — the file is a flat list) and swap in only on full success.
-  std::vector<TenantMap> recovered(partitions_.size());
-  std::uint64_t recovered_count = 0;
+  // Decode into a staging map and swap it in only on full success.
+  TenantMap recovered;
   for (std::uint64_t i = 0; i < num_tenants; ++i) {
     std::string_view name;
     if (!reader.GetString16(&name)) return reader.status();
@@ -470,32 +392,24 @@ Status SketchRegistry::RecoverFromDisk() {
     MRL_RETURN_IF_ERROR(GetTenantConfig(&reader, &config));
     Result<UnknownNSketch> sketch = DecodeTenantSketch(config, &reader);
     if (!sketch.ok()) return sketch.status();
-    TenantMap& target = recovered[PartitionOf(name)];
-    if (target.find(name) != target.end()) {
+    if (recovered.find(name) != recovered.end()) {
       return Status::InvalidArgument(
           "registry checkpoint: duplicate tenant name");
     }
-    target.emplace(
+    recovered.emplace(
         std::string(name),
         std::make_shared<Tenant>(config, std::move(sketch).value()));
-    ++recovered_count;
   }
   if (!reader.AtEnd()) {
     return Status::InvalidArgument(
         "registry checkpoint: trailing bytes before CRC");
   }
-  WriterLock cross(cross_mu_);
-  for (std::size_t pi = 0; pi < partitions_.size(); ++pi) {
-    Partition& p = *partitions_[pi];
-    WriterLock lock(p.mu);
-    p.tenants = std::move(recovered[pi]);
-    for (const auto& [name, tenant] : p.tenants) {
-      tenant->last_used.store(
-          use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-    }
+  for (const auto& [name, tenant] : recovered) {
+    tenant->last_used.store(NextUse(), std::memory_order_relaxed);
   }
-  live_tenants_.store(recovered_count, std::memory_order_relaxed);
+  // The outgoing directory, now in `recovered`, is freed after the lock.
+  WriterLock lock(mu_);
+  tenants_.swap(recovered);
   return Status::OK();
 }
 

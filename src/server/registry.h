@@ -21,19 +21,14 @@ namespace mrl {
 namespace server {
 
 struct RegistryOptions {
-  /// Hard cap on live tenants across all partitions; creating past it
-  /// evicts the globally least recently used tenant.
+  /// Hard cap on live tenants; creating past it evicts the least recently
+  /// used tenant.
   std::size_t max_tenants = 64;
   /// Checkpoint file for crash recovery (docs/checkpoint_format.md,
   /// "Registry checkpoint"). Empty disables persistence.
   std::string checkpoint_path;
-  /// Number of directory partitions, in [1, 256]. Tenants are assigned to
-  /// partitions by a stable hash of their name (PartitionOf); each
-  /// partition has its own directory lock, so operations on
-  /// tenants in different partitions never contend on a shared mutex.
-  /// QuantileServer sets this to its frame server's shard count, which
-  /// routes each connection to the shard owning its tenant's partition,
-  /// making the steady-state ingest path shared-nothing.
+  /// Ignored: the registry keeps one directory. Still declared only because
+  /// perfbench/replay.h sets it; drop it when that file next changes.
   std::size_t num_partitions = 1;
 };
 
@@ -51,46 +46,38 @@ struct RegistryStats {
   std::uint64_t checkpoints = 0;  ///< successful CheckpointNow calls
 };
 
-/// Multi-tenant sketch registry, partitioned for shared-nothing serving:
-/// tenant names hash to one of `num_partitions` directory partitions
-/// (PartitionOf), each with its own shared mutex and tenant map. Reads of
-/// a partition's directory are concurrent; create/delete/evict are
-/// exclusive per partition. Each tenant
-/// additionally holds its own shared mutex so ingestion into tenant A
+/// Multi-tenant sketch registry: one directory (a tenant map under a
+/// shared mutex) of independently locked tenants. Directory reads are
+/// concurrent; create, delete, replace and LRU eviction are exclusive. Each
+/// tenant additionally holds its own shared mutex so ingestion into tenant A
 /// never blocks queries on tenant B. Within a tenant, AddBatch takes the
 /// exclusive lock and queries take the shared lock — exactly the
 /// single-writer / concurrent-const-reader contract the sketches document.
 ///
 /// Lock order (statically annotated, checked by -Wthread-safety on Clang):
 ///
-///   cross_mu_  →  Partition::mu
+///   checkpoint_mu_  →  mu_ (directory)
 ///
-/// `Tenant::mu` is never taken while a partition lock is held.
+/// `Tenant::mu` is never taken while `mu_` is held.
 ///
-/// * `Partition::mu` guards one partition's directory. Steady-state
-///   per-tenant operations (AddBatch/Query/Stats/...) take exactly one
-///   partition lock — shared, only long enough to copy out a
-///   shared_ptr<Tenant> handle — release it, and then take the tenant's
-///   own lock. When the server routes each connection to the shard owning
-///   its tenant's partition, that partition lock is only ever taken by one
-///   thread and is therefore uncontended: the ingest path crosses no
-///   shared lock.
-/// * `cross_mu_` survives only for cross-partition operations that must
-///   not interleave with each other: CheckpointNow (file write),
-///   RecoverFromDisk (directory swap), and global LRU eviction
-///   (EvictGlobalLru). Per-partition operations never touch it.
-/// * Two partition locks are never held at once: the global LRU scan
-///   visits partitions one at a time, and eviction re-locks only the
-///   victim's partition.
+/// * `mu_` guards the directory. Per-tenant operations (AddBatch/Query/
+///   Stats/...) take it shared, only long enough to copy out a
+///   shared_ptr<Tenant> handle, release it, and then take the tenant's own
+///   lock. Create, Install and Delete take it exclusively; a create that
+///   finds the registry full evicts the least recently used tenant under
+///   the same exclusive hold, so concurrent creates never overshoot
+///   max_tenants (a recovered checkpoint over the cap is evicted down to
+///   it by the next create).
+/// * `checkpoint_mu_` only keeps two CheckpointNow calls from writing the
+///   temp file at once (and their snapshots from landing out of order).
 /// * Sketches are built (Create) or decoded (Install, RecoverFromDisk)
-///   before any partition lock is taken.
+///   before the directory lock is taken, and a displaced tenant is freed
+///   after it is released.
 ///
 /// Every create builds a fresh sketch. A deleted, evicted or replaced
 /// tenant is freed when its last shared_ptr goes: an operation that races
 /// a Delete of the same tenant may still apply to the outgoing instance
-/// (it holds a shared_ptr) and never crashes. Under concurrent creates the
-/// max_tenants cap may be overshot transiently; Create self-heals by
-/// evicting until the registry is back under the cap before returning.
+/// (it holds a shared_ptr) and never crashes.
 class SketchRegistry {
  public:
   explicit SketchRegistry(RegistryOptions options);
@@ -144,22 +131,13 @@ class SketchRegistry {
   /// Atomically (write-temp + rename) persists every tenant to the
   /// configured checkpoint path. No-op returning OK when persistence is
   /// disabled.
-  Status CheckpointNow() MRLQUANT_EXCLUDES(cross_mu_);
+  Status CheckpointNow() MRLQUANT_EXCLUDES(checkpoint_mu_, mu_);
 
   /// Loads the checkpoint file if it exists (OK and empty registry when it
   /// does not). Fails without touching the registry on a corrupt file.
-  Status RecoverFromDisk() MRLQUANT_EXCLUDES(cross_mu_);
+  Status RecoverFromDisk() MRLQUANT_EXCLUDES(mu_);
 
-  std::size_t size() const;
-
-  /// TenantNameHash modulo num_partitions. The frame server routes a
-  /// connection by the same hash modulo its shard count, so "partition i"
-  /// and "shard i" agree by construction.
-  std::size_t PartitionOf(std::string_view name) const {
-    return static_cast<std::size_t>(TenantNameHash(name)) %
-           partitions_.size();
-  }
-  std::size_t num_partitions() const { return partitions_.size(); }
+  std::size_t size() const MRLQUANT_EXCLUDES(mu_);
 
  private:
   /// Every tenant is the paper's unknown-N sketch, held by value.
@@ -183,34 +161,27 @@ class SketchRegistry {
   using TenantMap = std::unordered_map<std::string, std::shared_ptr<Tenant>,
                                        StringHash, std::equal_to<>>;
 
-  /// One directory partition: its own lock and tenant map. Heap-allocated
-  /// so the SharedMutex never moves.
-  struct Partition {
-    mutable SharedMutex mu;
-    TenantMap tenants MRLQUANT_GUARDED_BY(mu);
-  };
-
   static Result<UnknownNSketch> MakeSketch(const TenantConfig& config);
-
-  Partition& PartitionFor(std::string_view name) const {
-    return *partitions_[PartitionOf(name)];
-  }
 
   /// Adds tenant `name` (validated by the caller) with the built `sketch`
   /// under the eviction cap. Without `replace` (Create) an existing tenant
   /// is an error; with it (Install) `sketch` replaces any existing tenant.
   Status AddTenant(std::string_view name, const TenantConfig& config,
-                   UnknownNSketch sketch, bool replace);
+                   UnknownNSketch sketch, bool replace) MRLQUANT_EXCLUDES(mu_);
 
-  /// Evicts the globally least-recently-used tenant, scanning partitions
-  /// one at a time (never holding two partition locks). Returns false when
-  /// every partition is empty. Caller holds cross_mu_ (eviction
-  /// accounting: concurrent evictors would pick the same victim).
-  bool EvictGlobalLru() MRLQUANT_REQUIRES(cross_mu_);
+  /// Removes the least recently used tenant and hands it to the caller, to
+  /// be freed once mu_ is released. The directory must not be empty.
+  std::shared_ptr<Tenant> EvictLru() MRLQUANT_REQUIRES(mu_);
 
-  /// Shared-locks the owning partition and returns the named tenant
-  /// (bumping its LRU stamp), or null.
-  std::shared_ptr<Tenant> FindTenant(std::string_view name) const;
+  /// Shared-locks the directory and returns the named tenant (bumping its
+  /// LRU stamp), or null.
+  std::shared_ptr<Tenant> FindTenant(std::string_view name) const
+      MRLQUANT_EXCLUDES(mu_);
+
+  /// Next value of the LRU clock (stamps are unique and increasing).
+  std::uint64_t NextUse() const {
+    return use_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
 
   /// Serializes one tenant's sketch — a u32 length followed by the
   /// sketch's Serialize() blob — under its (at least shared) lock.
@@ -222,17 +193,11 @@ class SketchRegistry {
                                                    BinaryReader* reader);
 
   RegistryOptions options_;
-  /// Fixed at construction; the vector itself is immutable after that, so
-  /// PartitionFor needs no lock.
-  std::vector<std::unique_ptr<Partition>> partitions_;
-  /// Cross-partition operations only (checkpoint, recover, global LRU
-  /// eviction); see the lock-order comment above.
-  mutable SharedMutex cross_mu_;
-  /// Live tenants across all partitions — eviction accounting without a
-  /// global directory lock.
-  std::atomic<std::uint64_t> live_tenants_{0};
+  mutable SharedMutex mu_;
+  TenantMap tenants_ MRLQUANT_GUARDED_BY(mu_);
+  std::uint64_t evictions_ MRLQUANT_GUARDED_BY(mu_) = 0;
+  Mutex checkpoint_mu_ MRLQUANT_ACQUIRED_BEFORE(mu_);
   mutable std::atomic<std::uint64_t> use_clock_{0};
-  std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> checkpoints_{0};
 };
 

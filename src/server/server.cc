@@ -12,13 +12,6 @@ QuantileServer::QuantileServer(ServerOptions options)
 
 Result<std::unique_ptr<QuantileServer>> QuantileServer::Create(
     ServerOptions options) {
-  Result<int> num_shards = FrameServer::ResolveNumShards(options.num_shards);
-  if (!num_shards.ok()) return num_shards.status();
-  options.num_shards = num_shards.value();
-  // Partition the registry exactly as the shards are laid out, so shard i
-  // exclusively serves partition i once connections migrate home.
-  options.registry.num_partitions =
-      static_cast<std::size_t>(num_shards.value());
   std::unique_ptr<QuantileServer> server(
       new QuantileServer(std::move(options)));
   MRL_RETURN_IF_ERROR(server->Start());

@@ -23,14 +23,11 @@ namespace server {
 struct ServerOptions {
   /// Unix-domain socket path to serve on; required.
   std::string uds_path;
-  /// Shared-nothing event-loop shards, each a thread with its own epoll
-  /// set and registry partition. 0 means one per core. A shard multiplexes
-  /// any number of connections, so this is not a concurrent-connection
-  /// cap.
+  /// Event-loop shards, each a thread with its own epoll set, sharing the
+  /// one registry. 0 means one per core. A shard multiplexes any number of
+  /// connections, so this is not a concurrent-connection cap.
   int num_shards = 0;
   /// Registry configuration (tenant cap, checkpoint path).
-  /// `num_partitions` is overridden to the resolved shard count so
-  /// "partition i" and "shard i" coincide.
   RegistryOptions registry;
   /// When > 0 and a checkpoint path is configured, a housekeeping thread
   /// checkpoints the registry this often.
@@ -42,10 +39,9 @@ struct ServerOptions {
 };
 
 /// The quantile daemon: a SketchRegistry served on a FrameServer
-/// (docs/engineering.md, "The frame server"). Shard i of the frame server
-/// is the home shard of registry partition i, so once a connection has
-/// moved to its tenant's home shard (on its first frame) steady-state
-/// ADD_BATCH touches no cross-shard lock. This class holds only the
+/// (docs/engineering.md, "The frame server"). Every shard serves any
+/// tenant; steady-state ADD_BATCH takes the registry's directory lock
+/// shared and then the tenant's own lock. This class holds only the
 /// daemon's side: the registry call behind each request that ServeRequest
 /// decodes, and the periodic checkpoint.
 class QuantileServer final : private FrameHandler, private RequestHandler {

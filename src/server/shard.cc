@@ -1,10 +1,9 @@
 #include "server/shard.h"
 
-#include <cstring>
+#include <span>
 #include <utility>
 
 #include "server/protocol.h"
-#include "util/logging.h"
 
 namespace mrl {
 namespace server {
@@ -29,8 +28,7 @@ MsgType RequestTypeOf(const std::uint8_t* frame) {
 
 }  // namespace
 
-Shard::Shard(std::size_t index, FrameHandler* handler)
-    : index_(index), handler_(handler) {}
+Shard::Shard(FrameHandler* handler) : handler_(handler) {}
 
 Shard::~Shard() {
   RequestStop();
@@ -82,9 +80,9 @@ void Shard::Loop() {
         continue;
       }
       Conn* conn = static_cast<Conn*>(events[i].data.ptr);
-      // One epoll_event per fd per Wait: after a handler closes or
-      // migrates the connection the pointer is dead, so each branch below
-      // is terminal for this event.
+      // One epoll_event per fd per Wait: after a handler closes the
+      // connection the pointer is dead, so each branch below is terminal
+      // for this event.
       if ((events[i].events & EPOLLIN) != 0) {
         OnReadable(conn);
       } else if ((events[i].events & EPOLLOUT) != 0) {
@@ -105,18 +103,11 @@ void Shard::DrainInbox() {
   }
   for (std::unique_ptr<Conn>& owned : adopted) {
     Conn* conn = owned.get();
-    const int fd = conn->fd();
-    conns_.emplace(fd, std::move(owned));
-    const std::uint32_t interest =
-        conn->pending_out() > 0 ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
-    conn->want_write = (interest & EPOLLOUT) != 0;
-    if (!loop_.Add(fd, interest, conn).ok()) {
-      conns_.erase(fd);
-      continue;
+    // Level-triggered: bytes that arrived before registration still
+    // report EPOLLIN on the next Wait.
+    if (loop_.Add(conn->fd(), EPOLLIN, conn).ok()) {
+      conns_.emplace(conn->fd(), std::move(owned));
     }
-    // A migrated connection arrives with its first frame already buffered;
-    // nothing will re-arm EPOLLIN for userspace bytes, so process now.
-    OnReadable(conn);
   }
 }
 
@@ -126,7 +117,6 @@ void Shard::OnReadable(Conn* conn) {
     CloseConn(conn);
     return;
   }
-  if (!conn->routed && MaybeMigrate(conn)) return;
   ProcessFrames(conn);
   if (io == Conn::IoResult::kEof) {
     // Peer half-closed: everything decodable has been answered; finish
@@ -137,42 +127,6 @@ void Shard::OnReadable(Conn* conn) {
 }
 
 void Shard::OnWritable(Conn* conn) { FlushOrArm(conn); }
-
-bool Shard::MaybeMigrate(Conn* conn) {
-  if (peers_.size() < 2) {
-    conn->routed = true;
-    return false;
-  }
-  const std::size_t avail = conn->available();
-  if (avail < 4) return false;  // prefix not buffered yet: route later
-  std::uint32_t body_len = 0;
-  if (!ReadFrameBodyLen(conn->data(), &body_len)) {
-    conn->routed = true;  // garbage: process (= drop) locally
-    return false;
-  }
-  if (avail < 4 + static_cast<std::size_t>(body_len)) return false;
-  conn->routed = true;
-  // Peek the tenant name from the first frame's payload (after the 8
-  // header bytes the prefix counts). Frames without a routable name
-  // (global STATS, malformed) stay where round-robin put them.
-  const std::string_view name =
-      FrameTenantName(conn->data() + kFrameHeaderSize,
-                      body_len - (kFrameHeaderSize - 4));
-  if (name.empty()) return false;
-  const std::size_t target =
-      static_cast<std::size_t>(TenantNameHash(name)) % peers_.size();
-  if (target == index_ || peers_[target].get() == this) return false;
-  // Hand the whole connection over (its buffered input travels with it;
-  // no response has been produced yet, so the write buffer is empty).
-  const int fd = conn->fd();
-  loop_.Remove(fd);
-  auto it = conns_.find(fd);
-  MRL_CHECK(it != conns_.end());
-  std::unique_ptr<Conn> owned = std::move(it->second);
-  conns_.erase(it);
-  peers_[target]->Adopt(std::move(owned));
-  return true;
-}
 
 void Shard::ProcessFrames(Conn* conn) {
   while (!conn->closing) {

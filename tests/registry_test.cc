@@ -153,30 +153,18 @@ TEST(RegistryTest, LruEvictionAndRecycling) {
   EXPECT_EQ(registry.Stats("d").count, 1u);
 }
 
-// The sharded-server layout: one partition per shard, tenants spread by
-// TenantNameHash. Every operation must behave identically to the single-map
-// registry, and global accounting must aggregate across partitions.
-TEST(RegistryTest, PartitionedRegistryFullLifecycle) {
-  RegistryOptions options;
-  options.num_partitions = 4;
-  SketchRegistry registry(options);
-  EXPECT_EQ(registry.num_partitions(), 4u);
+// Many tenants in one registry: every operation stays per-tenant, and the
+// global accounting aggregates over all of them.
+TEST(RegistryTest, ManyTenantLifecycleAndGlobalStats) {
+  SketchRegistry registry(RegistryOptions{});
   TenantConfig config;
 
   constexpr int kTenants = 32;
-  bool partition_hit[4] = {false, false, false, false};
   for (int i = 0; i < kTenants; ++i) {
     const std::string name = "tenant" + std::to_string(i);
-    const std::size_t p = registry.PartitionOf(name);
-    ASSERT_LT(p, 4u);
-    EXPECT_EQ(registry.PartitionOf(name), p);  // hash is stable
-    partition_hit[p] = true;
     ASSERT_TRUE(registry.Create(name, config).ok()) << name;
     ASSERT_TRUE(registry.AddBatch(name, std::vector<Value>{1.0, 2.0}).ok());
   }
-  // 32 FNV-hashed names into 4 buckets leave none empty (deterministic
-  // for this name set; a miss here means the hash or modulus regressed).
-  for (int p = 0; p < 4; ++p) EXPECT_TRUE(partition_hit[p]) << p;
 
   EXPECT_EQ(registry.size(), static_cast<std::size_t>(kTenants));
   EXPECT_EQ(registry.GlobalStats().total_count, 2u * kTenants);
@@ -192,67 +180,37 @@ TEST(RegistryTest, PartitionedRegistryFullLifecycle) {
   EXPECT_EQ(answer.value(), 2.0);
 }
 
-// Eviction is global LRU: the victim is the globally-oldest tenant even
-// when it lives in a different partition than the incoming create.
-TEST(RegistryTest, EvictionPicksGlobalLruAcrossPartitions) {
-  RegistryOptions options;
-  options.num_partitions = 4;
-  options.max_tenants = 3;
-  SketchRegistry registry(options);
+// A checkpoint written under a larger cap recovers whole; the next create
+// evicts the least recently used tenants until the new one fits the cap.
+TEST(RegistryTest, RecoveredTenantsOverTheCapAreEvictedOnCreate) {
+  const std::string path = TempPath("registry_ckpt_cap");
   TenantConfig config;
-
-  ASSERT_TRUE(registry.Create("a", config).ok());
-  ASSERT_TRUE(registry.Create("b", config).ok());
-  ASSERT_TRUE(registry.Create("c", config).ok());
-
-  // Touch a and c so b — wherever it hashed — is globally LRU.
-  ASSERT_TRUE(registry.AddBatch("a", std::vector<Value>{1.0}).ok());
-  ASSERT_TRUE(registry.AddBatch("c", std::vector<Value>{1.0}).ok());
-
-  ASSERT_TRUE(registry.Create("d", config).ok());
-  EXPECT_EQ(registry.size(), 3u);
-  EXPECT_FALSE(registry.Stats("b").present);
-  EXPECT_TRUE(registry.Stats("a").present);
-  EXPECT_TRUE(registry.Stats("c").present);
-  EXPECT_TRUE(registry.Stats("d").present);
-  EXPECT_EQ(registry.GlobalStats().evictions, 1u);
-}
-
-// Checkpoints are partition-agnostic on disk: a registry checkpointed
-// with one layout recovers into any other, re-hashing tenants into their
-// new home partitions.
-TEST(RegistryTest, CheckpointIsPartitionLayoutAgnostic) {
-  const std::string path = TempPath("registry_ckpt_parts");
-  const std::vector<Value> values = UniformStream(20000, 17);
-
   {
     RegistryOptions options;
     options.checkpoint_path = path;
-    options.num_partitions = 4;
     SketchRegistry registry(options);
-    TenantConfig config;
-    for (int i = 0; i < 8; ++i) {
-      const std::string name = "t" + std::to_string(i);
-      ASSERT_TRUE(registry.Create(name, config).ok());
-      ASSERT_TRUE(registry.AddBatch(name, values).ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(registry.Create("t" + std::to_string(i), config).ok());
     }
     ASSERT_TRUE(registry.CheckpointNow().ok());
   }
 
-  for (const std::size_t partitions : {std::size_t{1}, std::size_t{4},
-                                       std::size_t{7}}) {
-    RegistryOptions options;
-    options.checkpoint_path = path;
-    options.num_partitions = partitions;
-    SketchRegistry recovered(options);
-    ASSERT_TRUE(recovered.RecoverFromDisk().ok());
-    EXPECT_EQ(recovered.size(), 8u);
-    for (int i = 0; i < 8; ++i) {
-      const std::string name = "t" + std::to_string(i);
-      EXPECT_EQ(recovered.Stats(name).count, values.size()) << name;
-      EXPECT_TRUE(recovered.Query(name, 0.5).ok()) << name;
-    }
-  }
+  RegistryOptions options;
+  options.checkpoint_path = path;
+  options.max_tenants = 3;
+  SketchRegistry recovered(options);
+  ASSERT_TRUE(recovered.RecoverFromDisk().ok());
+  EXPECT_EQ(recovered.size(), 5u);
+  // Touch t0 and t1 so they are the most recently used.
+  ASSERT_TRUE(recovered.AddBatch("t0", std::vector<Value>{1.0}).ok());
+  ASSERT_TRUE(recovered.AddBatch("t1", std::vector<Value>{1.0}).ok());
+
+  ASSERT_TRUE(recovered.Create("new", config).ok());
+  EXPECT_EQ(recovered.size(), 3u);
+  EXPECT_EQ(recovered.GlobalStats().evictions, 3u);
+  EXPECT_TRUE(recovered.Stats("t0").present);
+  EXPECT_TRUE(recovered.Stats("t1").present);
+  EXPECT_TRUE(recovered.Stats("new").present);
   std::remove(path.c_str());
 }
 

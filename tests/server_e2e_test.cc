@@ -138,7 +138,9 @@ TEST_F(ServerE2eTest, TenantLifecycleOverTheWire) {
 
 TEST_F(ServerE2eTest, MultiThreadedIngestionMeetsEpsBound) {
   ServerOptions options;
-  options.num_shards = 4;  // connections migrate to the tenant's home shard
+  // Round-robin placement puts the four writers on four different shards,
+  // all contending for the one tenant's lock.
+  options.num_shards = 4;
   std::unique_ptr<QuantileServer> server = StartServer(std::move(options));
   ASSERT_NE(server, nullptr);
 
@@ -386,12 +388,10 @@ TEST_F(ServerE2eTest, TenantSurvivesDaemonSigkill) {
   ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
 }
 
-// SIGKILL + recovery with the sharded registry layout: tenants hash into
-// four partitions, so the checkpoint writer walks all of them and
-// recovery re-hashes the flat on-disk list back into partitions. Each
-// tenant also lives on a different shard, so the pre-kill ingestion
-// exercises cross-shard connection migration too.
-TEST_F(ServerE2eTest, ShardedRegistrySurvivesDaemonSigkill) {
+// SIGKILL + recovery of a four-shard daemon: eight tenants written from
+// connections that round-robin placement spreads over every shard, all
+// into the one registry the checkpoint captures.
+TEST_F(ServerE2eTest, MultiShardDaemonSurvivesSigkill) {
   checkpoint_path_ = TempName("e2e_shard_ckpt");
   const std::string uds_flag = "--uds=" + uds_path_;
   const std::string ckpt_flag = "--checkpoint=" + checkpoint_path_;
@@ -422,8 +422,7 @@ TEST_F(ServerE2eTest, ShardedRegistrySurvivesDaemonSigkill) {
   pid_t pid = spawn_daemon();
   ASSERT_GT(pid, 0);
   {
-    // One connection per tenant: each migrates to its tenant's home shard
-    // on the first frame.
+    // One connection per tenant, each on the next shard round-robin.
     std::vector<Client> clients;
     for (int t = 0; t < kTenants; ++t) {
       Client client = t == 0 ? wait_for_daemon() : Connect();
@@ -712,7 +711,8 @@ TEST_F(ServerE2eTest, DaemonRejectsZeroMaxTenants) {
 }
 
 // Unix-domain sockets are the one transport: --port and --host are
-// unknown flags, and so usage errors (exit 2), for all three binaries.
+// unknown flags, and so usage errors (exit 2), for all three binaries; so
+// is starting the daemon or the router without --uds.
 TEST_F(ServerE2eTest, TransportFlagsOtherThanUdsAreUsageErrors) {
   std::unique_ptr<QuantileServer> server = StartServer(ServerOptions{});
   ASSERT_NE(server, nullptr);
@@ -729,9 +729,53 @@ TEST_F(ServerE2eTest, TransportFlagsOtherThanUdsAreUsageErrors) {
               2)
         << flag;
   }
+  EXPECT_EQ(RunBinary(MRLQUANT_DAEMON_PATH, {}), 2);
+  EXPECT_EQ(RunBinary(MRLQUANT_DAEMON_PATH, {"--shards=1"}), 2);
+  EXPECT_EQ(RunBinary(MRLQUANT_ROUTER_PATH, {backends_flag}), 2);
   EXPECT_EQ(RunClient({uds_flag, "ping"}), 0);
   server->Stop();
   std::remove((uds_path_ + ".spare").c_str());
+}
+
+// A listener that never accepts, with its backlog full: the connect
+// deadline expires as an error instead of handing back a socket that
+// never connected.
+TEST_F(ServerE2eTest, ConnectDeadlineHoldsOnAFullBacklog) {
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, uds_path_.c_str(), uds_path_.size() + 1);
+  const sockaddr* sa = reinterpret_cast<const sockaddr*>(&addr);
+  ASSERT_EQ(::bind(listener, sa, sizeof(addr)), 0) << std::strerror(errno);
+  ASSERT_EQ(::listen(listener, 0), 0);
+
+  // Nonblocking connects queue up until the backlog refuses one (EAGAIN).
+  std::vector<int> queued;
+  bool full = false;
+  for (int i = 0; i < 64 && !full; ++i) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    ASSERT_GE(fd, 0);
+    if (::connect(fd, sa, sizeof(addr)) == 0) {
+      queued.push_back(fd);
+      continue;
+    }
+    full = errno == EAGAIN;
+    ::close(fd);
+  }
+  ASSERT_TRUE(full) << "backlog never filled";
+
+  const auto start = std::chrono::steady_clock::now();
+  Result<Client> client = Client::ConnectUnix(uds_path_, 200);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(client.ok()) << "connected through a full backlog";
+  EXPECT_NE(client.status().message().find("timed out"), std::string::npos)
+      << client.status().ToString();
+  EXPECT_GE(elapsed, std::chrono::milliseconds(100));
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+
+  for (const int fd : queued) ::close(fd);
+  ::close(listener);
 }
 
 // Malformed or out-of-range client flags are usage errors (exit 2), never

@@ -84,7 +84,7 @@ class ServerPipelineTest : public ::testing::TestWithParam<Target> {
     const bool routed = GetParam() == Target::kRouter;
     ServerOptions options;
     options.uds_path = routed ? backend_path_ : uds_path_;
-    options.num_shards = 2;  // exercise tenant-affinity migration too
+    options.num_shards = 2;  // connections land on both shards
     Result<std::unique_ptr<QuantileServer>> server =
         QuantileServer::Create(std::move(options));
     ASSERT_TRUE(server.ok()) << server.status().message();

@@ -32,8 +32,9 @@ void Usage(const char* argv0) {
       "usage: %s --uds=PATH --backends=LIST [--replicate]\n"
       "          [--partition=NAME[,NAME...]]\n"
       "          [--health-interval-ms=N] [--rpc-timeout-ms=N]\n"
-      "--uds is the Unix-domain socket to serve on. --backends is a\n"
-      "comma-separated list of mrlquantd addresses, each unix:PATH.\n"
+      "--uds (required) is the Unix-domain socket to serve on.\n"
+      "--backends is a comma-separated list of mrlquantd addresses,\n"
+      "each unix:PATH.\n"
       "--replicate mirrors each tenant's writes to a ring replica and\n"
       "fails over when the primary dies (needs >= 2 backends).\n"
       "--partition names tenants spread across ALL backends; their\n"
@@ -90,6 +91,11 @@ int main(int argc, char** argv) {
       return 0;
     }
     std::fprintf(stderr, "mrlquant_router: unknown argument: %s\n", argv[i]);
+    Usage(argv[0]);
+    return 2;
+  }
+  if (options.uds_path.empty()) {
+    std::fprintf(stderr, "mrlquant_router: --uds=PATH is required\n");
     Usage(argv[0]);
     return 2;
   }

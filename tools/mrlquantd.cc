@@ -5,8 +5,9 @@
 //             --checkpoint-interval-ms=5000
 //
 // Serves the wire protocol of docs/wire_protocol.md over a Unix-domain
-// socket, on N shared-nothing event-loop shards
-// (--shards, default one per core). Runs until SIGINT/SIGTERM, then shuts
+// socket (--uds, required), on N event-loop shards (--shards, default one
+// per core) that all serve one tenant registry; a connection stays on the
+// shard that accepted it. Runs until SIGINT/SIGTERM, then shuts
 // down cleanly (checkpointing once more when --checkpoint-on-stop is
 // given). The main thread parks on a self-pipe read (daemon_main.h) —
 // like the event loops, it does zero periodic wakeups while idle (strace -c
@@ -32,9 +33,10 @@ void Usage(const char* argv0) {
       "usage: %s --uds=PATH [--shards=N]\n"
       "          [--max-tenants=N] [--checkpoint=PATH]\n"
       "          [--checkpoint-interval-ms=N] [--checkpoint-on-stop]\n"
-      "--uds is the Unix-domain socket to serve on.\n"
-      "--shards sets the number of shared-nothing event-loop shards\n"
-      "(default: one per core).\n",
+      "--uds (required) is the Unix-domain socket to serve on.\n"
+      "--shards sets the number of event-loop shards (default: one per\n"
+      "core); connections are spread over them round-robin, and every\n"
+      "shard serves every tenant.\n",
       argv0);
 }
 
@@ -71,6 +73,11 @@ int main(int argc, char** argv) {
       return 0;
     }
     std::fprintf(stderr, "mrlquantd: unknown argument: %s\n", argv[i]);
+    Usage(argv[0]);
+    return 2;
+  }
+  if (options.uds_path.empty()) {
+    std::fprintf(stderr, "mrlquantd: --uds=PATH is required\n");
     Usage(argv[0]);
     return 2;
   }
