@@ -78,10 +78,10 @@ void BenchReporter::Flush() {
   }
   if (records_.empty()) return;
 
-  // Stamped on every row: which kernel table produced these numbers and on
-  // what silicon. bench_diff refuses to silently compare rows whose
-  // dispatch path or feature set differ (an "avx2" baseline diffed against
-  // a "forced-scalar" run measures the dispatch, not the change).
+  // Stamped on every row: which kernel produced these numbers ("scalar",
+  // the one portable kernel) and on what silicon. bench_diff warns before
+  // comparing rows whose stamp or feature set differ, such as
+  // BENCH_PR9.json's "avx2" rows.
   const std::string dispatch = simd::ActivePathName();
   const std::string cpu = simd::CpuFeatureString();
 

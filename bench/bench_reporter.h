@@ -13,10 +13,12 @@ namespace bench {
 /// or empty). Fields that do not apply stay zero/empty and are omitted from the
 /// JSON: google-benchmark rows fill ns_per_op / elements_per_s /
 /// mem_elements; table-reproduction rows report their headline number via
-/// value + unit. Every row additionally carries the SIMD dispatch path
-/// ("avx2" / "scalar" / "forced-scalar", util/simd.h) and the detected CPU
-/// feature set that produced it, so tools/bench_diff can warn before
-/// comparing numbers from different kernels or silicon.
+/// value + unit. Every row additionally carries the kernel stamp
+/// `dispatch` (always "scalar" now that every host runs the one portable
+/// kernel, util/simd.h; older artifacts may read "avx2" or
+/// "forced-scalar") and the detected CPU feature set that produced it, so
+/// tools/bench_diff can warn before comparing numbers from different
+/// kernels or silicon.
 struct BenchRecord {
   std::string name;            ///< row identifier, e.g. "BM_Select/10"
   double ns_per_op = 0;        ///< wall time per iteration

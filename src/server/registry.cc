@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -331,6 +332,10 @@ Status SketchRegistry::CheckpointNow() {
     ReaderLock lock(mu_);
     snapshot.assign(tenants_.begin(), tenants_.end());
   }
+  // Name order, so the file is a function of the registry's contents and
+  // not of the hash table's iteration order or insertion history.
+  std::sort(snapshot.begin(), snapshot.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<std::uint8_t> bytes;
   BinaryWriter writer(&bytes);
   writer.PutU32(kRegistryMagic);

@@ -1,6 +1,7 @@
 #include "util/sort.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/logging.h"
 #include "util/simd.h"
@@ -22,15 +23,43 @@ constexpr int kRadixPasses = 8;
 /// overrunning the L1 fill buffers.
 constexpr std::size_t kScatterPrefetchDistance = 16;
 
+MRLQUANT_HOT void TransformKeys(const Value* in, std::uint64_t* out,
+                                std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = OrderedKeyFromValue(in[i]);
+}
+
+MRLQUANT_HOT void InverseKeys(const std::uint64_t* in, Value* out,
+                              std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = ValueFromOrderedKey(in[i]);
+}
+
+/// All eight byte histograms of keys[0..n) in one fused pass (one read of
+/// the data instead of eight). Fully overwrites `hist`.
+MRLQUANT_HOT void Histogram(const std::uint64_t* keys, std::size_t n,
+                            std::size_t (*hist)[256]) {
+  std::memset(hist, 0, kRadixPasses * 256 * sizeof(hist[0][0]));
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t k = keys[i];
+    ++hist[0][k & 0xFF];
+    ++hist[1][(k >> 8) & 0xFF];
+    ++hist[2][(k >> 16) & 0xFF];
+    ++hist[3][(k >> 24) & 0xFF];
+    ++hist[4][(k >> 32) & 0xFF];
+    ++hist[5][(k >> 40) & 0xFF];
+    ++hist[6][(k >> 48) & 0xFF];
+    ++hist[7][(k >> 56) & 0xFF];
+  }
+}
+
 /// LSD radix core over scratch->keys[0..n): one counting scatter per
 /// non-uniform byte position, ping-ponging between keys and keys_alt (and,
 /// when kWithPayload, between the payload mirrors — the scatter moves each
 /// record's payload alongside its key, which is what makes the sort
 /// stable). `hist` holds all eight byte histograms of the keys (built by
-/// the caller through the dispatched fused kernel). Returns the array
-/// holding the sorted keys; *payload_out (when kWithPayload) receives the
-/// matching payload array. Requires n >= 1 and all four scratch vectors
-/// resized to n by the caller.
+/// the caller with Histogram). Returns the array holding the sorted keys;
+/// *payload_out (when kWithPayload) receives the matching payload array.
+/// Requires n >= 1 and all four scratch vectors resized to n by the
+/// caller.
 template <bool kWithPayload>
 const std::uint64_t* RadixSortKeys(SortScratch* scratch, std::size_t n,
                                    const std::size_t (*hist)[256],
@@ -87,15 +116,12 @@ void SortValues(Value* data, std::size_t n, SortScratch* scratch) {
   scratch->keys.resize(n);
   // NOLINTNEXTLINE(mrlquant-no-alloc-in-hot-path): arena
   scratch->keys_alt.resize(n);
-  // The key transform and the fused histogram pass run through the SIMD
-  // dispatch (util/simd.h): AVX2 when the host has it, the scalar
-  // reference otherwise — bit-identical either way.
-  const simd::SortKernelOps& ops = simd::ActiveSortKernels();
   std::size_t hist[kRadixPasses][256];
-  ops.transform_and_histogram(data, scratch->keys.data(), n, hist);
+  TransformKeys(data, scratch->keys.data(), n);
+  Histogram(scratch->keys.data(), n, hist);
   const std::uint64_t* sorted =
       RadixSortKeys<false>(scratch, n, hist, nullptr);
-  ops.inverse_keys(sorted, data, n);
+  InverseKeys(sorted, data, n);
 }
 
 void SortValues(Value* data, std::size_t n) {
@@ -128,15 +154,12 @@ void SortPairs(KeyedPayload* data, std::size_t n, SortScratch* scratch) {
   scratch->payload_alt.resize(n);
   std::uint64_t* keys = scratch->keys.data();
   std::uint64_t* payload = scratch->payload.data();
-  // The record split is strided (AoS pairs), so it stays scalar; the
-  // histogram over the freshly packed contiguous keys dispatches.
   for (std::size_t i = 0; i < n; ++i) {
     keys[i] = OrderedKeyFromValue(data[i].first);
     payload[i] = data[i].second;
   }
-  const simd::SortKernelOps& ops = simd::ActiveSortKernels();
   std::size_t hist[kRadixPasses][256];
-  ops.histogram(keys, n, hist);
+  Histogram(keys, n, hist);
   const std::uint64_t* sorted_payload = nullptr;
   const std::uint64_t* sorted =
       RadixSortKeys<true>(scratch, n, hist, &sorted_payload);

@@ -176,9 +176,21 @@ TEST_F(RouterE2eTest, RoutedBasicOpsAndPing) {
   config.eps = kEps;
   config.seed = 7;
 
-  // Several tenants so the ring actually spreads them around.
-  const std::vector<std::string> tenants = {"alpha", "bravo", "charlie",
-                                            "delta", "echo"};
+  // Several tenants, spread over at least two backends. The ring hashes
+  // the fixture's socket paths, which embed the pid, so fixed names can all
+  // land on one backend (about 1 run in 80 for five names). Candidates
+  // t0, t1, ... are taken until five are chosen and two owners are
+  // covered; 64 tries all on one of three backends has odds of 3^-63.
+  std::vector<std::string> tenants;
+  for (int i = 0; i < 64; ++i) {
+    tenants.push_back("t" + std::to_string(i));
+    const bool covered = std::any_of(
+        tenants.begin(), tenants.end(), [&](const std::string& name) {
+          return router_->OwnerIndexOf(name) !=
+                 router_->OwnerIndexOf(tenants[0]);
+        });
+    if (tenants.size() >= 5 && covered) break;
+  }
   for (const std::string& name : tenants) {
     ASSERT_TRUE(client.CreateSketch(name, config).ok()) << name;
   }

@@ -7,6 +7,7 @@
 #include "util/bounded_heap.h"
 #include "util/math.h"
 #include "util/random.h"
+#include "util/simd.h"
 #include "util/status.h"
 
 namespace mrl {
@@ -325,6 +326,16 @@ TEST(KBestTest, DuplicatesAreKept) {
   KBest heap(3);
   for (Value v : {2.0, 2.0, 2.0, 1.0}) heap.Push(v);
   EXPECT_EQ(heap.SortedFromExtreme(), (std::vector<Value>{1.0, 2.0, 2.0}));
+}
+
+// ------------------------------------------------------- kernel stamp
+
+// Every bench JSON row, the perfbench stamp line and the daemon's startup
+// line record these two values; tools/bench_diff compares them across
+// artifacts. Every host runs the one portable sort kernel.
+TEST(KernelStampTest, ActivePathIsScalarAndFeaturesAreReported) {
+  EXPECT_STREQ(simd::ActivePathName(), "scalar");
+  EXPECT_FALSE(simd::CpuFeatureString().empty());
 }
 
 }  // namespace
